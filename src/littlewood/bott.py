@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .characters import HalfInt, RootSystem, Weight
+from .errors import InconsistencyError
 from .partitions import Partition, in_q
 
 
@@ -103,7 +104,9 @@ def bott(rs: RootSystem, weight: Weight, epsilon_shortcut: bool = True) -> BottO
         else:
             break
         if steps > cap:
-            raise AssertionError("Bott walk exceeded the number of positive roots")
+            raise InconsistencyError(
+                f"Bott walk from {fc} in {rs}: more than {cap} reflections, the number of positive roots"
+            )
     if any(c == 0 for c in v):
         return BottOutcome(vanishes=True)
     result = Weight.fundamental(rs.family, rs.rank, tuple(c - 1 for c in v))

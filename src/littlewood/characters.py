@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import cache
 
 from .errors import InconsistencyError, NotCharacterError, ScaleError
-from .partitions import Decomposition, Partition
+from .partitions import Decomposition, Partition, schur_fill
 
 DIM_BOUND_ENV = "LITTLEWOOD_DIM_BOUND"
 DEFAULT_DIM_BOUND = 10**6
@@ -513,7 +513,8 @@ def _dim_irrep(family: str, rank: int, fc: tuple) -> int:
     for root in rs._roots:
         num *= sum(e * x for e, x in zip(root.coroot_coords, v))
         den *= sum(root.coroot_coords)
-    assert num % den == 0
+    if num % den:
+        raise InconsistencyError(f"Weyl dimension of {fc} in {family}{rank}: quotient {num}/{den} is not an integer")
     return num // den
 
 
@@ -538,7 +539,10 @@ def _dominant_mults(family: str, rank: int, top: tuple) -> dict:
 
     def depth(mu):
         ks = rs.root_coords(tuple(a - b for a, b in zip(top, mu)))
-        assert all(k.denominator == 1 and k >= 0 for k in ks)
+        if any(k.denominator != 1 or k < 0 for k in ks):
+            raise InconsistencyError(
+                f"Freudenthal for {top} in {family}{rank}: {top} - {mu} is not a nonnegative root combination {ks}"
+            )
         return sum(int(k) for k in ks), tuple(int(k) for k in ks)
 
     ordered = sorted(((depth(mu), mu) for mu in dom), key=lambda t: t[0][0])
@@ -561,7 +565,11 @@ def _dominant_mults(family: str, rank: int, top: tuple) -> dict:
                 k += 1
         denom = sum(k * di * (t + m + 2) for k, di, t, m in zip(ks, rs.d, top, mu))
         val = 2 * num
-        assert denom > 0 and val % denom == 0
+        if denom <= 0 or val % denom:
+            raise InconsistencyError(
+                f"Freudenthal for {top} in {family}{rank}: multiplicity of {mu} is {val}/{denom}; "
+                "the denominator must be positive and divide the numerator"
+            )
         mults[mu] = val // denom
     return {mu: m for mu, m in mults.items()}
 
@@ -703,24 +711,10 @@ class Character:
         return out
 
     def exterior_power(self, k: int) -> "Character":
-        return self._power(k, strict=True)
+        return Character(self.rs, schur_fill((1,) * k, self.letters(), (0,) * self.rs.rank))
 
     def symmetric_power(self, k: int) -> "Character":
-        return self._power(k, strict=False)
-
-    def _power(self, k: int, strict: bool) -> "Character":
-        letters = self.letters()
-        zero = (0,) * self.rs.rank
-        table: list[dict[tuple, int]] = [{zero: 1}] + [dict() for _ in range(k)]
-        for letter in letters:
-            ts = range(k, 0, -1) if strict else range(1, k + 1)
-            for t in ts:
-                src = table[t - 1]
-                dst = table[t]
-                for fc, c in list(src.items()):
-                    key = tuple(a + b for a, b in zip(fc, letter))
-                    dst[key] = dst.get(key, 0) + c
-        return Character(self.rs, table[k])
+        return Character(self.rs, schur_fill((k,), self.letters(), (0,) * self.rs.rank))
 
     def restrict(self, target_rs: RootSystem, coord_map) -> "Character":
         """Push the weight multiset through a map on fundamental coordinates."""
@@ -789,38 +783,10 @@ def decompose_character(rs: RootSystem, char: Character, bound=None) -> Decompos
 def schur_character(rs: RootSystem, base: Character, lam, *, size_bound=SCHUR_SIZE_BOUND, dim_bound_=SCHUR_DIM_BOUND) -> Character:
     """Character of the Schur functor applied to a virtual space with the given
     character: the Schur polynomial evaluated on the weight multiset, computed
-    by semistandard-tableau enumeration."""
+    by the horizontal-strip recursion of `schur_fill` over its letters."""
     lam = Partition(lam)
     if lam.size > size_bound:
         raise ScaleError(f"schur_character supports |lambda| <= {size_bound}")
     if base.dimension() > dim_bound_:
         raise ScaleError(f"schur_character supports base dimension <= {dim_bound_}")
-    letters = base.letters()
-    n = len(letters)
-    out: dict[tuple, int] = {}
-    if len(lam) > n:
-        return Character(rs)
-    zero = (0,) * rs.rank
-    if not lam:
-        return Character(rs, {zero: 1})
-
-    cells = [(r, c) for r in range(len(lam)) for c in range(lam[r])]
-    fill = {}
-
-    def rec(idx: int, acc: tuple):
-        if idx == len(cells):
-            out[acc] = out.get(acc, 0) + 1
-            return
-        r, c = cells[idx]
-        left = fill.get((r, c - 1))
-        above = fill.get((r - 1, c))
-        lo = left if left is not None else 0
-        if above is not None:
-            lo = max(lo, above + 1)
-        for v in range(lo, n):
-            fill[(r, c)] = v
-            rec(idx + 1, tuple(a + b for a, b in zip(acc, letters[v])))
-            del fill[(r, c)]
-
-    rec(0, zero)
-    return Character(rs, out)
+    return Character(rs, schur_fill(lam, base.letters(), (0,) * rs.rank))

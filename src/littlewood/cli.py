@@ -192,6 +192,8 @@ def _cmd_qset(args):
     if args.size is None:
         raise LittlewoodError("qset needs --size or --check")
     if args.oracle:
+        if args.size % 2:
+            raise ValueError("Q-sets contain only even sizes")
         form = "alternating" if args.variant == "minus" else "symmetric"
         dec = plethysm_wedge_power(args.size // 2, form, args.dim_e)
         members = sorted(dec.support(), key=lambda p: p.parts)
@@ -450,3 +452,7 @@ def run(argv) -> int:
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -25,7 +25,7 @@ from .characters import (
     dim_irrep,
     schur_character,
 )
-from .errors import ScaleError, StableRangeError
+from .errors import InconsistencyError, ScaleError, StableRangeError
 from .partitions import (
     Decomposition,
     Partition,
@@ -143,7 +143,7 @@ def bracket_weight(case: GroupCase, lam) -> Weight:
         return Weight.fundamental(
             "E", 8, (0, l6 - l7, l6 + l7, l5 - l6, l4 - l5, l3 - l4, l2 - l3, l1 - l2)
         )
-    raise AssertionError(case.kind)
+    raise InconsistencyError(f"bracket_weight: no bracket map for case kind {case.kind!r}")
 
 
 def bracket_dim(case: GroupCase, lam) -> int:
@@ -296,7 +296,10 @@ def _branch_by_characters(lam: Partition, kind: str, m: int) -> Decomposition:
         plus = sum(m_ for pos, m_ in halves if pos)
         minus = sum(m_ for pos, m_ in halves if not pos)
         if plus != minus:
-            raise AssertionError("mirror multiplicities differ; not an O(V)-stable character")
+            raise InconsistencyError(
+                f"branch {lam} to O({m}): mirror multiplicities {plus} and {minus} differ at "
+                f"doubled |eps| {key}; not an O(V)-stable character"
+            )
         out.add(Partition(tuple(t // 2 for t in key)), plus)
     return out
 

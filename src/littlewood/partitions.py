@@ -2,14 +2,25 @@
 
 Everything is exact integer arithmetic on plain tuples.  Partition is a thin
 immutable wrapper that normalizes away trailing zeros, so equal partitions
-compare and hash equally.  The Q-sets index the Schur constituents of exterior
-powers of wedge^2 E (minus variant) and Sym^2 E (plus variant); the plethysm
-routine recomputes those constituents from scratch by monomial expansion and
-acts as the independent oracle for the recursive membership rule.
+compare and hash equally.
+
+Semistandard fillings are enumerated in one place, `schur_fill`, by the
+horizontal-strip recursion: the cells holding one entry form a horizontal
+strip, so the fillings grow one letter at a time through the shapes between
+inner and outer.  Schur functors of characters, exterior and symmetric
+powers, the plethysm oracle and the skew tableau count all use it; LR
+coefficients count lattice-word fillings, a different object, on their own.
+
+The Q-sets index the Schur constituents of exterior powers of wedge^2 E
+(minus variant) and Sym^2 E (plus variant); the plethysm routine recomputes
+those constituents from scratch by monomial expansion and acts as the
+independent oracle for the recursive membership rule.
 """
 
 from __future__ import annotations
 
+import itertools
+import operator
 from functools import cache
 
 from .errors import InconsistencyError, ScaleError
@@ -359,65 +370,70 @@ def dim_schur(lam, m: int) -> int:
             arm = p - j - 1
             leg = sum(1 for ii in range(i + 1, len(lam)) if lam[ii] > j)
             den *= arm + leg + 1
-    assert num % den == 0
+    if num % den:
+        raise InconsistencyError(f"dim_schur({lam}, {m}): hook-content quotient {num}/{den} is not an integer")
     return num // den
 
 
 def count_skew_ssyt(outer, inner, m: int) -> int:
     """Number of semistandard fillings of outer/inner with entries <= m.
 
-    Direct enumeration; used as the independent check against the LR route.
+    Counted by the horizontal-strip recursion of `schur_fill`; used as the
+    independent check against the LR route.
     """
-    shape = SkewShape(outer, inner)
-    if shape.is_empty:
-        return 0
-    total = 0
-    for _ in _iter_ssyt(shape.outer.parts, shape.inner.parts, m):
-        total += 1
-    return total
+    return sum(schur_fill(outer, [(1,)] * m, (0,), inner).values())
 
 
-def _iter_ssyt(outer: tuple, inner: tuple, m: int):
-    """Yield content vectors of semistandard tableaux of the skew shape."""
-    cells = []
-    for r in range(len(outer)):
-        lo = inner[r] if r < len(inner) else 0
-        for c in range(lo, outer[r]):
-            cells.append((r, c))
-    if not cells:
-        yield (0,) * m
-        return
-    fill = {}
-    content = [0] * m
+def schur_fill(outer, letters, zero: tuple, inner=()) -> dict:
+    """{sum of the letters used: count} over the semistandard fillings of
+    outer/inner, entry i standing for letters[i] (vectors of one length,
+    zero being that length's zero vector).
 
-    def rec(idx: int):
-        if idx == len(cells):
-            yield tuple(content)
-            return
-        r, c = cells[idx]
-        left = fill.get((r, c - 1))
-        above = fill.get((r - 1, c))
-        lo = left if left is not None else 1
-        if above is not None:
-            lo = max(lo, above + 1)
-        for v in range(lo, m + 1):
-            fill[(r, c)] = v
-            content[v - 1] += 1
-            yield from rec(idx + 1)
-            content[v - 1] -= 1
-            del fill[(r, c)]
-
-    yield from rec(0)
-
-
-@cache
-def schur_monomials(lam: tuple, m: int) -> dict:
-    """Monomial expansion of the Schur polynomial s_lam(x_1..x_m)."""
-    lam = Partition(lam)
-    out: dict[tuple, int] = {}
-    for content in _iter_ssyt(lam.parts, (), m):
-        out[content] = out.get(content, 0) + 1
-    return out
+    Strip recursion: the cells holding entry i form a horizontal strip, so
+    one table per shape mu (inner <= mu <= outer) holds the sums over the
+    fillings of mu/inner by the entries seen so far.  Each new letter lets
+    every shape nu take the table of each predecessor mu (nu/mu a non-empty
+    horizontal strip) shifted by |nu/mu| copies of the letter.  Larger shapes
+    are updated first, so they read their predecessors' tables from before
+    this letter: the 0/1-knapsack trick, for any shape.
+    """
+    outer, inner = Partition(outer), Partition(inner)
+    if not outer.contains(inner):
+        return {}
+    outer = outer.parts
+    inner = inner.parts + (0,) * (len(outer) - len(inner))
+    shapes = [()]
+    for lo, hi in zip(inner, outer):
+        shapes = [mu + (p,) for mu in shapes for p in range(lo, min(hi, mu[-1] if mu else hi) + 1)]
+    shapes.sort(key=sum, reverse=True)
+    strips = []
+    for nu in shapes:
+        # mu interlaces nu: nu[r+1] <= mu[r] <= nu[r], and mu contains inner.
+        ranges = [range(max(lo, below), top + 1) for lo, top, below in zip(inner, nu, nu[1:] + (0,))]
+        strips.append([(mu, sum(nu) - sum(mu)) for mu in itertools.product(*ranges) if mu != nu])
+    tables = {mu: {} for mu in shapes}
+    tables[inner] = {zero: 1}
+    for done, letter in enumerate(letters, 1):
+        # Each letter still to come fills at most one cell of a column, so a
+        # shape that can still grow into outer contains outer less that many
+        # top rows; the other shapes are not updated.
+        rest = outer[len(letters) - done:]
+        shifts = [zero]
+        for _ in range(max(outer, default=0)):
+            shifts.append(tuple(map(operator.add, shifts[-1], letter)))
+        for nu, preds in zip(shapes, strips):
+            if any(p < q for p, q in zip(nu, rest)):
+                continue
+            dst = tables[nu]
+            for mu, d in preds:
+                src = tables[mu]
+                if not src:
+                    continue
+                shift = shifts[d]
+                for vec, c in src.items():
+                    key = tuple(map(operator.add, vec, shift))
+                    dst[key] = dst.get(key, 0) + c
+    return tables[outer]
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +444,10 @@ def plethysm_wedge_power(k: int, form: str, dim_e: int) -> Decomposition:
     """Schur decomposition of the k-th exterior power of wedge^2 E (alternating)
     or of Sym^2 E (symmetric), by exact monomial expansion in dim_e variables
     followed by repeated subtraction of the lexicographically highest term's
-    Schur polynomial.  The loop must end at the zero polynomial exactly.
+    Schur polynomial.  Both expansions are strip recursions (`schur_fill`):
+    the column (1^k) filled with the degree-2 monomials, and the leading
+    shape filled with the dim_e variables.  The loop must end at the zero
+    polynomial exactly.
     """
     if form not in FORMS:
         raise ValueError(f"form must be one of {FORMS}")
@@ -446,16 +465,9 @@ def plethysm_wedge_power(k: int, form: str, dim_e: int) -> Decomposition:
             mono[j] += 1
             basis.append(tuple(mono))
 
-    # 0/1 knapsack over the basis monomials: table[t] = expansion of wedge^t.
-    table: list[dict[tuple, int]] = [{(0,) * dim_e: 1}] + [dict() for _ in range(k)]
-    for mono in basis:
-        for t in range(k, 0, -1):
-            src = table[t - 1]
-            dst = table[t]
-            for expo, coeff in src.items():
-                key = tuple(a + b for a, b in zip(expo, mono))
-                dst[key] = dst.get(key, 0) + coeff
-    poly = {e: c for e, c in table[k].items() if c}
+    zero = (0,) * dim_e
+    units = [tuple(int(i == j) for j in range(dim_e)) for i in range(dim_e)]
+    poly = schur_fill((1,) * k, basis, zero)
 
     out = Decomposition()
     while poly:
@@ -467,7 +479,7 @@ def plethysm_wedge_power(k: int, form: str, dim_e: int) -> Decomposition:
             )
         lam = Partition(top)
         out.add(lam, coeff)
-        for expo, c in schur_monomials(lam, dim_e).items():
+        for expo, c in schur_fill(lam, units, zero).items():
             newc = poly.get(expo, 0) - coeff * c
             if newc:
                 poly[expo] = newc

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from littlewood import cli
 from littlewood.complexes import Report
@@ -140,3 +144,19 @@ def test_qset_check_mode(capsys):
     assert code == 0
     assert json.loads(out) == {"member": True, "partition": [2, 1, 1], "rank": 1, "transpose": [3, 1]}
     assert run_cli(capsys, "qset", "--variant", "minus")[0] == 2
+
+
+def test_qset_odd_size_refused_on_both_paths(capsys):
+    for extra in ((), ("--oracle",)):
+        code, out, err = run_cli(capsys, "qset", "--variant", "minus", "--size", "7", *extra)
+        assert code == 2 and out == "" and "even sizes" in err, extra
+
+
+def test_python_dash_m_entry_point():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "littlewood", "dim", "--type", "G2", "--weight", "1,0"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0 and done.stdout == "7\n"
