@@ -18,10 +18,12 @@ Conversion conventions (Bourbaki node numbering):
 
 from __future__ import annotations
 
+import math
+import operator
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 
 from .errors import InconsistencyError, NotCharacterError, ScaleError
 from .partitions import Decomposition, Partition, schur_fill
@@ -371,6 +373,10 @@ class RootSystem:
         self.rank = rank
         self.cartan, self.d = _cartan_and_d(family, rank)
         self.cartan_inv = _invert(self.cartan)
+        # Integer heights: fc . height_vector == height_scale * height(fc).
+        row_sums = [sum(row) for row in self.cartan_inv]
+        self.height_scale = math.lcm(*(r.denominator for r in row_sums))
+        self.height_vector = tuple(int(r * self.height_scale) for r in row_sums)
         self._roots = self._close_roots()
         count = _EXPECTED_POSITIVE[family](rank)
         if len(self._roots) != count:
@@ -623,62 +629,36 @@ def char_of_irrep(rs: RootSystem, weight, bound=None) -> "Character":
 # formal characters
 
 
-class Character:
-    """Formal integer combination of weights of one root system."""
+class Character(Decomposition):
+    """Formal integer combination of weights of one root system: a
+    `Decomposition` keyed by fundamental-coordinate tuples.  Sums, scaling and
+    zero-dropping are inherited; the methods here need the weights themselves
+    or order them as tuples (listing and JSON)."""
 
-    __slots__ = ("rs", "entries")
+    __slots__ = ("rs",)
 
     def __init__(self, rs: RootSystem, entries=None):
         self.rs = rs
-        self.entries = {}
-        if entries:
-            for fc, m in (entries.items() if hasattr(entries, "items") else entries):
-                if m:
-                    fc = tuple(fc)
-                    new = self.entries.get(fc, 0) + m
-                    if new:
-                        self.entries[fc] = new
-                    else:
-                        del self.entries[fc]
+        super().__init__(entries)
+
+    def _blank(self) -> "Character":
+        return Character(self.rs)
 
     def dimension(self) -> int:
-        return sum(self.entries.values())
-
-    def __getitem__(self, fc):
-        return self.entries.get(tuple(fc), 0)
+        return self.total()
 
     def __add__(self, other):
         self._check(other)
-        out = dict(self.entries)
-        for fc, m in other.entries.items():
-            new = out.get(fc, 0) + m
-            if new:
-                out[fc] = new
-            else:
-                del out[fc]
-        return Character(self.rs, out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c: int) -> "Character":
-        if c == 0:
-            return Character(self.rs)
-        return Character(self.rs, {fc: c * m for fc, m in self.entries.items()})
+        return super().__add__(other)
 
     def __mul__(self, other):
         """Tensor product: convolution of weight multisets."""
         self._check(other)
-        out: dict[tuple, int] = {}
+        out = Character(self.rs)
         for fa, ma in self.entries.items():
             for fb, mb in other.entries.items():
-                key = tuple(a + b for a, b in zip(fa, fb))
-                new = out.get(key, 0) + ma * mb
-                if new:
-                    out[key] = new
-                else:
-                    del out[key]
-        return Character(self.rs, out)
+                out.add(tuple(map(operator.add, fa, fb)), ma * mb)
+        return out
 
     def _check(self, other):
         if self.rs != other.rs:
@@ -687,15 +667,8 @@ class Character:
     def __eq__(self, other):
         return isinstance(other, Character) and self.rs == other.rs and self.entries == other.entries
 
-    def __bool__(self):
-        return bool(self.entries)
-
     def reflect(self, i: int) -> "Character":
-        out: dict[tuple, int] = {}
-        for fc, m in self.entries.items():
-            key = self.rs.reflect(i, fc)
-            out[key] = out.get(key, 0) + m
-        return Character(self.rs, out)
+        return self.map_labels(partial(self.rs.reflect, i))
 
     def is_weyl_invariant(self) -> bool:
         return all(self.reflect(i) == self for i in range(self.rs.rank))
@@ -718,11 +691,7 @@ class Character:
 
     def restrict(self, target_rs: RootSystem, coord_map) -> "Character":
         """Push the weight multiset through a map on fundamental coordinates."""
-        out: dict[tuple, int] = {}
-        for fc, m in self.entries.items():
-            key = tuple(coord_map(fc))
-            out[key] = out.get(key, 0) + m
-        return Character(target_rs, out)
+        return Character(target_rs, ((tuple(coord_map(fc)), m) for fc, m in self.entries.items()))
 
     def sorted_items(self):
         return sorted(self.entries.items())
@@ -735,14 +704,6 @@ class Character:
         return {str(self.rs.weight(fc)): m for fc, m in self.sorted_items()}
 
 
-def character_from_weights(rs: RootSystem, pairs) -> Character:
-    entries = {}
-    for w, m in pairs:
-        fc = rs.fund_tuple(w)
-        entries[fc] = entries.get(fc, 0) + m
-    return Character(rs, entries)
-
-
 def trivial_character(rs: RootSystem) -> Character:
     return Character(rs, {(0,) * rs.rank: 1})
 
@@ -751,32 +712,24 @@ def decompose_character(rs: RootSystem, char: Character, bound=None) -> Decompos
     """Write a character as a nonnegative sum of irreducible characters.
 
     Repeatedly subtracts the character of a dominance-maximal dominant weight
-    in the remaining support (ties broken lexicographically, so the run is
-    deterministic); fails loudly if the input was not a genuine character.
+    in the remaining support: the highest by the integer height fc . h of
+    `RootSystem.height_vector`, ties broken lexicographically, so the run is
+    deterministic.  Fails loudly if the input was not a genuine character.
     """
-    work = dict(char.entries)
+    h = rs.height_vector
+    work = Decomposition(char.entries)
     out = Decomposition()
     while work:
-        best = None
-        best_key = None
-        for fc, c in work.items():
-            if c == 0 or any(x < 0 for x in fc):
-                continue
-            key = (rs.height(fc), fc)
-            if best_key is None or key > best_key:
-                best, best_key = fc, key
+        dominant = (fc for fc in work.entries if min(fc) >= 0)
+        best = max(dominant, key=lambda fc: (sum(map(operator.mul, fc, h)), fc), default=None)
         if best is None:
-            raise NotCharacterError(f"leftover non-dominant support {sorted(work)} in {rs}")
+            raise NotCharacterError(f"leftover non-dominant support {sorted(work.entries)} in {rs}")
         m = work[best]
         if m < 0:
             raise NotCharacterError(f"negative multiplicity {m} at {best} in {rs}")
         out.add(rs.weight(best), m)
         for fc, c in char_of_irrep(rs, best, bound=bound).entries.items():
-            new = work.get(fc, 0) - m * c
-            if new:
-                work[fc] = new
-            else:
-                work.pop(fc, None)
+            work.add(fc, -m * c)
     return out
 
 

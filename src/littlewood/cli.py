@@ -153,11 +153,7 @@ def _cmd_decompose(args):
     if args.input:
         raw = sys.stdin.read() if args.input == "-" else open(args.input).read()
         data = json.loads(raw)
-        entries = {}
-        for key, mult in data.items():
-            fc = weight_from_key(key).fund_coords()
-            entries[fc] = entries.get(fc, 0) + mult
-        char = Character(rs, entries)
+        char = Character(rs, ((weight_from_key(key).fund_coords(), mult) for key, mult in data.items()))
     elif args.weight is None:
         raise LittlewoodError("decompose needs --weight (plus optional --schur) or --input")
     else:
@@ -194,6 +190,14 @@ def _cmd_qset(args):
     if args.oracle:
         if args.size % 2:
             raise ValueError("Q-sets contain only even sizes")
+        # The longest minus member is the hook (size/2, 1^(size/2)); the
+        # longest plus member is its transpose.
+        rows = args.size // 2 + (args.variant == "minus" and args.size > 0)
+        if args.dim_e < rows:
+            raise LittlewoodError(
+                f"qset --oracle at size {args.size}: --dim-e {args.dim_e} is below the {rows} rows "
+                f"the longest {args.variant} member needs"
+            )
         form = "alternating" if args.variant == "minus" else "symmetric"
         dec = plethysm_wedge_power(args.size // 2, form, args.dim_e)
         members = sorted(dec.support(), key=lambda p: p.parts)

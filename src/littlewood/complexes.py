@@ -30,7 +30,7 @@ from .partitions import (
     Decomposition,
     Partition,
     dim_schur,
-    in_q,
+    enumerate_q,
     lr_coefficient,
     partitions_in_box,
     partitions_of,
@@ -186,9 +186,8 @@ def littlewood_complex(family: str, lam) -> list[GradedTerm]:
     terms = []
     for i in range(lam.size // 2 + 1):
         content = Decomposition()
-        for mu in partitions_of(2 * i):
-            if in_q(mu, variant):
-                content += skew_schur_expand(lam, mu)
+        for mu in enumerate_q(variant, 2 * i):
+            content += skew_schur_expand(lam, mu)
         terms.append(GradedTerm(i, 2 * i, content))
     return terms
 
@@ -260,19 +259,14 @@ def _vector_character(kind: str, m: int) -> Character:
         rs = build_root_system("B", n)
     else:
         rs = build_root_system("D", n)
-    pairs = []
+    char = Character(rs)
     for i in range(n):
-        eps = [0] * n
-        eps[i] = 1
-        pairs.append((Weight.epsilon(rs.family, n, tuple(eps)), 1))
-        pairs.append((Weight.epsilon(rs.family, n, tuple(-e for e in eps)), 1))
+        eps = tuple(int(i == j) for j in range(n))
+        char.add(Weight.epsilon(rs.family, n, eps).fund_coords())
+        char.add(Weight.epsilon(rs.family, n, tuple(-e for e in eps)).fund_coords())
     if m % 2 == 1:
-        pairs.append((Weight.epsilon(rs.family, n, (0,) * n), 1))
-    entries = {}
-    for w, mult in pairs:
-        fc = w.fund_coords()
-        entries[fc] = entries.get(fc, 0) + mult
-    return Character(rs, entries)
+        char.add((0,) * n)
+    return char
 
 
 def _branch_by_characters(lam: Partition, kind: str, m: int) -> Decomposition:
@@ -283,24 +277,20 @@ def _branch_by_characters(lam: Partition, kind: str, m: int) -> Decomposition:
     rs = base.rs
     char = schur_character(rs, base, lam)
     dec = decompose_character(rs, char)
-    out = Decomposition()
-    fused: dict[tuple, list] = {}
+    out, unmatched = Decomposition(), Decomposition()
     for w, mult in dec.entries.items():
-        eps = w.to_epsilon().coords
-        if kind == "O" and m % 2 == 0 and eps[-1].twice != 0:
-            key = tuple(abs(x).twice for x in eps)
-            fused.setdefault(key, []).append((eps[-1].twice > 0, mult))
-            continue
-        out.add(Partition(tuple(int(x) for x in eps)), mult)
-    for key, halves in fused.items():
-        plus = sum(m_ for pos, m_ in halves if pos)
-        minus = sum(m_ for pos, m_ in halves if not pos)
-        if plus != minus:
-            raise InconsistencyError(
-                f"branch {lam} to O({m}): mirror multiplicities {plus} and {minus} differ at "
-                f"doubled |eps| {key}; not an O(V)-stable character"
-            )
-        out.add(Partition(tuple(t // 2 for t in key)), plus)
+        eps = tuple(int(x) for x in w.to_epsilon().coords)
+        label = Partition(tuple(map(abs, eps)))
+        if kind == "O" and m % 2 == 0 and eps[-1]:
+            unmatched.add(label, mult if eps[-1] > 0 else -mult)
+            if eps[-1] < 0:
+                continue
+        out.add(label, mult)
+    if unmatched:
+        raise InconsistencyError(
+            f"branch {lam} to O({m}): mirror irreducibles differ in multiplicity (last coordinate positive "
+            f"minus negative: {unmatched!r}); not an O(V)-stable character"
+        )
     return out
 
 

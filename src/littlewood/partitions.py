@@ -140,8 +140,8 @@ class Decomposition:
 
     Multiplicities are plain Python ints, so they are arbitrary precision.
     Negative values are tolerated so that Euler-characteristic bookkeeping can
-    pass through; public operations that promise nonnegative output check via
-    is_nonnegative().
+    pass through.  Every operation accumulates through `add`, the one place
+    that drops zeros, into an empty instance of the same kind (`_blank`).
     """
 
     __slots__ = ("entries",)
@@ -153,6 +153,9 @@ class Decomposition:
         items = entries.items() if hasattr(entries, "items") else entries
         for label, mult in items:
             self.add(label, mult)
+
+    def _blank(self) -> "Decomposition":
+        return Decomposition()
 
     def add(self, label, mult=1):
         if mult == 0:
@@ -167,31 +170,26 @@ class Decomposition:
         return self.entries.get(label, 0)
 
     def __add__(self, other):
-        out = Decomposition(self.entries)
+        out = self.scale(1)
         for label, mult in other.entries.items():
             out.add(label, mult)
         return out
 
     def __sub__(self, other):
-        out = Decomposition(self.entries)
-        for label, mult in other.entries.items():
-            out.add(label, -mult)
-        return out
+        return self + other.scale(-1)
 
     def scale(self, c: int) -> "Decomposition":
-        return Decomposition({k: c * v for k, v in self.entries.items()})
+        return self.map_labels(None, c)
 
-    def map_labels(self, fn) -> "Decomposition":
-        out = Decomposition()
+    def map_labels(self, fn, c: int = 1) -> "Decomposition":
+        """Each label sent through fn (None keeps it), its multiplicity times c."""
+        out = self._blank()
         for label, mult in self.entries.items():
-            out.add(fn(label), mult)
+            out.add(label if fn is None else fn(label), c * mult)
         return out
 
     def support(self):
         return set(self.entries)
-
-    def is_nonnegative(self) -> bool:
-        return all(v > 0 for v in self.entries.values())
 
     def total(self, weight_fn=None) -> int:
         if weight_fn is None:

@@ -104,13 +104,10 @@ class HilbertData:
 def betti_of(terms, dim_of, ambient_dim=None) -> BettiTable:
     """Project equivariant terms to ranks: beta_{i,j} is the total dimension of
     the content at homological degree i, internal degree j."""
-    entries: dict[tuple, int] = {}
+    entries = Decomposition()
     for term in terms:
-        total = sum(m * dim_of(label) for label, m in term.content.entries.items())
-        if total:
-            key = (term.index, term.degree)
-            entries[key] = entries.get(key, 0) + total
-    return BettiTable(entries, ambient_dim)
+        entries.add((term.index, term.degree), term.content.total(dim_of))
+    return BettiTable(entries.entries, ambient_dim)
 
 
 def hilbert_numerator(table: BettiTable, codim: int) -> HilbertData:
@@ -252,36 +249,48 @@ def g2_tensor_with_sym(content: Decomposition, d: int) -> Decomposition:
     return out
 
 
+def peel_resolution(slice_fn, codim: int) -> list[GradedTerm]:
+    """Peel an equivariant minimal free resolution over Sym(E (x) V), for V
+    the 7-dimensional G2 representation and dim E = 2, from the coordinate-ring
+    slices slice_fn(j), j = 0..9; labels are (shape, fundamental coordinates).
+
+    In degree j the defect is the slice minus the Euler characteristic of the
+    terms found so far, tensored up to degree j.  With e the current end of
+    the resolution, the defect's positive part goes to whichever of e, e + 1
+    is even and its negative part to the odd one.  A summand present in both
+    neighbouring degrees of one internal degree cancels there and is
+    invisible to this rule.  A term past the codimension, or a length other
+    than the codimension, raises InconsistencyError.
+    """
+    cells: dict[tuple[int, int], Decomposition] = {}
+    end = 0
+    for j in range(10):  # both G2 resolutions end by internal degree 9
+        euler = Decomposition()
+        for (i, k), content in cells.items():
+            euler += g2_tensor_with_sym(content, j - k).scale(-1 if i % 2 else 1)
+        defect = slice_fn(j) - euler
+        last = end
+        for sign, parity in ((1, 0), (-1, 1)):
+            part = Decomposition({label: sign * m for label, m in defect.entries.items() if sign * m > 0})
+            if not part:
+                continue
+            i = last if last % 2 == parity else last + 1
+            if i > codim:
+                raise InconsistencyError(f"degree {j} needs homological degree {i}, past the codimension {codim}")
+            cells[(i, j)] = part
+            end = max(end, i)
+    if end != codim:
+        raise InconsistencyError(f"resolution has length {end}, not the codimension {codim}")
+    return [GradedTerm(i, j, content) for (i, j), content in sorted(cells.items())]
+
+
 def g2_equivariant_resolution() -> list[GradedTerm]:
-    """Reconstruct the equivariant minimal free resolution of the rank-2
-    variety degree by degree: in each internal degree the Euler characteristic
-    of the known part against the coordinate ring leaves exactly one unknown
-    term, whose sign says which homological degree it sits in.  Any negative
-    reconstructed multiplicity aborts the run."""
-    cells: list[tuple[int, int, Decomposition]] = []
-    for j in range(0, 10):
-        target = g2_coordinate_slice(j)
-        acc = Decomposition()
-        for i, k, content in cells:
-            contrib = g2_tensor_with_sym(content, j - k)
-            acc += contrib if i % 2 == 0 else contrib.scale(-1)
-        defect = target - acc
-        if not defect:
-            continue
-        i_new = len(cells)
-        if i_new > 5:
-            raise InconsistencyError("more resolution terms than the codimension allows")
-        signed = defect if i_new % 2 == 0 else defect.scale(-1)
-        if not signed.is_nonnegative():
-            raise InconsistencyError(f"negative reconstructed multiplicity at degree {j}: {signed}")
-        cells.append((i_new, j, signed))
-    if len(cells) != 6:
-        raise InconsistencyError(f"expected 6 resolution terms, found {len(cells)}")
-    out = []
-    for i, j, content in cells:
-        labelled = content.map_labels(lambda lab: (lab[0], _G2.weight(lab[1])))
-        out.append(GradedTerm(i, j, labelled))
-    return out
+    """The equivariant minimal free resolution of the rank-2 variety (of
+    codimension 5), peeled from its coordinate ring, with weight labels."""
+    return [
+        GradedTerm(t.index, t.degree, t.content.map_labels(lambda lab: (lab[0], _G2.weight(lab[1]))))
+        for t in peel_resolution(g2_coordinate_slice, 5)
+    ]
 
 
 def g2_term_dimension(label) -> int:
@@ -472,7 +481,7 @@ E8_START_TERMS = _cone_terms(
 # Euler-characteristic exactness (every internal degree splits with exact
 # dimension match); the extracted source text of the middle terms was
 # internally inconsistent, and the test suite re-derives this list from
-# scratch degree by degree.
+# scratch with peel_resolution.
 G2_Y1_TERMS = [
     (0, 0, (), (0, 0), 1),
     (1, 2, (2,), (0, 0), 1),

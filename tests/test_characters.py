@@ -4,6 +4,7 @@ import random
 import pytest
 
 from littlewood.characters import (
+    _RANK_RANGES,
     Character,
     CoordSystem,
     HalfInt,
@@ -49,6 +50,18 @@ def test_rho_is_sum_of_fundamental_weights():
             for i, c in enumerate(w.fund_coords()):
                 total[i] += c
         assert tuple(total) == rs.rho.fund_coords()
+
+
+SUPPORTED_TYPES = [(f, r) for f, (lo, hi) in _RANK_RANGES.items() for r in range(lo, hi + 1)]
+
+
+@pytest.mark.parametrize("family,rank", SUPPORTED_TYPES)
+def test_integer_height_matches_fraction_height(family, rank):
+    rs = build_root_system(family, rank)
+    assert all(h > 0 for h in rs.height_vector)
+    for w in rs.fundamental_weights + rs.positive_roots:
+        fc = w.fund_coords()
+        assert sum(a * b for a, b in zip(fc, rs.height_vector)) == rs.height_scale * rs.height(fc)
 
 
 def test_invalid_type():

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from littlewood import cli
 from littlewood.complexes import Report
 
@@ -150,6 +152,18 @@ def test_qset_odd_size_refused_on_both_paths(capsys):
     for extra in ((), ("--oracle",)):
         code, out, err = run_cli(capsys, "qset", "--variant", "minus", "--size", "7", *extra)
         assert code == 2 and out == "" and "even sizes" in err, extra
+
+
+@pytest.mark.parametrize(
+    "variant,size,dim_e,rows",
+    [("minus", "10", "5", 6), ("plus", "6", "2", 3), ("minus", "12", None, 7)],
+)
+def test_qset_oracle_refuses_too_few_rows(capsys, variant, size, dim_e, rows):
+    # Each input used to exit 0 without the member whose rows exceed --dim-e.
+    extra = ("--dim-e", dim_e) if dim_e else ()
+    code, out, err = run_cli(capsys, "qset", "--variant", variant, "--size", size, "--oracle", *extra)
+    assert code == 2 and out == ""
+    assert f"size {size}" in err and f"--dim-e {dim_e or 6}" in err and f"{rows} rows" in err
 
 
 def test_python_dash_m_entry_point():

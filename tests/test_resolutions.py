@@ -17,9 +17,9 @@ from littlewood.resolutions import (
     cauchy_slice,
     g2_coordinate_slice,
     g2_equivariant_resolution,
-    g2_tensor_with_sym,
     g2_term_dimension,
     hilbert_numerator,
+    peel_resolution,
     koszul_complex,
     koszul_terms,
     quadric_space_dim,
@@ -137,67 +137,27 @@ def test_g2_coordinate_ring_hilbert_series_consistency():
         assert from_slice == from_series, d
 
 
-def _terms_by_cell(specs):
-    cells = {}
-    for i, j, e_parts, fc, mult in specs:
-        key = (i, j)
-        label = (P(e_parts) if e_parts is not None else None, fc)
-        cells.setdefault(key, Decomposition()).add(label, mult)
-    return cells
-
-
 def test_g2_y1_terms_rederived_by_euler_characteristics():
-    """Re-derive the rank-1 resolution from scratch: in each internal degree the
-    Euler characteristic against the coordinate ring determines the unknown
-    cells, splitting positives to even and negatives to odd homological degree.
-    The split is honest only if each side's dimension matches the stated Betti
-    table, which this asserts cell by cell."""
-    layout = {(i, j) for i, j, _, _, _ in G2_Y1_TERMS}
-    stated = _terms_by_cell((i, j, e, fc, m) for i, j, e, fc, m in G2_Y1_TERMS)
-    g2 = build_root_system("G", 2)
+    """Re-derive the rank-1 resolution from scratch with the same peeling as
+    the rank-2 one: its coordinate ring is Sym^j E (x) V_(j,0) in degree j,
+    and the codimension is 7."""
 
     def ky1(j):
-        out = Decomposition()
-        out.add((P((j,) if j else ()), (j, 0)), 1)
-        return out
+        return Decomposition({(P((j,) if j else ()), (j, 0)): 1})
 
-    cells = {}
-    for j in range(0, 10):
-        unknown = sorted(cell for cell in layout if cell[1] == j and cell not in cells)
-        acc = Decomposition()
-        for (i, k), content in cells.items():
-            if k <= j:
-                contrib = g2_tensor_with_sym(content, j - k)
-                acc += contrib if i % 2 == 0 else contrib.scale(-1)
-        defect = ky1(j) - acc
-        if not unknown:
-            assert not defect, f"degree {j} should be balanced"
-            continue
-        if len(unknown) == 1:
-            ((i, _),) = unknown
-            signed = defect if i % 2 == 0 else defect.scale(-1)
-            assert signed.is_nonnegative()
-            cells[(i, j)] = signed
-        else:
-            (ia, _), (ib, _) = unknown
-            even, odd = (ia, ib) if ia % 2 == 0 else (ib, ia)
-            pos = Decomposition({k_: v for k_, v in defect.entries.items() if v > 0})
-            neg = Decomposition({k_: -v for k_, v in defect.entries.items() if v < 0})
-            cells[(even, j)] = pos
-            cells[(odd, j)] = neg
-    rederived = {
-        cell: Decomposition({(lam, fc): m for (lam, fc), m in content.entries.items()})
-        for cell, content in cells.items()
+    got = {
+        (t.index, t.degree, lam.parts, fc): m
+        for t in peel_resolution(ky1, 7)
+        for (lam, fc), m in t.content.entries.items()
     }
-    stated_plain = {
-        cell: Decomposition({(lam.parts, fc): m for (lam, fc), m in content.entries.items()})
-        for cell, content in stated.items()
-    }
-    rederived_plain = {
-        cell: Decomposition({(lam.parts, fc): m for (lam, fc), m in content.entries.items()})
-        for cell, content in rederived.items()
-    }
-    assert rederived_plain == stated_plain
+    assert got == {(i, j, e, fc): m for i, j, e, fc, m in G2_Y1_TERMS} and len(got) == 23
+
+
+def test_peel_resolution_guards_the_codimension():
+    with pytest.raises(InconsistencyError, match="past the codimension 4"):
+        peel_resolution(g2_coordinate_slice, 4)
+    with pytest.raises(InconsistencyError, match="length 5, not the codimension 6"):
+        peel_resolution(g2_coordinate_slice, 6)
 
 
 def test_g2_y1_audit():

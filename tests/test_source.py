@@ -1,6 +1,7 @@
 """Static checks on the package source."""
 
 import ast
+import importlib
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "littlewood"
@@ -19,3 +20,29 @@ def test_no_assert_in_package():
                 if isinstance(exc, ast.Name) and exc.id == "AssertionError":
                     found.append(f"{path.name}:{node.lineno}: raise AssertionError")
     assert not found, found
+
+
+def test_benchmark_tracer_targets_resolve():
+    # The benchmark's tracer wraps these names from outside the package: a
+    # module attribute, or Class.__dict__[method].  A rename would otherwise
+    # surface only as a crash of a traced benchmark run.
+    tracer = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    targets = {}
+    for node in ast.parse(tracer.read_text()).body:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            name = getattr(node.targets[0], "id", None)
+            if name in ("SPANNED", "COUNTED"):
+                targets[name] = ast.literal_eval(node.value)
+    assert set(targets) == {"SPANNED", "COUNTED"}
+    missing = []
+    for mod_name, attr in targets["SPANNED"] + targets["COUNTED"]:
+        owner = importlib.import_module(f"littlewood.{mod_name}")
+        if "." in attr:
+            cls_name, meth = attr.split(".")
+            cls = getattr(owner, cls_name, None)
+            ok = isinstance(cls, type) and meth in vars(cls)
+        else:
+            ok = callable(getattr(owner, attr, None))
+        if not ok:
+            missing.append(f"{mod_name}.{attr}")
+    assert not missing, missing
