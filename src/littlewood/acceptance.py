@@ -21,8 +21,8 @@ from .resolutions import (
     E6_HILBERT_NUMERATOR,
     betti_of,
     g2_equivariant_resolution,
-    g2_term_dimension,
     hilbert_numerator,
+    label_dimension,
     koszul_terms,
     quadric_space_dim,
     run_audit,
@@ -128,7 +128,7 @@ def _terms_as_plain(terms):
 def _crit_g2_y2():
     terms = g2_equivariant_resolution()
     computed_terms = _terms_as_plain(terms)
-    table = betti_of(terms, g2_term_dimension, ambient_dim=14)
+    table = betti_of(terms, label_dimension(build_root_system("G", 2), 2), ambient_dim=14)
     computed = {
         "terms": {f"{i},{j}": {f"{list(l)}|{list(w)}": m for (l, w), m in cell.items()} for (i, j), cell in computed_terms.items()},
         "totals": table.totals(),

@@ -153,13 +153,13 @@ def spin_cohomology_D(n: int, lam, component: str) -> SpinOutcome:
         raise ValueError(f"shape {lam} does not fit in the {n}x{n} box")
     if lam.transpose() != lam:
         return SpinOutcome(vanishes=True)
-    rank = lam.rank
-    even = rank % 2 == 0
-    if component == "plus":
-        label = SpinLabel.DELTA_PLUS if even else SpinLabel.DELTA_MINUS
-    else:
-        label = SpinLabel.DELTA_MINUS if even else SpinLabel.DELTA_PLUS
-    return SpinOutcome(vanishes=False, degree=(lam.size - rank) // 2, label=label)
+    return SpinOutcome(vanishes=False, degree=(lam.size - lam.rank) // 2, label=half_spin_label(component, lam.rank))
+
+
+def half_spin_label(component: str, rank: int) -> SpinLabel:
+    """The parity rule: a self-transpose shape with an even diagonal keeps the
+    component's half-spin label, an odd diagonal swaps it."""
+    return SpinLabel.DELTA_PLUS if (rank % 2 == 0) == (component == "plus") else SpinLabel.DELTA_MINUS
 
 
 def spin_cohomology_B(n: int, lam) -> SpinOutcome:

@@ -24,6 +24,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
+from types import MappingProxyType
 
 from .errors import InconsistencyError, NotCharacterError, ScaleError
 from .partitions import Decomposition, Partition, schur_fill
@@ -214,9 +215,6 @@ class Weight:
             return self
         xs = _fund_to_eps(self.system.family, self.system.rank, self.fund_coords())
         return Weight.epsilon(self.system.family, self.system.rank, xs)
-
-    def is_dominant(self) -> bool:
-        return all(m >= 0 for m in self.fund_coords())
 
     def __str__(self):
         kind = "fund" if self.system.kind == "fundamental" else "eps"
@@ -616,8 +614,11 @@ def weight_multiplicities(rs: RootSystem, weight, bound=None) -> "Character":
 
 @cache
 def _irrep_character(family: str, rank: int, fc: tuple, bound: int) -> "Character":
-    rs = build_root_system(family, rank)
-    return weight_multiplicities(rs, fc, bound=bound)
+    """The memoised character, shared by every caller: its entries are a
+    read-only view, so a caller's `add` raises instead of corrupting it."""
+    char = weight_multiplicities(build_root_system(family, rank), fc, bound=bound)
+    char.entries = MappingProxyType(char.entries)
+    return char
 
 
 def char_of_irrep(rs: RootSystem, weight, bound=None) -> "Character":

@@ -52,8 +52,8 @@ from .resolutions import (
     betti_of,
     cauchy_slice,
     g2_equivariant_resolution,
-    g2_term_dimension,
     hilbert_numerator,
+    label_dimension,
     koszul_complex,
     koszul_terms,
     run_audit,
@@ -98,7 +98,7 @@ def _emit(args, payload, text_lines) -> None:
 
 def _named_betti(name: str) -> BettiTable:
     if name == "g2-y2":
-        return betti_of(g2_equivariant_resolution(), g2_term_dimension, ambient_dim=14)
+        return betti_of(g2_equivariant_resolution(), label_dimension(build_root_system("G", 2), 2), ambient_dim=14)
     if name in AUDITS:
         return run_audit(name).betti
     if name.startswith("koszul:"):

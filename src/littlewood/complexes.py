@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bott import SpinLabel, delta_weight_B, delta_weight_D
+from .bott import SpinLabel, delta_weight_B, delta_weight_D, half_spin_label
 from .characters import (
     Character,
     HalfInt,
@@ -39,6 +39,8 @@ from .partitions import (
 
 CASE_KINDS = ("SpC", "SOB", "OD", "G2", "F4_6", "F4_3", "E6_5", "E6_3", "E7_6", "E8_7")
 
+_CLASSICAL = {"SpC": "C", "SOB": "B", "OD": "D"}  # kind: root-system family
+
 _EXCEPTIONAL = {
     # kind: (dim E, dim V, root system, rows accepted by the bracket map)
     "G2": (2, 7, ("G", 2), 2),
@@ -59,7 +61,7 @@ class GroupCase:
     def __post_init__(self):
         if self.kind not in CASE_KINDS:
             raise ValueError(f"unknown case kind {self.kind}")
-        if self.kind in ("SpC", "SOB", "OD"):
+        if self.kind in _CLASSICAL:
             if self.n is None or self.n < 1 or (self.kind == "OD" and self.n < 2):
                 raise ValueError(f"case {self.kind} needs a valid rank")
         elif self.n is not None:
@@ -77,12 +79,8 @@ class GroupCase:
 
     @property
     def dim_v(self) -> int:
-        if self.kind == "SpC":
-            return 2 * self.n
-        if self.kind == "SOB":
-            return 2 * self.n + 1
-        if self.kind == "OD":
-            return 2 * self.n
+        if self.n is not None:
+            return 2 * self.n + (self.kind == "SOB")
         return _EXCEPTIONAL[self.kind][1]
 
     @property
@@ -92,12 +90,8 @@ class GroupCase:
         return _EXCEPTIONAL[self.kind][3]
 
     def root_system(self) -> RootSystem:
-        if self.kind == "SpC":
-            return build_root_system("C", self.n)
-        if self.kind == "SOB":
-            return build_root_system("B", self.n)
-        if self.kind == "OD":
-            return build_root_system("D", self.n)
+        if self.n is not None:
+            return build_root_system(_CLASSICAL[self.kind], self.n)
         fam, rk = _EXCEPTIONAL[self.kind][2]
         return build_root_system(fam, rk)
 
@@ -125,10 +119,8 @@ def bracket_weight(case: GroupCase, lam) -> Weight:
             f"{case.name}: bracket map accepts at most {case.bracket_rows} rows, got {len(lam)}"
         )
     l1, l2, l3, l4, l5, l6, l7 = (lam[i] for i in range(7))
-    if case.kind in ("SpC", "SOB", "OD"):
-        fam = {"SpC": "C", "SOB": "B", "OD": "D"}[case.kind]
-        coords = tuple(lam[i] for i in range(case.n))
-        return Weight.epsilon(fam, case.n, coords)
+    if case.n is not None:
+        return Weight.epsilon(_CLASSICAL[case.kind], case.n, tuple(lam[i] for i in range(case.n)))
     if case.kind == "G2":
         return Weight.fundamental("G", 2, (l1 - l2, l2))
     if case.kind in ("F4_3", "F4_6"):
@@ -223,17 +215,21 @@ def branch_gl_to_iso(lam, target, oracle: bool = False) -> Decomposition:
     label mu is the number of ways to peel an even-column (symplectic) or
     even-row (orthogonal) partition beta off lam against mu, counted by
     Littlewood-Richardson coefficients.  With oracle=True the answer is
-    recomputed from scratch through characters, which has no stable-range
-    restriction.
+    recomputed from scratch through characters of the connected group.  That
+    covers every shape for Sp targets, and for odd-dimensional O targets too:
+    there -I acts on S_lam by (-1)^|lam|, which tells an O(m) label from its
+    associate.  For even-dimensional O targets -I cannot, so there the oracle
+    also refuses shapes with more than m/2 rows.
     """
     kind, m = _parse_target(target)
     lam = Partition(lam)
-    if oracle:
-        return _branch_by_characters(lam, kind, m)
     n = m // 2
+    if oracle and (kind == "Sp" or m % 2 or len(lam) <= n):
+        return _branch_by_characters(lam, kind, m)
     if len(lam) > n:
+        route = "the character oracle" if oracle else "Littlewood's rule"
         raise StableRangeError(
-            f"Littlewood's rule needs at most {n} rows for {kind}({m}); got {len(lam)} "
+            f"{route} needs at most {n} rows for {kind}({m}); {lam} has {len(lam)} "
             "(the wider regime is out of scope)"
         )
     betas = _even_column_partitions if kind == "Sp" else _even_row_partitions
@@ -272,7 +268,10 @@ def _vector_character(kind: str, m: int) -> Character:
 def _branch_by_characters(lam: Partition, kind: str, m: int) -> Decomposition:
     """Brute-force branching: build the Schur functor of the vector character
     and decompose.  Labels are partitions; in the even orthogonal case the two
-    mirror full-length irreducibles are fused into one orthogonal label."""
+    mirror full-length irreducibles are fused into one orthogonal label, and in
+    the odd one a constituent mu whose size has the other parity than lam is
+    the associate label (first column m - len(mu)), since -I acts on S_lam by
+    (-1)^|lam|."""
     base = _vector_character(kind, m)
     rs = base.rs
     char = schur_character(rs, base, lam)
@@ -281,6 +280,8 @@ def _branch_by_characters(lam: Partition, kind: str, m: int) -> Decomposition:
     for w, mult in dec.entries.items():
         eps = tuple(int(x) for x in w.to_epsilon().coords)
         label = Partition(tuple(map(abs, eps)))
+        if kind == "O" and m % 2 and (label.size - lam.size) % 2:
+            label = Partition(label.parts + (1,) * (m - 2 * len(label)))
         if kind == "O" and m % 2 == 0 and eps[-1]:
             unmatched.add(label, mult if eps[-1] > 0 else -mult)
             if eps[-1] < 0:
@@ -340,10 +341,7 @@ SPINOR_FAMILIES = ("B", "Dplus", "Dminus", "Dfull")
 def _spin_label(family: str, diag: int) -> SpinLabel:
     if family in ("B", "Dfull"):
         return SpinLabel.DELTA
-    even = diag % 2 == 0
-    if family == "Dplus":
-        return SpinLabel.DELTA_PLUS if even else SpinLabel.DELTA_MINUS
-    return SpinLabel.DELTA_MINUS if even else SpinLabel.DELTA_PLUS
+    return half_spin_label(family.removeprefix("D"), diag)
 
 
 def spinor_complex(family: str, n: int) -> list[GradedTerm]:

@@ -1,6 +1,6 @@
 """Graded Betti tables, Hilbert-series numerators, Koszul term decompositions,
-coordinate-ring degree slices, and the equivariant reconstruction of the rank-2
-isotropic variety's resolution for the 7-dimensional exceptional case.
+coordinate-ring degree slices, and the equivariant minimal free resolutions
+peeled from those slices by Euler characteristics.
 
 Betti tables print in the classical computer-algebra text layout (one column
 per homological degree, rows indexed by degree minus column, dots for zeros);
@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cache
 
-from .characters import Weight, build_root_system, char_of_irrep, decompose_character, dim_irrep, schur_character
+from .characters import RootSystem, Weight, build_root_system, char_of_irrep, decompose_character, dim_irrep, schur_character
 from .complexes import GradedTerm, GroupCase, bracket_dim, bracket_weight, branch_gl_to_iso
 from .errors import InconsistencyError, ScaleError
 from .partitions import Decomposition, Partition, dim_schur, enumerate_q, lr_coefficient, partitions_of
@@ -172,6 +172,11 @@ def cauchy_slice(case: GroupCase, d: int, bound: int = 12):
     The six-copy F4 case is not spherical; there the slice carries genuine
     multiplicities, computed by branching each shape through the rank-3
     symplectic group and re-indexing, instead of a single bracket label.
+
+    In the even orthogonal case a full-length shape tags a mirror pair of
+    irreducibles of the connected group; the label carries only the bracket
+    weight (last epsilon coordinate positive), while the dimension counts
+    both mirrors.
     """
     if d < 0 or d > bound:
         raise ScaleError(f"slice degree {d} out of range 0..{bound}")
@@ -204,55 +209,47 @@ def quadric_space_dim(case: GroupCase) -> int:
 
 
 # ---------------------------------------------------------------------------
-# the rank-2 exceptional reconstruction
-
-_G2 = build_root_system("G", 2)
+# equivariant resolutions peeled from the coordinate ring
 
 
 @cache
-def _g2_schur_decomposition(sigma: tuple) -> tuple:
-    """Schur functor of the 7-dimensional representation, as irreducibles."""
-    base = char_of_irrep(_G2, (1, 0))
-    char = schur_character(_G2, base, Partition(sigma), size_bound=12)
-    dec = decompose_character(_G2, char)
-    return tuple(sorted((w.fund_coords(), m) for w, m in dec.entries.items()))
+def _schur_of_v(case: GroupCase, sigma: Partition) -> tuple:
+    """S_sigma V as (fundamental coordinates, multiplicity) pairs, V the
+    irreducible the bracket map gives the one-box shape."""
+    rs = case.root_system()
+    base = char_of_irrep(rs, bracket_weight(case, (1,)))
+    dec = decompose_character(rs, schur_character(rs, base, sigma, size_bound=12))
+    return tuple((w.fund_coords(), m) for w, m in dec.entries.items())
 
 
 @cache
-def _g2_tensor(a: tuple, b: tuple) -> tuple:
-    dec = decompose_character(_G2, char_of_irrep(_G2, a) * char_of_irrep(_G2, b))
-    return tuple(sorted((w.fund_coords(), m) for w, m in dec.entries.items()))
+def _tensor(rs: RootSystem, a: tuple, b: tuple) -> tuple:
+    dec = decompose_character(rs, char_of_irrep(rs, a) * char_of_irrep(rs, b))
+    return tuple((w.fund_coords(), m) for w, m in dec.entries.items())
 
 
-def g2_coordinate_slice(j: int) -> Decomposition:
-    """Degree-j part of the coordinate ring of the rank-2 variety, labelled by
-    (shape, fundamental coordinates)."""
-    out = Decomposition()
-    for lam in partitions_of(j, max_length=2):
-        out.add((lam, (lam[0] - lam[1], lam[1])), 1)
-    return out
-
-
-def g2_tensor_with_sym(content: Decomposition, d: int) -> Decomposition:
-    """content (x) Sym^d(E (x) V) expanded into (shape, weight) labels."""
+def _tensor_with_sym(case: GroupCase, content: Decomposition, d: int) -> Decomposition:
+    """content (x) Sym^d(E (x) V), with Sym^d(E (x) V) the sum over sigma of
+    S_sigma E (x) S_sigma V, expanded into (shape, fundamental coordinates)."""
+    rs = case.root_system()
     out = Decomposition()
     for (lam, mu_fc), mult in content.entries.items():
-        for sigma in partitions_of(d, max_length=2):
-            schur_dec = _g2_schur_decomposition(sigma.parts)
-            for tau in partitions_of(lam.size + d, max_length=2):
+        for sigma in partitions_of(d, max_length=case.dim_e):
+            for tau in partitions_of(lam.size + d, max_length=case.dim_e):
                 c = lr_coefficient(tau, lam, sigma)
                 if not c:
                     continue
-                for nu_fc, m1 in schur_dec:
-                    for kappa_fc, m2 in _g2_tensor(mu_fc, nu_fc):
+                for nu_fc, m1 in _schur_of_v(case, sigma):
+                    for kappa_fc, m2 in _tensor(rs, mu_fc, nu_fc):
                         out.add((tau, kappa_fc), mult * c * m1 * m2)
     return out
 
 
-def peel_resolution(slice_fn, codim: int) -> list[GradedTerm]:
-    """Peel an equivariant minimal free resolution over Sym(E (x) V), for V
-    the 7-dimensional G2 representation and dim E = 2, from the coordinate-ring
-    slices slice_fn(j), j = 0..9; labels are (shape, fundamental coordinates).
+def peel_resolution(case: GroupCase, slice_fn, codim: int) -> list[GradedTerm]:
+    """Peel an equivariant minimal free resolution over Sym(E (x) V) from the
+    coordinate-ring slices slice_fn(j), j = 0..9, each a decomposition with
+    (shape, weight) labels as `cauchy_slice` gives them; V is the irreducible
+    bracket_weight(case, (1,)) and shapes have at most dim E rows.
 
     In degree j the defect is the slice minus the Euler characteristic of the
     terms found so far, tensored up to degree j.  With e the current end of
@@ -261,14 +258,22 @@ def peel_resolution(slice_fn, codim: int) -> list[GradedTerm]:
     neighbouring degrees of one internal degree cancels there and is
     invisible to this rule.  A term past the codimension, or a length other
     than the codimension, raises InconsistencyError.
+
+    Every case but OD is supported.  The OD slices give a fused mirror pair
+    of full-length shapes one label (see `cauchy_slice`), while V is an
+    irreducible of the connected group, so the defect would be wrong; OD
+    raises ValueError.
     """
+    if case.kind == "OD":
+        raise ValueError(f"peel {case.name}: the slices fuse mirror pairs into one label; OD is not supported")
+    rs = case.root_system()
     cells: dict[tuple[int, int], Decomposition] = {}
     end = 0
-    for j in range(10):  # both G2 resolutions end by internal degree 9
+    for j in range(10):  # the resolutions peeled so far end by internal degree 9
         euler = Decomposition()
         for (i, k), content in cells.items():
-            euler += g2_tensor_with_sym(content, j - k).scale(-1 if i % 2 else 1)
-        defect = slice_fn(j) - euler
+            euler += _tensor_with_sym(case, content, j - k).scale(-1 if i % 2 else 1)
+        defect = slice_fn(j).map_labels(lambda lab: (lab[0], rs.fund_tuple(lab[1]))) - euler
         last = end
         for sign, parity in ((1, 0), (-1, 1)):
             part = Decomposition({label: sign * m for label, m in defect.entries.items() if sign * m > 0})
@@ -276,26 +281,30 @@ def peel_resolution(slice_fn, codim: int) -> list[GradedTerm]:
                 continue
             i = last if last % 2 == parity else last + 1
             if i > codim:
-                raise InconsistencyError(f"degree {j} needs homological degree {i}, past the codimension {codim}")
+                raise InconsistencyError(
+                    f"peel {case.name}: internal degree {j} needs homological degree {i}, past the codimension {codim}"
+                )
             cells[(i, j)] = part
             end = max(end, i)
     if end != codim:
-        raise InconsistencyError(f"resolution has length {end}, not the codimension {codim}")
-    return [GradedTerm(i, j, content) for (i, j), content in sorted(cells.items())]
+        raise InconsistencyError(f"peel {case.name}: resolution has length {end}, not the codimension {codim}")
+    return [
+        GradedTerm(i, j, content.map_labels(lambda lab: (lab[0], rs.weight(lab[1]))))
+        for (i, j), content in sorted(cells.items())
+    ]
 
 
 def g2_equivariant_resolution() -> list[GradedTerm]:
     """The equivariant minimal free resolution of the rank-2 variety (of
     codimension 5), peeled from its coordinate ring, with weight labels."""
-    return [
-        GradedTerm(t.index, t.degree, t.content.map_labels(lambda lab: (lab[0], _G2.weight(lab[1]))))
-        for t in peel_resolution(g2_coordinate_slice, 5)
-    ]
+    case = GroupCase("G2")
+    return peel_resolution(case, lambda j: cauchy_slice(case, j)[0], 5)
 
 
-def g2_term_dimension(label) -> int:
-    lam, w = label
-    return dim_schur(lam, 2) * dim_irrep(_G2, w)
+def label_dimension(rs: RootSystem, dim_e: int | None):
+    """The dimension of a (shape, weight) label, S_shape E (x) V_weight, as a
+    function of the label; a shape of None has no multiplicity space."""
+    return lambda label: dim_irrep(rs, label[1]) * (1 if label[0] is None else dim_schur(label[0], dim_e))
 
 
 # ---------------------------------------------------------------------------
@@ -360,27 +369,14 @@ def _audit_terms_to_graded(spec: AuditSpec) -> list[GradedTerm]:
 
 def run_audit(name: str) -> AuditReport:
     spec = AUDITS[name]
-    rs = build_root_system(spec.family, spec.rank)
-
-    def dim_of(label):
-        lam, fc = label
-        d = dim_irrep(rs, fc)
-        if lam is not None:
-            d *= dim_schur(lam, spec.e_dim)
-        return d
-
-    terms = _audit_terms_to_graded(spec)
-    betti = betti_of(terms, dim_of, spec.ambient_dim)
+    dim_of = label_dimension(build_root_system(spec.family, spec.rank), spec.e_dim)
+    betti = betti_of(_audit_terms_to_graded(spec), dim_of, spec.ambient_dim)
     ncols = max(betti.max_index + 1, len(spec.expected_totals or []))
     rows = []
     for i in range(ncols):
         expected = spec.expected_totals[i] if spec.expected_totals and i < len(spec.expected_totals) else None
         rows.append(AuditRow(i, betti.total(i), expected))
     return AuditReport(name, rows, betti)
-
-
-def audit_names() -> list[str]:
-    return sorted(AUDITS)
 
 
 def _cone_terms(entries) -> list:

@@ -264,3 +264,10 @@ def test_dim_bound_env_var(monkeypatch):
         weight_multiplicities(g2, (2, 1))  # 189-dimensional
     monkeypatch.delenv("LITTLEWOOD_DIM_BOUND")
     assert weight_multiplicities(g2, (2, 1)).dimension() == 189
+
+
+def test_memoised_character_is_read_only():
+    g2 = build_root_system("G", 2)
+    with pytest.raises(TypeError):
+        char_of_irrep(g2, (1, 0)).add((0, 0), 5)
+    assert char_of_irrep(g2, (1, 0)).dimension() == 7

@@ -166,6 +166,20 @@ def test_qset_oracle_refuses_too_few_rows(capsys, variant, size, dim_e, rows):
     assert f"size {size}" in err and f"--dim-e {dim_e or 6}" in err and f"{rows} rows" in err
 
 
+@pytest.mark.parametrize(
+    "lam,target,text",
+    [("1,1,1", "o:5", "{[1,1,1]:1}"), ("1,1", "o:3", "{[1,1]:1}"), ("2,1,1", "o:5", "{[1,1]:1, [2,1,1]:1}")],
+)
+def test_branch_oracle_odd_orthogonal_outside_the_stable_range(capsys, lam, target, text):
+    code, out, _ = run_cli(capsys, "branch", "--lambda", lam, "--target", target, "--oracle")
+    assert code == 0 and out == text + "\n"
+
+
+def test_branch_oracle_refuses_even_orthogonal_outside_the_stable_range(capsys):
+    code, out, err = run_cli(capsys, "branch", "--lambda", "1,1,1", "--target", "o:4", "--oracle")
+    assert code == 2 and out == "" and "[1,1,1] has 3" in err
+
+
 def test_python_dash_m_entry_point():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

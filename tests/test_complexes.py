@@ -135,6 +135,27 @@ def test_branch_stable_range_error():
         branch_gl_to_iso((1, 1, 1), ("O", 5))
 
 
+@pytest.mark.parametrize(
+    "lam,m,expected",
+    [((1, 1, 1), 5, {(1, 1, 1): 1}), ((1, 1), 3, {(1, 1): 1}), ((2, 1, 1), 5, {(1, 1): 1, (2, 1, 1): 1})],
+)
+def test_odd_orthogonal_oracle_outside_the_stable_range(lam, m, expected):
+    dec = branch_gl_to_iso(lam, ("O", m), oracle=True)
+    assert {mu.parts: c for mu, c in dec.entries.items()} == expected
+
+
+def test_odd_orthogonal_oracle_keeps_exterior_powers_irreducible():
+    # Lambda^k V is the O(m) irreducible [1^k] for every k <= m.
+    for m in (3, 5, 7):
+        for k in range(m + 1):
+            assert branch_gl_to_iso((1,) * k, ("O", m), oracle=True) == Decomposition({P((1,) * k): 1}), (m, k)
+
+
+def test_even_orthogonal_oracle_refuses_outside_the_stable_range():
+    with pytest.raises(StableRangeError, match="oracle needs at most 2 rows for O\\(4\\)"):
+        branch_gl_to_iso((1, 1, 1), ("O", 4), oracle=True)
+
+
 def test_branch_total_dimension():
     # restriction preserves dimension; group side measured through brackets
     for kind, n, case in (("Sp", 2, "SpC(2)"), ("Sp", 3, "SpC(3)"), ("O", 2, "SOB(2)"), ("O", 3, "OD(3)")):

@@ -3,7 +3,8 @@ from math import comb
 import pytest
 
 from littlewood.characters import Character, build_root_system, char_of_irrep, decompose_character, dim_irrep
-from littlewood.complexes import parse_case
+from littlewood.acceptance import G2_Y2_EXPECTED_TERMS
+from littlewood.complexes import GroupCase, parse_case
 from littlewood.errors import InconsistencyError
 from littlewood.partitions import Decomposition, Partition, dim_schur
 from littlewood.resolutions import (
@@ -15,13 +16,12 @@ from littlewood.resolutions import (
     G2_Y2_BETTI_CHAR2_TEXT,
     betti_of,
     cauchy_slice,
-    g2_coordinate_slice,
     g2_equivariant_resolution,
-    g2_term_dimension,
     hilbert_numerator,
-    peel_resolution,
     koszul_complex,
     koszul_terms,
+    label_dimension,
+    peel_resolution,
     quadric_space_dim,
     run_audit,
 )
@@ -98,24 +98,17 @@ def test_cauchy_slice_f4_six_copies_has_multiplicities():
 
 
 def test_g2_resolution_matches_stated_terms():
-    expected = {
-        (0, 0): {((), (0, 0)): 1},
-        (1, 2): {((1, 1), (1, 0)): 1, ((2,), (0, 0)): 1},
-        (2, 3): {((2, 1), (0, 0)): 1, ((2, 1), (1, 0)): 1},
-        (3, 5): {((3, 2), (0, 0)): 1, ((3, 2), (1, 0)): 1},
-        (4, 6): {((3, 3), (1, 0)): 1, ((4, 2), (0, 0)): 1},
-        (5, 8): {((4, 4), (0, 0)): 1},
-    }
     got = {}
     for term in g2_equivariant_resolution():
         got[(term.index, term.degree)] = {
             (lam.parts, w.fund_coords()): m for (lam, w), m in term.content.entries.items()
         }
-    assert got == expected
+    assert got == G2_Y2_EXPECTED_TERMS
 
 
 def test_g2_resolution_betti_and_hilbert():
-    table = betti_of(g2_equivariant_resolution(), g2_term_dimension, ambient_dim=14)
+    g2 = build_root_system("G", 2)
+    table = betti_of(g2_equivariant_resolution(), label_dimension(g2, 2), ambient_dim=14)
     assert table.totals() == [1, 10, 16, 16, 10, 1]
     hd = hilbert_numerator(table, 5)
     assert hd.numerator == [1, 5, 5, 1]
@@ -127,12 +120,9 @@ def test_g2_resolution_betti_and_hilbert():
 
 def test_g2_coordinate_ring_hilbert_series_consistency():
     # dim K[Y2]_d must match the numerator over (1-T)^9
-    g2 = build_root_system("G", 2)
     num = [1, 5, 5, 1]
     for d in range(0, 7):
-        from_slice = sum(
-            dim_schur(lam, 2) * dim_irrep(g2, fc) for (lam, fc), _ in g2_coordinate_slice(d).entries.items()
-        )
+        _, from_slice = cauchy_slice(GroupCase("G2"), d)
         from_series = sum(num[k] * comb(d - k + 8, 8) for k in range(len(num)) if d - k >= 0)
         assert from_slice == from_series, d
 
@@ -141,23 +131,52 @@ def test_g2_y1_terms_rederived_by_euler_characteristics():
     """Re-derive the rank-1 resolution from scratch with the same peeling as
     the rank-2 one: its coordinate ring is Sym^j E (x) V_(j,0) in degree j,
     and the codimension is 7."""
+    g2 = build_root_system("G", 2)
 
     def ky1(j):
-        return Decomposition({(P((j,) if j else ()), (j, 0)): 1})
+        return Decomposition({(P((j,) if j else ()), g2.weight((j, 0))): 1})
 
     got = {
-        (t.index, t.degree, lam.parts, fc): m
-        for t in peel_resolution(ky1, 7)
-        for (lam, fc), m in t.content.entries.items()
+        (t.index, t.degree, lam.parts, w.fund_coords()): m
+        for t in peel_resolution(GroupCase("G2"), ky1, 7)
+        for (lam, w), m in t.content.entries.items()
     }
     assert got == {(i, j, e, fc): m for i, j, e, fc, m in G2_Y1_TERMS} and len(got) == 23
 
 
+@pytest.mark.parametrize(
+    "name,form,codim", [("SpC(2)", "alternating", 1), ("SpC(3)", "alternating", 3), ("SOB(2)", "symmetric", 3)]
+)
+def test_peel_resolution_recovers_the_koszul_complex(name, form, codim):
+    """In the stable range the variety is a complete intersection of quadrics:
+    peeled from its coordinate ring, the resolution is the Koszul complex, and
+    every term is a Schur functor of E tensored with the trivial
+    representation (Littlewood's identity read off the resolution)."""
+    case = parse_case(name)
+    trivial = case.root_system().weight((0,) * case.n)
+    got = peel_resolution(case, lambda j: cauchy_slice(case, j)[0], codim)
+    expected = [
+        (t.index, t.degree, t.content.map_labels(lambda lam: (lam, trivial))) for t in koszul_complex(form, case.n)
+    ]
+    assert [(t.index, t.degree, t.content) for t in got] == expected
+
+
+def test_peel_resolution_refuses_the_even_orthogonal_case():
+    case = parse_case("OD(2)")
+    with pytest.raises(ValueError, match=r"OD\(2\)"):
+        peel_resolution(case, lambda j: cauchy_slice(case, j)[0], 3)
+
+
 def test_peel_resolution_guards_the_codimension():
-    with pytest.raises(InconsistencyError, match="past the codimension 4"):
-        peel_resolution(g2_coordinate_slice, 4)
-    with pytest.raises(InconsistencyError, match="length 5, not the codimension 6"):
-        peel_resolution(g2_coordinate_slice, 6)
+    case = GroupCase("G2")
+
+    def slice_fn(j):
+        return cauchy_slice(case, j)[0]
+
+    with pytest.raises(InconsistencyError, match="G2: internal degree .* past the codimension 4"):
+        peel_resolution(case, slice_fn, 4)
+    with pytest.raises(InconsistencyError, match="G2: resolution has length 5, not the codimension 6"):
+        peel_resolution(case, slice_fn, 6)
 
 
 def test_g2_y1_audit():
