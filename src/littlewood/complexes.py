@@ -31,7 +31,6 @@ from .partitions import (
     Partition,
     dim_schur,
     enumerate_q,
-    lr_coefficient,
     partitions_in_box,
     partitions_of,
     skew_schur_expand,
@@ -184,14 +183,6 @@ def littlewood_complex(family: str, lam) -> list[GradedTerm]:
     return terms
 
 
-def _even_column_partitions(size: int) -> list[Partition]:
-    return [p for p in partitions_of(size) if all(c % 2 == 0 for c in p.transpose())]
-
-
-def _even_row_partitions(size: int) -> list[Partition]:
-    return [p for p in partitions_of(size) if all(c % 2 == 0 for c in p)]
-
-
 def _parse_target(target):
     if isinstance(target, str):
         kind, m = target.replace("(", ":").rstrip(")").split(":")
@@ -211,10 +202,12 @@ def _parse_target(target):
 def branch_gl_to_iso(lam, target, oracle: bool = False) -> Decomposition:
     """Restriction of a GL Schur functor to the isometry group of a form.
 
-    The default is the stable-range combinatorial rule: the multiplicity of a
-    label mu is the number of ways to peel an even-column (symplectic) or
-    even-row (orthogonal) partition beta off lam against mu, counted by
-    Littlewood-Richardson coefficients.  With oracle=True the answer is
+    The default is Littlewood's stable-range rule in skew form,
+    s_lam restricted = sum over beta of s_{lam/beta}, with beta running over
+    the shapes inside lam with even columns (symplectic) or even rows
+    (orthogonal) (Koike-Terada, J. Algebra 107 (1987)).  Each beta comes
+    from a partition nu of half its size, rows doubled (nu1, nu1, nu2, nu2,
+    ...) for Sp and parts doubled (2 nu) for O.  With oracle=True the answer is
     recomputed from scratch through characters of the connected group.  That
     covers every shape for Sp targets, and for odd-dimensional O targets too:
     there -I acts on S_lam by (-1)^|lam|, which tells an O(m) label from its
@@ -232,18 +225,13 @@ def branch_gl_to_iso(lam, target, oracle: bool = False) -> Decomposition:
             f"{route} needs at most {n} rows for {kind}({m}); {lam} has {len(lam)} "
             "(the wider regime is out of scope)"
         )
-    betas = _even_column_partitions if kind == "Sp" else _even_row_partitions
+    # nu boxed so that beta fits in lam's first row and its number of rows
+    rows, cols = (len(lam) // 2, lam[0]) if kind == "Sp" else (len(lam), lam[0] // 2)
     out = Decomposition()
-    for s in range(0, lam.size + 1, 2):
-        for beta in betas(s):
-            if not lam.contains(beta):
-                continue
-            for mu in partitions_of(lam.size - s, max_length=len(lam)):
-                if not lam.contains(mu):
-                    continue
-                c = lr_coefficient(lam, mu, beta)
-                if c:
-                    out.add(mu, c)
+    for half in range(lam.size // 2 + 1):
+        for nu in partitions_of(half, max_length=rows, max_part=cols):
+            beta = [p for p in nu for _ in (0, 1)] if kind == "Sp" else [2 * p for p in nu]
+            out += skew_schur_expand(lam, beta)
     return out
 
 

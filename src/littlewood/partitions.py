@@ -8,8 +8,12 @@ Semistandard fillings are enumerated in one place, `schur_fill`, by the
 horizontal-strip recursion: the cells holding one entry form a horizontal
 strip, so the fillings grow one letter at a time through the shapes between
 inner and outer.  Schur functors of characters, exterior and symmetric
-powers, the plethysm oracle and the skew tableau count all use it; LR
-coefficients count lattice-word fillings, a different object, on their own.
+powers, the plethysm oracle and the skew tableau count all use it.
+
+Littlewood-Richardson coefficients count lattice-word fillings, a different
+object, in `_lr`: one walk per skew shape lam/mu gives every c^lam_{mu nu}
+at once, memoised as a read-only table that `lr_coefficient` reads one entry
+of and `skew_schur_expand` reads whole.
 
 The Q-sets index the Schur constituents of exterior powers of wedge^2 E
 (minus variant) and Sym^2 E (plus variant); the plethysm routine recomputes
@@ -22,6 +26,7 @@ from __future__ import annotations
 import itertools
 import operator
 from functools import cache
+from types import MappingProxyType
 
 from .errors import InconsistencyError, ScaleError
 
@@ -147,11 +152,12 @@ class Decomposition:
     __slots__ = ("entries",)
 
     def __init__(self, entries=None):
-        self.entries = {}
-        if entries is None:
+        if hasattr(entries, "items"):
+            # A mapping cannot repeat a label, so only its zeros need dropping.
+            self.entries = {label: mult for label, mult in entries.items() if mult}
             return
-        items = entries.items() if hasattr(entries, "items") else entries
-        for label, mult in items:
+        self.entries = {}
+        for label, mult in entries or ():
             self.add(label, mult)
 
     def _blank(self) -> "Decomposition":
@@ -282,73 +288,74 @@ def enumerate_q(variant: str, size: int) -> list[Partition]:
 
 
 # ---------------------------------------------------------------------------
-# Littlewood-Richardson coefficients by direct tableau enumeration
+# Littlewood-Richardson coefficients: one lattice-word walk per skew shape
 
 
 def lr_coefficient(lam, mu, nu) -> int:
+    """c^lam_{mu nu}, read from the skew table `_lr(lam, mu)`.
+
+    Shapes of the wrong size, or not inside lam, give 0 without touching the
+    memo.  The first call for any other (lam, mu) pair walks the whole skew
+    shape, so one coefficient of a large shape costs its full table: for the
+    staircase (9,...,1)/(4,3,2,1), about twice a search for that coefficient
+    alone.  Every later coefficient of the pair is a lookup.
+    """
     lam, mu, nu = Partition(lam), Partition(mu), Partition(nu)
-    return _lr(lam.parts, mu.parts, nu.parts)
+    if lam.size != mu.size + nu.size or not (lam.contains(mu) and lam.contains(nu)):
+        return 0
+    return _lr(lam.parts, mu.parts).get(nu, 0)
 
 
 @cache
-def _lr(lam: tuple, mu: tuple, nu: tuple) -> int:
-    """Count column-strict skew tableaux of shape lam/mu and content nu whose
-    reverse reading word is a lattice word."""
-    lam_p, mu_p, nu_p = Partition(lam), Partition(mu), Partition(nu)
-    if lam_p.size != mu_p.size + nu_p.size:
-        return 0
-    if not (lam_p.contains(mu_p) and lam_p.contains(nu_p)):
-        return 0
-    if not nu_p:
-        return 1
-    nvals = len(nu_p)
-    # Cells in reverse reading order: rows top to bottom, right to left inside
-    # a row, so the lattice condition can be checked prefix by prefix.
-    cells = []
-    for r in range(len(lam_p)):
-        for c in range(lam_p[r] - 1, mu_p[r] - 1, -1):
-            cells.append((r, c))
-    counts = [0] * nvals
-    fill = {}
+def _lr(lam: tuple, mu: tuple) -> MappingProxyType:
+    """{nu: c^lam_{mu nu}} over every nu at once, as a read-only mapping.
 
-    def rec(idx: int) -> int:
-        if idx == len(cells):
-            return 1
-        r, c = cells[idx]
-        right = fill.get((r, c + 1))
-        above = fill.get((r - 1, c))
-        total = 0
-        for v in range(1, nvals + 1):
-            if counts[v - 1] == nu_p[v - 1]:
-                continue
-            if v > 1 and counts[v - 1] + 1 > counts[v - 2]:
-                continue
-            if right is not None and v > right:
-                continue
-            if above is not None and v <= above:
-                continue
-            counts[v - 1] += 1
-            fill[(r, c)] = v
-            total += rec(idx + 1)
-            counts[v - 1] -= 1
-            del fill[(r, c)]
-        return total
+    Counts the column-strict fillings of lam/mu whose reverse reading word is
+    a lattice word, each under its content nu.  Cells are filled in reverse
+    reading order (rows top to bottom, right to left inside a row), so the
+    lattice condition is checked prefix by prefix; an entry in row r is at
+    most r + 1.  Fillings that agree on the content so far and on the row
+    just finished extend alike, so at each row end they merge into one state
+    with a multiplicity, and each state is walked once.  The callers check
+    that lam contains mu.
+    """
+    mu = mu + (0,) * (len(lam) - len(mu))
+    # state: (content so far, entries of the last row by column, 0 for the
+    # inner cells and cut to the next row's width) -> number of fillings
+    states = {((0,) * len(lam), (0,) * (lam[0] if lam else 0)): 1}
+    for r, (lo, hi) in enumerate(zip(mu, lam)):
+        width = lam[r + 1] if r + 1 < len(lam) else 0
+        following = {}
+        for (content, above), mult in states.items():
+            counts, row = list(content), [0] * hi
 
-    return rec(0)
+            def walk(c, right):
+                if c < lo:
+                    key = (tuple(counts), tuple(row[:width]))
+                    following[key] = following.get(key, 0) + mult
+                    return
+                for v in range(above[c] + 1, right + 1):
+                    if v == 1 or counts[v - 1] < counts[v - 2]:
+                        counts[v - 1] += 1
+                        row[c] = v
+                        walk(c - 1, v)
+                        counts[v - 1] -= 1
+
+            walk(hi - 1, r + 1)
+        states = following
+    # the last row is cut to width 0, so each content is one state
+    return MappingProxyType({Partition(content): mult for (content, _), mult in states.items()})
 
 
 def skew_schur_expand(shape, inner=None) -> Decomposition:
-    """Expansion of the skew Schur functor into straight Schur functors."""
+    """Expansion of the skew Schur functor into straight Schur functors: the
+    table `_lr(outer, inner)` of one lattice-word walk.  A first call on a
+    skew shape walks all of it; repeats are memo hits."""
     if inner is not None:
         shape = SkewShape(shape, inner)
     if shape.is_empty:
         return Decomposition()
-    out = Decomposition()
-    for nu in partitions_of(shape.size, max_length=len(shape.outer)):
-        c = lr_coefficient(shape.outer, shape.inner, nu)
-        if c:
-            out.add(nu, c)
-    return out
+    return Decomposition(_lr(shape.outer.parts, shape.inner.parts))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from functools import cache
 from .characters import RootSystem, Weight, build_root_system, char_of_irrep, decompose_character, dim_irrep, schur_character
 from .complexes import GradedTerm, GroupCase, bracket_dim, bracket_weight, branch_gl_to_iso
 from .errors import InconsistencyError, ScaleError
-from .partitions import Decomposition, Partition, dim_schur, enumerate_q, lr_coefficient, partitions_of
+from .partitions import Decomposition, Partition, dim_schur, enumerate_q, partitions_of, skew_schur_expand
 
 
 # ---------------------------------------------------------------------------
@@ -234,11 +234,8 @@ def _tensor_with_sym(case: GroupCase, content: Decomposition, d: int) -> Decompo
     rs = case.root_system()
     out = Decomposition()
     for (lam, mu_fc), mult in content.entries.items():
-        for sigma in partitions_of(d, max_length=case.dim_e):
-            for tau in partitions_of(lam.size + d, max_length=case.dim_e):
-                c = lr_coefficient(tau, lam, sigma)
-                if not c:
-                    continue
+        for tau in partitions_of(lam.size + d, max_length=case.dim_e):
+            for sigma, c in skew_schur_expand(tau, lam).entries.items():
                 for nu_fc, m1 in _schur_of_v(case, sigma):
                     for kappa_fc, m2 in _tensor(rs, mu_fc, nu_fc):
                         out.add((tau, kappa_fc), mult * c * m1 * m2)
@@ -257,7 +254,8 @@ def peel_resolution(case: GroupCase, slice_fn, codim: int) -> list[GradedTerm]:
     is even and its negative part to the odd one.  A summand present in both
     neighbouring degrees of one internal degree cancels there and is
     invisible to this rule.  A term past the codimension, or a length other
-    than the codimension, raises InconsistencyError.
+    than the codimension, raises InconsistencyError; the walk stops at
+    internal degree 9, so a resolution that ends later reads as too short.
 
     Every case but OD is supported.  The OD slices give a fused mirror pair
     of full-length shapes one label (see `cauchy_slice`), while V is an
@@ -269,7 +267,8 @@ def peel_resolution(case: GroupCase, slice_fn, codim: int) -> list[GradedTerm]:
     rs = case.root_system()
     cells: dict[tuple[int, int], Decomposition] = {}
     end = 0
-    for j in range(10):  # the resolutions peeled so far end by internal degree 9
+    last_degree = 9  # the resolutions peeled so far end by internal degree 9
+    for j in range(last_degree + 1):
         euler = Decomposition()
         for (i, k), content in cells.items():
             euler += _tensor_with_sym(case, content, j - k).scale(-1 if i % 2 else 1)
@@ -287,7 +286,10 @@ def peel_resolution(case: GroupCase, slice_fn, codim: int) -> list[GradedTerm]:
             cells[(i, j)] = part
             end = max(end, i)
     if end != codim:
-        raise InconsistencyError(f"peel {case.name}: resolution has length {end}, not the codimension {codim}")
+        raise InconsistencyError(
+            f"peel {case.name}: resolution has length {end}, not the codimension {codim}, "
+            f"when the walk stops at internal degree {last_degree}"
+        )
     return [
         GradedTerm(i, j, content.map_labels(lambda lab: (lab[0], rs.weight(lab[1]))))
         for (i, j), content in sorted(cells.items())

@@ -3,6 +3,7 @@ import pytest
 from littlewood.errors import ScaleError
 from littlewood.partitions import (
     Decomposition,
+    _lr,
     Partition,
     SkewShape,
     count_skew_ssyt,
@@ -96,6 +97,27 @@ def test_skew_schur_examples():
     assert skew_schur_expand(lam, ()) == Decomposition({lam: 1})
     assert skew_schur_expand((1, 1), (2,)) == Decomposition()
     assert SkewShape((1, 1), (2,)).is_empty
+
+
+def test_skew_tables_of_staircases():
+    dec = skew_schur_expand((8, 7, 6, 5, 4, 3, 2, 1), (4, 3, 2, 1))
+    assert len(dec.entries) == 338 and dec.total() == 9133
+    assert skew_schur_expand((9, 8, 7, 6, 5, 4, 3, 2, 1), (4, 3, 2, 1)).total() == 36302
+
+
+def test_lr_memo_is_read_only():
+    table = _lr((3, 2, 1), (2, 1))
+    assert table[P((2, 1))] == 2
+    with pytest.raises(TypeError):
+        table[P((3,))] = 5
+
+
+def test_lr_coefficient_refuses_before_touching_the_memo():
+    _lr.cache_clear()
+    assert lr_coefficient((3, 2), (2,), (2,)) == 0  # sizes do not add up
+    assert lr_coefficient((2, 2), (3,), (1,)) == 0  # lam does not contain mu
+    assert lr_coefficient((2, 2), (1,), (3,)) == 0  # lam does not contain nu
+    assert _lr.cache_info().currsize == 0
 
 
 def test_skew_dimension_against_direct_tableau_count():

@@ -179,6 +179,14 @@ def test_peel_resolution_guards_the_codimension():
         peel_resolution(case, slice_fn, 6)
 
 
+def test_peel_resolution_names_its_degree_cap():
+    # The SOB(3) Koszul complex has codimension 6 but ends at internal
+    # degree 12, past the last degree the peel walks.
+    case = parse_case("SOB(3)")
+    with pytest.raises(InconsistencyError, match="length 4, not the codimension 6, .*internal degree 9"):
+        peel_resolution(case, lambda j: cauchy_slice(case, j)[0], 6)
+
+
 def test_g2_y1_audit():
     report = run_audit("g2-y1")
     assert report.passed
