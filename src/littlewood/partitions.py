@@ -32,6 +32,7 @@ from .errors import InconsistencyError, ScaleError
 
 Q_VARIANTS = ("minus", "plus")
 FORMS = ("alternating", "symmetric")
+Q_SIZE_BOUND = 60  # enumerate_q filters all p(size) partitions; p(60) = 966,467, p(70) = 4,087,968
 
 
 class Partition:
@@ -284,6 +285,8 @@ def enumerate_q(variant: str, size: int) -> list[Partition]:
     """All partitions of the given even size in the Q-set, lexicographic."""
     if size % 2 != 0 or size < 0:
         raise ValueError("Q-sets contain only even sizes")
+    if size > Q_SIZE_BOUND:
+        raise ScaleError(f"enumerate_q: size {size} is past the bound {Q_SIZE_BOUND}")
     return [p for p in partitions_of(size) if in_q(p, variant)]
 
 

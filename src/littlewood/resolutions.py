@@ -10,13 +10,16 @@ arithmetic is exact big-integer arithmetic end to end.
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 from dataclasses import dataclass, field
 from functools import cache
 
-from .characters import RootSystem, Weight, build_root_system, char_of_irrep, decompose_character, dim_irrep, schur_character
+from .bott import bott
+from .characters import RootSystem, Weight, build_root_system, char_of_irrep, dim_irrep, schur_character
 from .complexes import GradedTerm, GroupCase, bracket_dim, bracket_weight, branch_gl_to_iso
 from .errors import InconsistencyError, ScaleError
-from .partitions import Decomposition, Partition, dim_schur, enumerate_q, partitions_of, skew_schur_expand
+from .partitions import Decomposition, Partition, dim_schur, enumerate_q, lr_coefficient, partitions_of
 
 
 # ---------------------------------------------------------------------------
@@ -110,24 +113,25 @@ def betti_of(terms, dim_of, ambient_dim=None) -> BettiTable:
     return BettiTable(entries.entries, ambient_dim)
 
 
-def hilbert_numerator(table: BettiTable, codim: int) -> HilbertData:
-    """Divide the K-polynomial by (1-T)^codim exactly; a nonzero remainder at
-    any stage means the table is not the Betti table of a Cohen-Macaulay
-    quotient of the claimed codimension."""
-    poly = table.kpolynomial()
+def divide_by_one_minus_t(poly: list[int], codim: int) -> list[int]:
+    """The exact quotient of a coefficient list by (1-T)^codim; a nonzero
+    remainder at any stage raises InconsistencyError."""
     for step in range(codim):
         if sum(poly) != 0:
             raise InconsistencyError(
                 f"not Cohen-Macaulay-consistent data: remainder {sum(poly)} at division step {step}"
             )
-        prefix = 0
-        quotient = []
-        for c in poly[:-1]:
-            prefix += c
-            quotient.append(prefix)
-        poly = quotient or [0]
+        poly = list(itertools.accumulate(poly[:-1])) or [0]
         while len(poly) > 1 and poly[-1] == 0:
             poly.pop()
+    return poly
+
+
+def hilbert_numerator(table: BettiTable, codim: int) -> HilbertData:
+    """Divide the K-polynomial by (1-T)^codim exactly; a nonzero remainder at
+    any stage means the table is not the Betti table of a Cohen-Macaulay
+    quotient of the claimed codimension."""
+    poly = divide_by_one_minus_t(table.kpolynomial(), codim)
     if sum(poly) <= 0:
         raise InconsistencyError("Hilbert numerator must have positive value at T=1")
     if table.ambient_dim is None:
@@ -163,8 +167,10 @@ def koszul_complex(form: str, m: int) -> list[GradedTerm]:
 # ---------------------------------------------------------------------------
 # coordinate-ring slices
 
+SLICE_BOUND = 12  # the last coordinate-ring degree a slice or a peel reaches
 
-def cauchy_slice(case: GroupCase, d: int, bound: int = 12):
+
+def cauchy_slice(case: GroupCase, d: int):
     """Degree-d slice of the coordinate ring as a decomposition of pairs
     (multiplicity-space shape, group weight), together with its exact total
     dimension.
@@ -178,8 +184,8 @@ def cauchy_slice(case: GroupCase, d: int, bound: int = 12):
     weight (last epsilon coordinate positive), while the dimension counts
     both mirrors.
     """
-    if d < 0 or d > bound:
-        raise ScaleError(f"slice degree {d} out of range 0..{bound}")
+    if d < 0 or d > SLICE_BOUND:
+        raise ScaleError(f"slice degree {d} out of range 0..{SLICE_BOUND}")
     rs = case.root_system()
     out = Decomposition()
     total = 0
@@ -213,69 +219,76 @@ def quadric_space_dim(case: GroupCase) -> int:
 
 
 @cache
-def _schur_of_v(case: GroupCase, sigma: Partition) -> tuple:
-    """S_sigma V as (fundamental coordinates, multiplicity) pairs, V the
-    irreducible the bracket map gives the one-box shape."""
+def _schur_weights_of_v(case: GroupCase, sigma: Partition) -> tuple:
+    """The (fundamental coordinates, multiplicity) weights of S_sigma' V, sigma'
+    the transpose and V the irreducible of the one-box shape."""
     rs = case.root_system()
     base = char_of_irrep(rs, bracket_weight(case, (1,)))
-    dec = decompose_character(rs, schur_character(rs, base, sigma, size_bound=12))
-    return tuple((w.fund_coords(), m) for w, m in dec.entries.items())
+    return tuple(schur_character(rs, base, sigma.transpose(), size_bound=SLICE_BOUND).entries.items())
 
 
-@cache
-def _tensor(rs: RootSystem, a: tuple, b: tuple) -> tuple:
-    dec = decompose_character(rs, char_of_irrep(rs, a) * char_of_irrep(rs, b))
-    return tuple((w.fund_coords(), m) for w, m in dec.entries.items())
-
-
-def _tensor_with_sym(case: GroupCase, content: Decomposition, d: int) -> Decomposition:
-    """content (x) Sym^d(E (x) V), with Sym^d(E (x) V) the sum over sigma of
-    S_sigma E (x) S_sigma V, expanded into (shape, fundamental coordinates)."""
+def _euler_characteristic(case: GroupCase, slices: list, j: int) -> Decomposition:
+    """sum_k (-1)^k R_{j-k} (x) wedge^k(E (x) V), R_d = slices[d] labelled (shape,
+    fundamental coordinates), wedge^k(E (x) V) = sum over sigma |- k of
+    S_sigma E (x) S_sigma' V (dual Cauchy).  E side: c^tau_{lam sigma}; V side:
+    Brauer-Klimyk, a Bott walk of mu + w for each weight w of S_sigma' V."""
     rs = case.root_system()
+
+    @cache
+    def walk(fc):  # (dominant weight, sign) of V_fc, or None when it vanishes
+        outcome = bott(rs, rs.weight(fc))
+        return None if outcome.vanishes else (outcome.weight.fund_coords(), -1 if outcome.degree % 2 else 1)
+
+    taus = partitions_of(j, max_length=case.dim_e)
     out = Decomposition()
-    for (lam, mu_fc), mult in content.entries.items():
-        for tau in partitions_of(lam.size + d, max_length=case.dim_e):
-            for sigma, c in skew_schur_expand(tau, lam).entries.items():
-                for nu_fc, m1 in _schur_of_v(case, sigma):
-                    for kappa_fc, m2 in _tensor(rs, mu_fc, nu_fc):
-                        out.add((tau, kappa_fc), mult * c * m1 * m2)
+    for d, ring in enumerate(slices):
+        for sigma in partitions_of(j - d, max_length=case.dim_e):
+            for (lam, mu), m in ring.entries.items():
+                v_side = Decomposition()
+                for w, mw in _schur_weights_of_v(case, sigma):
+                    shifted = walk(tuple(a + b for a, b in zip(mu, w)))
+                    if shifted:
+                        v_side.add(shifted[0], shifted[1] * mw)
+                for tau in taus:
+                    c = (-1) ** (j - d) * m * lr_coefficient(tau, lam, sigma)
+                    if c:
+                        for kappa, v in v_side.entries.items():
+                            out.add((tau, kappa), c * v)
     return out
 
 
 def peel_resolution(case: GroupCase, slice_fn, codim: int) -> list[GradedTerm]:
     """Peel an equivariant minimal free resolution over Sym(E (x) V) from the
-    coordinate-ring slices slice_fn(j), j = 0..9, each a decomposition with
-    (shape, weight) labels as `cauchy_slice` gives them; V is the irreducible
-    bracket_weight(case, (1,)) and shapes have at most dim E rows.
+    coordinate-ring slices R_j = slice_fn(j), labelled (shape, weight) as by
+    `cauchy_slice`; V is the irreducible bracket_weight(case, (1,)).
 
-    In degree j the defect is the slice minus the Euler characteristic of the
-    terms found so far, tensored up to degree j.  With e the current end of
-    the resolution, the defect's positive part goes to whichever of e, e + 1
-    is even and its negative part to the odd one.  A summand present in both
-    neighbouring degrees of one internal degree cancels there and is
-    invisible to this rule.  A term past the codimension, or a length other
-    than the codimension, raises InconsistencyError; the walk stops at
-    internal degree 9, so a resolution that ends later reads as too short.
+    Each internal degree is closed-form, independent of the others:
+    sum_i (-1)^i F_{i,j} = sum_k (-1)^k R_{j-k} (x) wedge^k(E (x) V).  With e
+    the current end of the resolution, the positive part goes to whichever
+    of e, e + 1 is even and the negative part to the odd one.  A summand
+    present in both neighbouring homological degrees of one internal degree
+    cancels there and is invisible to this rule.  The walk stops at the
+    first degree where the length is codim and the dimension-level
+    K-polynomial divides by (1-T)^codim; a term past the codimension, or no
+    stop by internal degree SLICE_BOUND, raises InconsistencyError.
 
-    Every case but OD is supported.  The OD slices give a fused mirror pair
-    of full-length shapes one label (see `cauchy_slice`), while V is an
-    irreducible of the connected group, so the defect would be wrong; OD
-    raises ValueError.
+    OD raises ValueError: its slices give a fused mirror pair of full-length
+    shapes one label (see `cauchy_slice`), while V is an irreducible of the
+    connected group.
     """
     if case.kind == "OD":
         raise ValueError(f"peel {case.name}: the slices fuse mirror pairs into one label; OD is not supported")
     rs = case.root_system()
+    dim_of = label_dimension(rs, case.dim_e)
     cells: dict[tuple[int, int], Decomposition] = {}
+    slices, kpoly = [], []
     end = 0
-    last_degree = 9  # the resolutions peeled so far end by internal degree 9
-    for j in range(last_degree + 1):
-        euler = Decomposition()
-        for (i, k), content in cells.items():
-            euler += _tensor_with_sym(case, content, j - k).scale(-1 if i % 2 else 1)
-        defect = slice_fn(j).map_labels(lambda lab: (lab[0], rs.fund_tuple(lab[1]))) - euler
+    for j in range(SLICE_BOUND + 1):
+        slices.append(slice_fn(j).map_labels(lambda lab: (lab[0], rs.fund_tuple(lab[1]))))
+        euler = _euler_characteristic(case, slices, j)
         last = end
         for sign, parity in ((1, 0), (-1, 1)):
-            part = Decomposition({label: sign * m for label, m in defect.entries.items() if sign * m > 0})
+            part = Decomposition({label: sign * m for label, m in euler.entries.items() if sign * m > 0})
             if not part:
                 continue
             i = last if last % 2 == parity else last + 1
@@ -285,10 +298,15 @@ def peel_resolution(case: GroupCase, slice_fn, codim: int) -> list[GradedTerm]:
                 )
             cells[(i, j)] = part
             end = max(end, i)
-    if end != codim:
+        kpoly.append(euler.total(dim_of))
+        with contextlib.suppress(InconsistencyError):  # raised while (1-T)^codim does not divide
+            if end == codim:
+                divide_by_one_minus_t(kpoly, codim)
+                break
+    else:
         raise InconsistencyError(
-            f"peel {case.name}: resolution has length {end}, not the codimension {codim}, "
-            f"when the walk stops at internal degree {last_degree}"
+            f"peel {case.name}: resolution has length {end}, not the codimension {codim} with a K-polynomial "
+            f"divisible by (1-T)^{codim}, when the walk stops at internal degree {SLICE_BOUND}, the slice bound"
         )
     return [
         GradedTerm(i, j, content.map_labels(lambda lab: (lab[0], rs.weight(lab[1]))))

@@ -154,6 +154,26 @@ def test_qset_odd_size_refused_on_both_paths(capsys):
         assert code == 2 and out == "" and "even sizes" in err, extra
 
 
+def test_qset_size_past_the_bound_exits_2(capsys, monkeypatch):
+    # The bound is checked before any partition is made, so a stand-in
+    # partitions_of shows which sizes would start the enumeration.
+    from littlewood import partitions
+
+    class Enumerated(Exception):
+        pass
+
+    def enumerate_nothing(*args, **kwargs):
+        raise Enumerated
+
+    monkeypatch.setattr(partitions, "partitions_of", enumerate_nothing)
+    bound = partitions.Q_SIZE_BOUND
+    with pytest.raises(Enumerated):
+        cli.run(["qset", "--variant", "minus", "--size", str(bound)])
+    code, out, err = run_cli(capsys, "qset", "--variant", "minus", "--size", str(bound + 2))
+    assert code == 2 and out == ""
+    assert err == f"error: enumerate_q: size {bound + 2} is past the bound {bound}\n"
+
+
 @pytest.mark.parametrize(
     "variant,size,dim_e,rows",
     [("minus", "10", "5", 6), ("plus", "6", "2", 3), ("minus", "12", None, 7)],

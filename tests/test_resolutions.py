@@ -4,7 +4,7 @@ import pytest
 
 from littlewood.characters import Character, build_root_system, char_of_irrep, decompose_character, dim_irrep
 from littlewood.acceptance import G2_Y2_EXPECTED_TERMS
-from littlewood.complexes import GroupCase, parse_case
+from littlewood.complexes import GradedTerm, GroupCase, parse_case
 from littlewood.errors import InconsistencyError
 from littlewood.partitions import Decomposition, Partition, dim_schur
 from littlewood.resolutions import (
@@ -14,6 +14,8 @@ from littlewood.resolutions import (
     F4_CONE_TERMS,
     G2_Y1_TERMS,
     G2_Y2_BETTI_CHAR2_TEXT,
+    SLICE_BOUND,
+    _euler_characteristic,
     betti_of,
     cauchy_slice,
     g2_equivariant_resolution,
@@ -127,25 +129,38 @@ def test_g2_coordinate_ring_hilbert_series_consistency():
         assert from_slice == from_series, d
 
 
+def _g2_y1_slice(j):
+    """The rank-1 variety's coordinate ring: Sym^j E (x) V_(j,0) in degree j."""
+    return Decomposition({(P((j,) if j else ()), build_root_system("G", 2).weight((j, 0))): 1})
+
+
 def test_g2_y1_terms_rederived_by_euler_characteristics():
     """Re-derive the rank-1 resolution from scratch with the same peeling as
-    the rank-2 one: its coordinate ring is Sym^j E (x) V_(j,0) in degree j,
-    and the codimension is 7."""
-    g2 = build_root_system("G", 2)
-
-    def ky1(j):
-        return Decomposition({(P((j,) if j else ()), g2.weight((j, 0))): 1})
-
+    the rank-2 one; the codimension is 7."""
     got = {
         (t.index, t.degree, lam.parts, w.fund_coords()): m
-        for t in peel_resolution(GroupCase("G2"), ky1, 7)
+        for t in peel_resolution(GroupCase("G2"), _g2_y1_slice, 7)
         for (lam, w), m in t.content.entries.items()
     }
     assert got == {(i, j, e, fc): m for i, j, e, fc, m in G2_Y1_TERMS} and len(got) == 23
 
 
+def test_peel_resolution_stops_only_where_the_k_polynomial_divides():
+    # At codimension 6 the rank-1 peel reaches length 6 in internal degree
+    # 7, where its K-polynomial is not divisible by (1-T)^6, and again in
+    # degree 8; so the walk goes on and meets the degree-9 term F_7.
+    with pytest.raises(InconsistencyError, match="internal degree 9 needs homological degree 7, past the codimension 6"):
+        peel_resolution(GroupCase("G2"), _g2_y1_slice, 6)
+
+
 @pytest.mark.parametrize(
-    "name,form,codim", [("SpC(2)", "alternating", 1), ("SpC(3)", "alternating", 3), ("SOB(2)", "symmetric", 3)]
+    "name,form,codim",
+    [
+        ("SpC(2)", "alternating", 1),
+        ("SpC(3)", "alternating", 3),
+        ("SOB(2)", "symmetric", 3),
+        ("SOB(3)", "symmetric", 6),
+    ],
 )
 def test_peel_resolution_recovers_the_koszul_complex(name, form, codim):
     """In the stable range the variety is a complete intersection of quadrics:
@@ -153,12 +168,20 @@ def test_peel_resolution_recovers_the_koszul_complex(name, form, codim):
     every term is a Schur functor of E tensored with the trivial
     representation (Littlewood's identity read off the resolution)."""
     case = parse_case(name)
-    trivial = case.root_system().weight((0,) * case.n)
     got = peel_resolution(case, lambda j: cauchy_slice(case, j)[0], codim)
-    expected = [
-        (t.index, t.degree, t.content.map_labels(lambda lam: (lam, trivial))) for t in koszul_complex(form, case.n)
+    assert [(t.index, t.degree, t.content) for t in got] == [
+        (t.index, t.degree, t.content) for t in _koszul_with_weights(case, form)
     ]
-    assert [(t.index, t.degree, t.content) for t in got] == expected
+
+
+def _koszul_with_weights(case, form):
+    """The Koszul complex of the case's quadrics, every Schur functor of E
+    tagged with the trivial weight, as `peel_resolution` labels it."""
+    trivial = case.root_system().weight((0,) * case.n)
+    return [
+        GradedTerm(t.index, t.degree, t.content.map_labels(lambda lam: (lam, trivial)))
+        for t in koszul_complex(form, case.n)
+    ]
 
 
 def test_peel_resolution_refuses_the_even_orthogonal_case():
@@ -179,12 +202,56 @@ def test_peel_resolution_guards_the_codimension():
         peel_resolution(case, slice_fn, 6)
 
 
-def test_peel_resolution_names_its_degree_cap():
-    # The SOB(3) Koszul complex has codimension 6 but ends at internal
-    # degree 12, past the last degree the peel walks.
-    case = parse_case("SOB(3)")
-    with pytest.raises(InconsistencyError, match="length 4, not the codimension 6, .*internal degree 9"):
-        peel_resolution(case, lambda j: cauchy_slice(case, j)[0], 6)
+def test_euler_characteristic_vanishes_past_the_g2_resolution():
+    # The rank-2 resolution ends at internal degree 8; the closed form must
+    # give nothing in every later degree the slices reach.
+    case = GroupCase("G2")
+    rs = case.root_system()
+    slices = [
+        cauchy_slice(case, d)[0].map_labels(lambda lab: (lab[0], rs.fund_tuple(lab[1])))
+        for d in range(SLICE_BOUND + 1)
+    ]
+    for j in range(9, SLICE_BOUND + 1):
+        assert not _euler_characteristic(case, slices[: j + 1], j), j
+
+
+@pytest.mark.parametrize("name,codim", [("G2", 5), ("SpC(3)", 3)])
+def test_peeled_betti_numbers_match_the_hilbert_series(name, codim):
+    """sum_i (-1)^i dim F_{i,j} is the T^j coefficient of the Hilbert series
+    of the coordinate ring times (1-T)^N, N = dim E * dim V: a dimension
+    count that does not go through Cauchy, Brauer-Klimyk or the LR rule."""
+    case = parse_case(name)
+    n_vars = case.dim_e * case.dim_v
+    ring = [cauchy_slice(case, d)[1] for d in range(SLICE_BOUND + 1)]
+    terms = peel_resolution(case, lambda j: cauchy_slice(case, j)[0], codim)
+    kpoly = betti_of(terms, label_dimension(case.root_system(), case.dim_e)).kpolynomial()
+    kpoly += [0] * (SLICE_BOUND + 1 - len(kpoly))
+    for j in range(SLICE_BOUND + 1):
+        assert kpoly[j] == sum((-1) ** k * comb(n_vars, k) * ring[j - k] for k in range(j + 1)), j
+
+
+@pytest.mark.parametrize("name,codim", [("G2", 5), ("SpC(3)", 3), ("SOB(3)", 6)])
+def test_peeled_resolution_is_gorenstein_self_dual(name, codim):
+    """F_{c-i} = F_i^* (x) F_c.  F_c is S_(a^n)E of a single internal degree
+    D, so S_lam E in degree j pairs with S_(a - lam_n, ..., a - lam_1)E in
+    degree D - j; the weights pair with themselves, as -w0 = 1 for G2, B_n
+    and C_n."""
+    case = parse_case(name)
+    n = case.dim_e
+    terms = peel_resolution(case, lambda j: cauchy_slice(case, j)[0], codim)
+    cells = {(t.index, t.degree): t.content for t in terms}
+    c = max(i for i, _ in cells)
+    [(top_degree, top)] = [(j, content) for (i, j), content in cells.items() if i == c]
+    [((box, weight), mult)] = top.entries.items()
+    assert mult == 1 and not any(weight.fund_coords()) and box == P((box[0],) * n)
+
+    def dual(label):
+        lam, w = label
+        return P(tuple(box[0] - lam[n - 1 - k] for k in range(n))), w
+
+    assert {(c - i, top_degree - j): content.map_labels(dual) for (i, j), content in cells.items()} == cells
+    if name == "G2":
+        assert cells[(1, 2)][(P((2,)), weight)] == cells[(4, 6)][(P((4, 2)), weight)] == 1
 
 
 def test_g2_y1_audit():
