@@ -88,9 +88,9 @@ def bott(rs: RootSystem, weight: Weight, epsilon_shortcut: bool = True) -> BottO
     """Either the line bundle has no cohomology, or its unique nonvanishing
     degree and the dominant weight sitting there."""
     fc = weight.fund_coords()
-    v = list(c + 1 for c in fc)
+    v = tuple(c + 1 for c in fc)
     if epsilon_shortcut and rs.family in ("B", "C", "D"):
-        shifted = Weight.fundamental(rs.family, rs.rank, tuple(v)).to_epsilon()
+        shifted = Weight.fundamental(rs.family, rs.rank, v).to_epsilon()
         if epsilon_singular(rs.family, shifted.coords):
             return BottOutcome(vanishes=True)
     steps = 0
@@ -98,7 +98,7 @@ def bott(rs: RootSystem, weight: Weight, epsilon_shortcut: bool = True) -> BottO
     while True:
         for i, c in enumerate(v):
             if c < 0:
-                v = list(rs.reflect(i, tuple(v)))
+                v = rs.reflect(i, v)
                 steps += 1
                 break
         else:

@@ -129,10 +129,8 @@ class HalfInt:
         return not self < other
 
     def __hash__(self):
-        return hash(Fraction(self.twice, 2))
-
-    def __abs__(self):
-        return HalfInt.from_twice(abs(self.twice))
+        # An integral value hashes as its int, so int and HalfInt keys meet.
+        return hash(self.twice >> 1) if self.twice & 1 == 0 else hash((self.twice,))
 
     def __str__(self):
         if self.is_integer:
@@ -252,31 +250,22 @@ def _eps_to_fund(family: str, rank: int, xs) -> tuple:
 def _fund_to_eps(family: str, rank: int, ms) -> tuple:
     ms = tuple(int(m) for m in ms)
     n = rank
+    # Fix the last coordinates, then x_i = x_{i+1} + m_i below them.
+    xs = [HalfInt(0)] * (n + 1 if family == "A" else n)
     if family == "A":
-        xs = [HalfInt(0)] * (n + 1)
-        for i in range(n - 1, -1, -1):
-            xs[i] = xs[i + 1] + ms[i]
-        return tuple(xs)
-    if family == "B":
-        xs = [HalfInt(0)] * n
-        xs[n - 1] = HalfInt.from_twice(ms[n - 1])
-        for i in range(n - 2, -1, -1):
-            xs[i] = xs[i + 1] + ms[i]
-        return tuple(xs)
-    if family == "C":
-        xs = [HalfInt(0)] * n
-        xs[n - 1] = HalfInt(ms[n - 1])
-        for i in range(n - 2, -1, -1):
-            xs[i] = xs[i + 1] + ms[i]
-        return tuple(xs)
-    if family == "D":
-        xs = [HalfInt(0)] * n
+        tail = n
+    elif family in ("B", "C"):
+        xs[n - 1] = HalfInt.from_twice(ms[n - 1]) if family == "B" else HalfInt(ms[n - 1])
+        tail = n - 1
+    elif family == "D":
         xs[n - 2] = HalfInt.from_twice(ms[n - 2] + ms[n - 1])
         xs[n - 1] = HalfInt.from_twice(ms[n - 1] - ms[n - 2])
-        for i in range(n - 3, -1, -1):
-            xs[i] = xs[i + 1] + ms[i]
-        return tuple(xs)
-    raise ValueError(f"epsilon coordinates are not defined for type {family}")
+        tail = n - 2
+    else:
+        raise ValueError(f"epsilon coordinates are not defined for type {family}")
+    for i in range(tail - 1, -1, -1):
+        xs[i] = xs[i + 1] + ms[i]
+    return tuple(xs)
 
 
 # ---------------------------------------------------------------------------
@@ -370,11 +359,16 @@ class RootSystem:
         self.family = family
         self.rank = rank
         self.cartan, self.d = _cartan_and_d(family, rank)
+        # Sparse Cartan rows: node i itself and its Dynkin neighbours.
+        self._links = tuple(tuple((j, a) for j, a in enumerate(row) if a) for row in self.cartan)
         self.cartan_inv = _invert(self.cartan)
-        # Integer heights: fc . height_vector == height_scale * height(fc).
-        row_sums = [sum(row) for row in self.cartan_inv]
-        self.height_scale = math.lcm(*(r.denominator for r in row_sums))
-        self.height_vector = tuple(int(r * self.height_scale) for r in row_sums)
+        # Integer inverse, scaled by its common denominator: fc . column i ==
+        # height_scale * (i-th simple-root coordinate of fc), and
+        # fc . height_vector == height_scale * height(fc).
+        self.height_scale = math.lcm(*(x.denominator for row in self.cartan_inv for x in row))
+        scaled = [[int(x * self.height_scale) for x in row] for row in self.cartan_inv]
+        self._inv_columns = tuple(zip(*scaled))
+        self.height_vector = tuple(map(sum, scaled))
         self._roots = self._close_roots()
         count = _EXPECTED_POSITIVE[family](rank)
         if len(self._roots) != count:
@@ -433,10 +427,6 @@ class RootSystem:
 
     # -- public data views --------------------------------------------------
     @property
-    def type(self) -> str:
-        return self.family
-
-    @property
     def num_positive_roots(self) -> int:
         return len(self._roots)
 
@@ -457,21 +447,28 @@ class RootSystem:
 
     # -- internal exact linear algebra on fundamental coordinates ----------
     def reflect(self, i: int, fc: tuple) -> tuple:
+        """s_i: coordinate j loses fc[i] * a_ij, so coordinate i changes sign, each
+        Dynkin neighbour grows (a_ij < 0) and no other coordinate moves."""
         c = fc[i]
         if c == 0:
             return fc
-        row = self.cartan[i]
-        return tuple(fc[j] - c * row[j] for j in range(self.rank))
+        v = list(fc)
+        for j, a in self._links[i]:
+            v[j] -= c * a
+        return tuple(v)
 
     def dominant_conjugate(self, fc: tuple) -> tuple:
+        """Reflect at the least negative coordinate until none is left: each step
+        removes one inversion, so the walk has at most one step per positive root."""
         v = fc
-        while True:
+        for _ in range(len(self._roots) + 1):
             for i, c in enumerate(v):
                 if c < 0:
                     v = self.reflect(i, v)
                     break
             else:
                 return v
+        raise InconsistencyError(f"dominant conjugate of {fc} in {self}: more than {len(self._roots)} reflections, the number of positive roots")
 
     def root_coords(self, fc: tuple) -> tuple:
         """Coefficients on the simple roots (Fractions off the root lattice)."""
@@ -528,7 +525,11 @@ def _dim_irrep(family: str, rank: int, fc: tuple) -> int:
 
 @cache
 def _dominant_mults(family: str, rank: int, top: tuple) -> dict:
+    """Freudenthal on the dominant weights below top, by depth: the height of
+    top - mu, whose simple-root coordinates are integers read off the scaled
+    inverse Cartan matrix and must be whole and nonnegative."""
     rs = build_root_system(family, rank)
+    scale = rs.height_scale
     root_fcs = [r.fund_coords for r in rs._roots]
 
     dom = {top}
@@ -542,12 +543,14 @@ def _dominant_mults(family: str, rank: int, top: tuple) -> dict:
                 queue.append(cand)
 
     def depth(mu):
-        ks = rs.root_coords(tuple(a - b for a, b in zip(top, mu)))
-        if any(k.denominator != 1 or k < 0 for k in ks):
+        diff = tuple(map(operator.sub, top, mu))
+        ks = [sum(map(operator.mul, diff, col)) for col in rs._inv_columns]
+        if any(k % scale or k < 0 for k in ks):
+            ks = tuple(Fraction(k, scale) for k in ks)
             raise InconsistencyError(
                 f"Freudenthal for {top} in {family}{rank}: {top} - {mu} is not a nonnegative root combination {ks}"
             )
-        return sum(int(k) for k in ks), tuple(int(k) for k in ks)
+        return sum(ks) // scale, tuple(k // scale for k in ks)
 
     ordered = sorted(((depth(mu), mu) for mu in dom), key=lambda t: t[0][0])
     mults: dict[tuple, int] = {}
@@ -575,20 +578,26 @@ def _dominant_mults(family: str, rank: int, top: tuple) -> dict:
                 "the denominator must be positive and divide the numerator"
             )
         mults[mu] = val // denom
-    return {mu: m for mu, m in mults.items()}
+    return mults
 
 
-def weyl_orbit(rs: RootSystem, fc: tuple) -> set:
-    orbit = {fc}
-    queue = [fc]
-    while queue:
-        v = queue.pop()
-        for i in range(rs.rank):
-            w = rs.reflect(i, v)
-            if w not in orbit:
-                orbit.add(w)
-                queue.append(w)
-    return orbit
+def weyl_orbit(rs: RootSystem, fc: tuple):
+    """Yield each weight of the orbit of fc once, from a tree rooted at the
+    dominant conjugate: the parent of a non-dominant v is s_i v for the least i
+    with v_i < 0, so s_j u is a child of u iff u_j > 0 and every coordinate
+    u_k - u_j a_jk of s_j u before j is >= 0, read off u before reflecting."""
+    stack = [rs.dominant_conjugate(fc)]
+    while stack:
+        u = stack.pop()
+        yield u
+        for j, c in enumerate(u):
+            if c > 0:
+                row = rs.cartan[j]
+                for k in range(j):
+                    if u[k] < c * row[k]:
+                        break
+                else:
+                    stack.append(rs.reflect(j, u))
 
 
 def weight_multiplicities(rs: RootSystem, weight, bound=None) -> "Character":
@@ -599,17 +608,18 @@ def weight_multiplicities(rs: RootSystem, weight, bound=None) -> "Character":
     limit = dim_bound() if bound is None else bound
     if dim > limit:
         raise ScaleError(f"dim {dim} exceeds the configured bound {limit}")
-    entries = {}
+    char = Character(rs)
     mass = 0
     for mu, m in _dominant_mults(rs.family, rs.rank, fc).items():
         if m == 0:
             continue
+        size = len(char.entries)
         for w in weyl_orbit(rs, mu):
-            entries[w] = m
-            mass += m
+            char.entries[w] = m
+        mass += m * (len(char.entries) - size)
     if mass != dim:
         raise InconsistencyError(f"weight diagram mass {mass} != Weyl dimension {dim} for {fc} in {rs}")
-    return Character(rs, entries)
+    return char
 
 
 @cache

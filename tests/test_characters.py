@@ -8,7 +8,9 @@ from littlewood.characters import (
     Character,
     CoordSystem,
     HalfInt,
+    RootSystem,
     Weight,
+    _dominant_mults,
     build_root_system,
     char_of_irrep,
     decompose_character,
@@ -16,8 +18,9 @@ from littlewood.characters import (
     schur_character,
     trivial_character,
     weight_multiplicities,
+    weyl_orbit,
 )
-from littlewood.errors import NotCharacterError, ScaleError
+from littlewood.errors import InconsistencyError, NotCharacterError, ScaleError
 from littlewood.partitions import Decomposition
 
 EXPECTED_POSITIVE_ROOTS = [
@@ -84,6 +87,17 @@ def test_halfint_arithmetic_and_parse():
         int(h)
     with pytest.raises(ValueError):
         HalfInt.parse("1/3")
+
+
+def test_halfint_hash_meets_int_hash():
+    for k in (-3, -1, 0, 1, 2, 10**20):
+        assert hash(HalfInt(k)) == hash(k)
+        assert hash(HalfInt.from_twice(2 * k + 1)) == hash(HalfInt.parse(f"{2 * k + 1}/2"))
+    table = {HalfInt(2): "two", 3: "three", HalfInt.parse("1/2"): "half"}
+    assert table[2] == "two" and table[HalfInt(3)] == "three"
+    assert table[HalfInt.from_twice(1)] == "half" and 1 not in table
+    weights = {Weight.epsilon("C", 2, (2, 1)): 5}
+    assert weights[Weight.epsilon("C", 2, (HalfInt(2), HalfInt.parse("2/2")))] == 5
 
 
 def test_weight_conversions_round_trip():
@@ -271,3 +285,67 @@ def test_memoised_character_is_read_only():
     with pytest.raises(TypeError):
         char_of_irrep(g2, (1, 0)).add((0, 0), 5)
     assert char_of_irrep(g2, (1, 0)).dimension() == 7
+
+
+def _closure_orbit(rs, fc):
+    """The orbit as a seen-set closed under all simple reflections."""
+    orbit = {fc}
+    queue = [fc]
+    while queue:
+        v = queue.pop()
+        for i in range(rs.rank):
+            w = rs.reflect(i, v)
+            if w not in orbit:
+                orbit.add(w)
+                queue.append(w)
+    return orbit
+
+
+@pytest.mark.parametrize("family,rank", SUPPORTED_TYPES)
+def test_weyl_orbit_walk_visits_each_weight_once(family, rank):
+    rs = build_root_system(family, rank)
+    unit = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+    tops = [(0,) * rank, unit[0], unit[-1], tuple(map(sum, zip(unit[0], unit[-1])))]
+    if rank <= 4:
+        tops.append((1,) * rank)
+    for top in tops:
+        walk = list(weyl_orbit(rs, top))
+        assert len(walk) == len(set(walk))
+        assert [w for w in walk if min(w) >= 0] == [top]
+        assert set(walk) == _closure_orbit(rs, top)
+        # Any element of the orbit starts the same walk.
+        assert set(weyl_orbit(rs, walk[-1])) == set(walk)
+
+
+def test_e8_weight_diagram_known_answer():
+    e8 = build_root_system("E", 8)
+    char = weight_multiplicities(e8, (1, 0, 0, 0, 0, 0, 0, 1))
+    assert len(char.entries) == 56_881
+    assert char.dimension() == 779_247
+
+
+def test_weight_diagram_mass_must_match_weyl_dimension(monkeypatch):
+    import littlewood.characters as characters
+
+    g2 = build_root_system("G", 2)
+    monkeypatch.setattr(characters, "weyl_orbit", lambda rs, fc: [fc])
+    with pytest.raises(InconsistencyError, match="mass 2 != Weyl dimension 7"):
+        weight_multiplicities(g2, (1, 0))
+
+
+def test_freudenthal_depth_must_be_a_whole_root_combination(monkeypatch):
+    # Doubling the scale of the integer inverse Cartan matrix halves every
+    # depth, so the odd ones are no longer whole.
+    a2 = build_root_system("A", 2)
+    monkeypatch.setattr(a2, "height_scale", 2 * a2.height_scale)
+    with pytest.raises(InconsistencyError, match="not a nonnegative root combination"):
+        _dominant_mults.__wrapped__("A", 2, (1, 1))
+
+
+def test_dominant_conjugate_caps_its_walk():
+    a3 = build_root_system("A", 3)
+    assert a3.dominant_conjugate((0, 0, -1)) == (1, 0, 0)
+    broken = RootSystem("A", 3)
+    broken._roots = broken._roots[:1]
+    with pytest.raises(InconsistencyError, match=r"\(0, 0, -1\) in RootSystem\(A3\): more than 1 reflections"):
+        broken.dominant_conjugate((0, 0, -1))

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import json
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "littlewood"
@@ -45,4 +46,23 @@ def test_benchmark_tracer_targets_resolve():
             ok = callable(getattr(owner, attr, None))
         if not ok:
             missing.append(f"{mod_name}.{attr}")
+    assert not missing, missing
+
+
+# Memos that no longer exist; their counters read 0 until the benchmark drops
+# them.
+DEAD_MEMOS = {"partitions.schur_monomials", "resolutions._g2_tensor", "resolutions._g2_schur_decomposition"}
+
+
+def test_benchmark_memo_counters_resolve():
+    # The benchmark reads `<layer>.<memo>.hits` from cache_info() of the memo
+    # it finds by name; a renamed memo would silently read 0.
+    spec = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())
+    memos = {m["name"].rsplit(".", 1)[0] for m in spec["per_layer"] if m["name"].endswith(".hits")}
+    missing = []
+    for name in sorted(memos - DEAD_MEMOS):
+        layer, attr = name.split(".")
+        memo = getattr(importlib.import_module(f"littlewood.{layer}"), attr, None)
+        if not callable(getattr(memo, "cache_info", None)):
+            missing.append(name)
     assert not missing, missing
