@@ -13,8 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .characters import HalfInt, RootSystem, Weight
-from .errors import InconsistencyError
+from .characters import HalfInt, RootSystem, Weight, _fund_to_eps
 from .partitions import Partition, in_q
 
 
@@ -66,51 +65,26 @@ def epsilon_singular(family: str, coords) -> bool:
     """Wall test in epsilon coordinates for the classical orthogonal and
     symplectic types: two coordinates equal up to sign, or (B and C, where a
     coroot is a single epsilon) a zero coordinate."""
-    xs = [HalfInt(c) if not isinstance(c, HalfInt) else c for c in coords]
-    if family in ("B", "C") and any(x.twice == 0 for x in xs):
+    return _on_wall(family, [HalfInt(c).twice for c in coords])
+
+
+def _on_wall(family: str, twice) -> bool:
+    """`epsilon_singular` on doubled epsilon coordinates."""
+    if family in ("B", "C") and 0 in twice:
         return True
-    if family == "A":
-        seen = set()
-        for x in xs:
-            if x.twice in seen:
-                return True
-            seen.add(x.twice)
-        return False
-    seen = set()
-    for x in xs:
-        if abs(x.twice) in seen:
-            return True
-        seen.add(abs(x.twice))
-    return False
+    return len(set(twice if family == "A" else map(abs, twice))) < len(twice)
 
 
 def bott(rs: RootSystem, weight: Weight, epsilon_shortcut: bool = True) -> BottOutcome:
     """Either the line bundle has no cohomology, or its unique nonvanishing
     degree and the dominant weight sitting there."""
     fc = weight.fund_coords()
-    v = tuple(c + 1 for c in fc)
-    if epsilon_shortcut and rs.family in ("B", "C", "D"):
-        shifted = Weight.fundamental(rs.family, rs.rank, v).to_epsilon()
-        if epsilon_singular(rs.family, shifted.coords):
-            return BottOutcome(vanishes=True)
-    steps = 0
-    cap = rs.num_positive_roots
-    while True:
-        for i, c in enumerate(v):
-            if c < 0:
-                v = rs.reflect(i, v)
-                steps += 1
-                break
-        else:
-            break
-        if steps > cap:
-            raise InconsistencyError(
-                f"Bott walk from {fc} in {rs}: more than {cap} reflections, the number of positive roots"
-            )
-    if any(c == 0 for c in v):
+    if epsilon_shortcut and rs.family in "BCD" and _on_wall(rs.family, _fund_to_eps(rs.family, rs.rank, [c + 1 for c in fc])):
         return BottOutcome(vanishes=True)
-    result = Weight.fundamental(rs.family, rs.rank, tuple(c - 1 for c in v))
-    return BottOutcome(vanishes=False, degree=steps, weight=result)
+    walked = rs.dot_walk(fc)
+    if walked is None:
+        return BottOutcome(vanishes=True)
+    return BottOutcome(vanishes=False, degree=walked[0], weight=rs.weight(walked[1]))
 
 
 # ---------------------------------------------------------------------------

@@ -191,17 +191,12 @@ class Weight:
 
     def fund_coords(self) -> tuple:
         """Integer fundamental coordinates; errors off the weight lattice."""
-        if self.system.kind == "fundamental":
-            ms = self.coords
-        else:
-            ms = _eps_to_fund(self.system.family, self.system.rank, self.coords)
-        out = []
-        for m in ms:
-            h = HalfInt(m) if not isinstance(m, HalfInt) else m
-            if not h.is_integer:
-                raise ValueError(f"{self} is not on the weight lattice")
-            out.append(int(h))
-        return tuple(out)
+        twice = [c.twice for c in self.coords]
+        if self.system.kind == "epsilon":
+            twice = _eps_to_fund(self.system.family, self.system.rank, twice)
+        if any(t & 1 for t in twice):
+            raise ValueError(f"{self} is not on the weight lattice")
+        return tuple(t >> 1 for t in twice)
 
     def to_fundamental(self) -> "Weight":
         if self.system.kind == "fundamental":
@@ -212,7 +207,7 @@ class Weight:
         if self.system.kind == "epsilon":
             return self
         xs = _fund_to_eps(self.system.family, self.system.rank, self.fund_coords())
-        return Weight.epsilon(self.system.family, self.system.rank, xs)
+        return Weight.epsilon(self.system.family, self.system.rank, map(HalfInt.from_twice, xs))
 
     def __str__(self):
         kind = "fund" if self.system.kind == "fundamental" else "eps"
@@ -227,7 +222,7 @@ class Weight:
 
 
 def _eps_to_fund(family: str, rank: int, xs) -> tuple:
-    xs = tuple(HalfInt(x) if not isinstance(x, HalfInt) else x for x in xs)
+    """Doubled fundamental coordinates from doubled epsilon coordinates."""
     n = rank
     if family == "A":
         if len(xs) != n + 1:
@@ -236,7 +231,7 @@ def _eps_to_fund(family: str, rank: int, xs) -> tuple:
     if len(xs) != n:
         raise ValueError(f"{family}{n} epsilon weights have {n} coordinates")
     if family == "B":
-        return tuple(xs[i] - xs[i + 1] for i in range(n - 1)) + (HalfInt.from_twice(2 * xs[n - 1].twice),)
+        return tuple(xs[i] - xs[i + 1] for i in range(n - 1)) + (2 * xs[n - 1],)
     if family == "C":
         return tuple(xs[i] - xs[i + 1] for i in range(n - 1)) + (xs[n - 1],)
     if family == "D":
@@ -248,23 +243,23 @@ def _eps_to_fund(family: str, rank: int, xs) -> tuple:
 
 
 def _fund_to_eps(family: str, rank: int, ms) -> tuple:
-    ms = tuple(int(m) for m in ms)
+    """Doubled epsilon coordinates from integer fundamental coordinates."""
     n = rank
     # Fix the last coordinates, then x_i = x_{i+1} + m_i below them.
-    xs = [HalfInt(0)] * (n + 1 if family == "A" else n)
+    xs = [0] * (n + 1 if family == "A" else n)
     if family == "A":
         tail = n
     elif family in ("B", "C"):
-        xs[n - 1] = HalfInt.from_twice(ms[n - 1]) if family == "B" else HalfInt(ms[n - 1])
+        xs[n - 1] = ms[n - 1] if family == "B" else 2 * ms[n - 1]
         tail = n - 1
     elif family == "D":
-        xs[n - 2] = HalfInt.from_twice(ms[n - 2] + ms[n - 1])
-        xs[n - 1] = HalfInt.from_twice(ms[n - 1] - ms[n - 2])
+        xs[n - 2] = ms[n - 2] + ms[n - 1]
+        xs[n - 1] = ms[n - 1] - ms[n - 2]
         tail = n - 2
     else:
         raise ValueError(f"epsilon coordinates are not defined for type {family}")
     for i in range(tail - 1, -1, -1):
-        xs[i] = xs[i + 1] + ms[i]
+        xs[i] = xs[i + 1] + 2 * ms[i]
     return tuple(xs)
 
 
@@ -457,18 +452,30 @@ class RootSystem:
             v[j] -= c * a
         return tuple(v)
 
-    def dominant_conjugate(self, fc: tuple) -> tuple:
-        """Reflect at the least negative coordinate until none is left: each step
-        removes one inversion, so the walk has at most one step per positive root."""
+    def walk(self, fc: tuple) -> tuple:
+        """(steps, dominant conjugate of fc): reflect at the least negative
+        coordinate until none is left.  Each step removes one inversion, so
+        steps is the length of the Weyl element, at most the positive roots."""
         v = fc
-        for _ in range(len(self._roots) + 1):
+        for steps in range(len(self._roots) + 1):
             for i, c in enumerate(v):
                 if c < 0:
                     v = self.reflect(i, v)
                     break
             else:
-                return v
-        raise InconsistencyError(f"dominant conjugate of {fc} in {self}: more than {len(self._roots)} reflections, the number of positive roots")
+                return steps, v
+        raise InconsistencyError(f"Weyl walk from {fc} in {self}: more than {len(self._roots)} reflections, the number of positive roots")
+
+    def dominant_conjugate(self, fc: tuple) -> tuple:
+        return self.walk(fc)[1]
+
+    def dot_walk(self, fc: tuple):
+        """Bott's rho-shifted walk: (steps, lam) with lam + rho the dominant
+        conjugate of fc + rho, or None when fc + rho lies on a wall."""
+        if -1 in fc:  # fc + rho is on the wall of a simple root already
+            return None
+        steps, v = self.walk(tuple(c + 1 for c in fc))
+        return None if 0 in v else (steps, tuple(c - 1 for c in v))
 
     def root_coords(self, fc: tuple) -> tuple:
         """Coefficients on the simple roots (Fractions off the root lattice)."""
@@ -678,11 +685,16 @@ class Character(Decomposition):
     def __eq__(self, other):
         return isinstance(other, Character) and self.rs == other.rs and self.entries == other.entries
 
-    def reflect(self, i: int) -> "Character":
-        return self.map_labels(partial(self.rs.reflect, i))
+    def weyl_defect(self):
+        """The first (weight, simple index i) with chi[s_i weight] != chi[weight],
+        or None for a Weyl-invariant character."""
+        for fc, m in self.entries.items():
+            for i in range(self.rs.rank):
+                if self[self.rs.reflect(i, fc)] != m:
+                    return fc, i
 
     def is_weyl_invariant(self) -> bool:
-        return all(self.reflect(i) == self for i in range(self.rs.rank))
+        return self.weyl_defect() is None
 
     def letters(self):
         """The weight multiset as a sorted list with repetitions."""
@@ -722,25 +734,34 @@ def trivial_character(rs: RootSystem) -> Character:
 def decompose_character(rs: RootSystem, char: Character, bound=None) -> Decomposition:
     """Write a character as a nonnegative sum of irreducible characters.
 
-    Repeatedly subtracts the character of a dominance-maximal dominant weight
-    in the remaining support: the highest by the integer height fc . h of
-    `RootSystem.height_vector`, ties broken lexicographically, so the run is
-    deterministic.  Fails loudly if the input was not a genuine character.
+    Weyl's character formula read backwards (Brauer-Klimyk with the trivial
+    representation): a Weyl-invariant chi is the sum over its weights mu of
+    (-1)^steps chi[mu] V_lam, `RootSystem.dot_walk` taking mu to lam in that
+    many steps; mu on a wall adds nothing.  Fails loudly if the input was not
+    a genuine character.  Constituents are checked and listed highest first
+    by the integer height fc . h (`RootSystem.height_vector`), then lex.
     """
-    h = rs.height_vector
-    work = Decomposition(char.entries)
+    defect = char.weyl_defect()
+    if defect:
+        fc, s = defect[0], rs.reflect(defect[1], defect[0])
+        raise NotCharacterError(f"decompose_character: {fc} has multiplicity {char[fc]} but its reflection s_{defect[1] + 1} {fc} = {s} has {char[s]} in {rs}; not Weyl-invariant")
+    mults = Decomposition()
+    for fc, c in char.entries.items():
+        walked = rs.dot_walk(fc)
+        if walked:
+            mults.add(walked[1], -c if walked[0] % 2 else c)
+    limit = dim_bound() if bound is None else bound
     out = Decomposition()
-    while work:
-        dominant = (fc for fc in work.entries if min(fc) >= 0)
-        best = max(dominant, key=lambda fc: (sum(map(operator.mul, fc, h)), fc), default=None)
-        if best is None:
-            raise NotCharacterError(f"leftover non-dominant support {sorted(work.entries)} in {rs}")
-        m = work[best]
+    for fc in sorted(mults.entries, key=lambda fc: (sum(map(operator.mul, fc, rs.height_vector)), fc), reverse=True):
+        m = mults[fc]
         if m < 0:
-            raise NotCharacterError(f"negative multiplicity {m} at {best} in {rs}")
-        out.add(rs.weight(best), m)
-        for fc, c in char_of_irrep(rs, best, bound=bound).entries.items():
-            work.add(fc, -m * c)
+            raise NotCharacterError(f"negative multiplicity {m} at {fc} in {rs}")
+        if dim_irrep(rs, fc) > limit:
+            raise ScaleError(f"dim {dim_irrep(rs, fc)} exceeds the configured bound {limit}")
+        out.add(rs.weight(fc), m)
+    mass = mults.total(partial(dim_irrep, rs))
+    if mass != char.dimension():
+        raise InconsistencyError(f"decompose_character: constituent dimensions sum to {mass}, the character to {char.dimension()} in {rs}")
     return out
 
 

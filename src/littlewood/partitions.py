@@ -24,6 +24,7 @@ independent oracle for the recursive membership rule.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from functools import cache
 from types import MappingProxyType
@@ -392,7 +393,7 @@ def count_skew_ssyt(outer, inner, m: int) -> int:
     return sum(schur_fill(outer, [(1,)] * m, (0,), inner).values())
 
 
-def schur_fill(outer, letters, zero: tuple, inner=()) -> dict:
+def schur_fill(outer, letters, zero: tuple, inner=(), dominant=False) -> dict:
     """{sum of the letters used: count} over the semistandard fillings of
     outer/inner, entry i standing for letters[i] (vectors of one length,
     zero being that length's zero vector).
@@ -404,6 +405,12 @@ def schur_fill(outer, letters, zero: tuple, inner=()) -> dict:
     horizontal strip) shifted by |nu/mu| copies of the letter.  Larger shapes
     are updated first, so they read their predecessors' tables from before
     this letter: the 0/1-knapsack trick, for any shape.
+
+    With dominant set, and nonnegative letters, only the weakly decreasing
+    sums are kept, and a partial sum is dropped as soon as it cannot end so:
+    a leading coordinate that no later letter touches is final, and must be
+    at least every coordinate after it.  After the last letter every
+    coordinate is final, and outer is the one shape updated then.
     """
     outer, inner = Partition(outer), Partition(inner)
     if not outer.contains(inner):
@@ -421,7 +428,11 @@ def schur_fill(outer, letters, zero: tuple, inner=()) -> dict:
         strips.append([(mu, sum(nu) - sum(mu)) for mu in itertools.product(*ranges) if mu != nu])
     tables = {mu: {} for mu in shapes}
     tables[inner] = {zero: 1}
+    if dominant:  # coordinate -> the last letter that touches it
+        last = {c: t for t, letter in enumerate(letters, 1) for c, x in enumerate(letter) if x}
     for done, letter in enumerate(letters, 1):
+        if dominant:  # the leading coordinates that no later letter touches
+            final = next((c for c in range(len(zero)) if last.get(c, 0) > done), len(zero))
         # Each letter still to come fills at most one cell of a column, so a
         # shape that can still grow into outer contains outer less that many
         # top rows; the other shapes are not updated.
@@ -441,7 +452,14 @@ def schur_fill(outer, letters, zero: tuple, inner=()) -> dict:
                 for vec, c in src.items():
                     key = tuple(map(operator.add, vec, shift))
                     dst[key] = dst.get(key, 0) + c
+            if dominant and final:
+                tables[nu] = {k: c for k, c in dst.items() if _can_end_dominant(k, final)}
     return tables[outer]
+
+
+def _can_end_dominant(vec: tuple, final: int) -> bool:
+    """vec[0] >= ... >= vec[final - 1] >= every later coordinate."""
+    return all(map(operator.ge, vec[:final - 1], vec[1:final])) and vec[final - 1] >= max(vec[final:], default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -452,17 +470,19 @@ def plethysm_wedge_power(k: int, form: str, dim_e: int) -> Decomposition:
     """Schur decomposition of the k-th exterior power of wedge^2 E (alternating)
     or of Sym^2 E (symmetric), by exact monomial expansion in dim_e variables
     followed by repeated subtraction of the lexicographically highest term's
-    Schur polynomial.  Both expansions are strip recursions (`schur_fill`):
-    the column (1^k) filled with the degree-2 monomials, and the leading
-    shape filled with the dim_e variables.  The loop must end at the zero
-    polynomial exactly.
+    Schur polynomial.  Both expansions are strip recursions (`schur_fill`)
+    that keep the dominant monomials only, which is all the loop reads: the
+    column (1^k) filled with the degree-2 monomials, and the leading shape
+    filled with the dim_e variables (its Kostka numbers).  The loop must end
+    at the zero polynomial, and the constituents must have the dimension of
+    the k-th exterior power, C(N, k) for the N degree-2 monomials.
     """
     if form not in FORMS:
         raise ValueError(f"form must be one of {FORMS}")
-    if not (1 <= dim_e <= 8):
-        raise ScaleError("plethysm oracle supports 1 <= dimE <= 8")
-    if not (0 <= k <= 6):
-        raise ScaleError("plethysm oracle supports 0 <= k <= 6")
+    for name, value, lo, hi in (("dimE", dim_e, 1, 8), ("k", k, 0, 6)):
+        if not lo <= value <= hi:
+            side, bound = ("past", hi) if value > hi else ("below", lo)
+            raise ScaleError(f"plethysm_wedge_power: {name} {value} is {side} the bound {bound}")
 
     basis = []
     for i in range(dim_e):
@@ -475,22 +495,23 @@ def plethysm_wedge_power(k: int, form: str, dim_e: int) -> Decomposition:
 
     zero = (0,) * dim_e
     units = [tuple(int(i == j) for j in range(dim_e)) for i in range(dim_e)]
-    poly = schur_fill((1,) * k, basis, zero)
+    poly = schur_fill((1,) * k, basis, zero, dominant=True)
 
     out = Decomposition()
     while poly:
         top = max(poly)
         coeff = poly[top]
-        if any(a < b for a, b in zip(top, top[1:])) or coeff < 0:
-            raise InconsistencyError(
-                f"subtraction loop hit a non-dominant or negative leading term {top}:{coeff}"
-            )
+        if coeff < 0:
+            raise InconsistencyError(f"plethysm_wedge_power: subtraction loop hit a negative leading term {top}:{coeff}")
         lam = Partition(top)
         out.add(lam, coeff)
-        for expo, c in schur_fill(lam, units, zero).items():
+        for expo, c in schur_fill(lam, units, zero, dominant=True).items():
             newc = poly.get(expo, 0) - coeff * c
             if newc:
                 poly[expo] = newc
             else:
                 poly.pop(expo, None)
+    dim, want = out.total(lambda lam: dim_schur(lam, dim_e)), math.comb(len(basis), k)
+    if dim != want:
+        raise InconsistencyError(f"plethysm_wedge_power: k {k}, {form}, dimE {dim_e}: dimension {dim}, not C({len(basis)}, {k}) = {want}")
     return out

@@ -15,7 +15,6 @@ import itertools
 from dataclasses import dataclass, field
 from functools import cache
 
-from .bott import bott
 from .characters import RootSystem, Weight, build_root_system, char_of_irrep, dim_irrep, schur_character
 from .complexes import GradedTerm, GroupCase, bracket_dim, bracket_weight, branch_gl_to_iso
 from .errors import InconsistencyError, ScaleError
@@ -236,8 +235,8 @@ def _euler_characteristic(case: GroupCase, slices: list, j: int) -> Decompositio
 
     @cache
     def walk(fc):  # (dominant weight, sign) of V_fc, or None when it vanishes
-        outcome = bott(rs, rs.weight(fc))
-        return None if outcome.vanishes else (outcome.weight.fund_coords(), -1 if outcome.degree % 2 else 1)
+        walked = rs.dot_walk(fc)
+        return walked and (walked[1], -1 if walked[0] % 2 else 1)
 
     taus = partitions_of(j, max_length=case.dim_e)
     out = Decomposition()

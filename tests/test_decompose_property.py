@@ -1,5 +1,8 @@
-"""Property test: decomposing a sum of irreducible characters gives back the
-highest weights and multiplicities it was built from."""
+"""Property tests of `decompose_character`: it inverts sums of irreducible
+characters, agrees with the subtraction peel it replaced, and refuses what is
+not a character."""
+
+import itertools
 
 import pytest
 
@@ -7,7 +10,19 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from littlewood.characters import Character, build_root_system, char_of_irrep, decompose_character
+from littlewood import characters as characters_module
+from littlewood.characters import (
+    Character,
+    build_root_system,
+    char_of_irrep,
+    decompose_character,
+    dim_bound,
+    dim_irrep,
+    schur_character,
+    weyl_orbit,
+)
+from littlewood.errors import InconsistencyError, NotCharacterError, ScaleError
+from littlewood.partitions import Decomposition
 
 RANK2 = ("A", "B", "C", "G")
 
@@ -24,3 +39,88 @@ def test_decompose_inverts_char(family, mults):
         total = total + char_of_irrep(rs, fc).scale(m)
     dec = decompose_character(rs, total)
     assert {w.fund_coords(): m for w, m in dec.entries.items()} == mults
+
+
+# The decomposition before Weyl's formula: peel off the irreducible character
+# of the highest dominant weight (integer height, then lex) until nothing is
+# left.  Kept here as the reference the formula must agree with, errors and
+# their order included.
+def _peel(rs, char, bound):
+    h = rs.height_vector
+    work, out = Decomposition(char.entries), Decomposition()
+    while work:
+        dominant = [fc for fc in work.entries if min(fc) >= 0]
+        if not dominant:
+            raise NotCharacterError("leftover non-dominant support")
+        best = max(dominant, key=lambda fc: (sum(a * b for a, b in zip(fc, h)), fc))
+        m = work[best]
+        if m < 0:
+            raise NotCharacterError(f"negative multiplicity {m} at {best} in {rs}")
+        out.add(rs.weight(best), m)
+        for fc, c in char_of_irrep(rs, best, bound=bound).entries.items():
+            work.add(fc, -m * c)
+    return out
+
+
+TYPES = [("A", r) for r in range(1, 5)] + [(f, r) for f in "BC" for r in range(2, 5)] + [("D", 3), ("D", 4), ("G", 2)]
+
+
+def _small_weights(rs):
+    """0/1 highest weights of dimension at most 30."""
+    weights = itertools.product((0, 1), repeat=rs.rank)
+    return [fc for fc in weights if dim_irrep(rs, fc) <= 30]
+
+
+@st.composite
+def characters(draw):
+    """A product of two small irreducibles, or a Schur functor of one, sometimes
+    minus another irreducible (a virtual character)."""
+    rs = build_root_system(*draw(st.sampled_from(TYPES)))
+    weight = st.sampled_from(_small_weights(rs))
+    base = char_of_irrep(rs, draw(weight))
+    if draw(st.booleans()):
+        char = base * char_of_irrep(rs, draw(weight))
+    else:
+        char = schur_character(rs, base, draw(st.sampled_from([(1, 1), (2,), (2, 1), (1, 1, 1), (3,)])))
+    if draw(st.booleans()):
+        char = char - char_of_irrep(rs, draw(weight))
+    return rs, char
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except (NotCharacterError, ScaleError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(deadline=None, max_examples=80)
+@given(characters(), st.sampled_from([None, 20, 200]))
+def test_weyl_formula_matches_the_peel(case, bound):
+    rs, char = case
+    got = _outcome(lambda: decompose_character(rs, char, bound=bound))
+    want = _outcome(lambda: _peel(rs, char, dim_bound() if bound is None else bound))
+    assert got == want
+    if isinstance(got, Decomposition):
+        assert list(got.entries) == list(want.entries)  # highest constituent first
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.sampled_from(TYPES), st.data())
+def test_perturbed_orbit_weight_is_not_a_character(family_rank, data):
+    rs = build_root_system(*family_rank)
+    top = data.draw(st.sampled_from(_small_weights(rs)[1:]))
+    orbit = list(weyl_orbit(rs, top))
+    bent = Character(rs, char_of_irrep(rs, top).entries)
+    bent.add(data.draw(st.sampled_from(orbit)), data.draw(st.sampled_from([-1, 1])))
+    with pytest.raises(NotCharacterError, match=r"but its reflection s_\d .* not Weyl-invariant"):
+        decompose_character(rs, bent)
+    assert not bent.is_weyl_invariant()
+
+
+def test_constituent_dimensions_must_sum_to_the_character(monkeypatch):
+    g2 = build_root_system("G", 2)
+    wedge = char_of_irrep(g2, (1, 0)).exterior_power(2)
+    monkeypatch.setattr(characters_module, "dim_irrep", lambda rs, fc: 1)
+    with pytest.raises(InconsistencyError, match="constituent dimensions sum to 2, the character to 21"):
+        decompose_character(g2, wedge)

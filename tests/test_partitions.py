@@ -1,6 +1,7 @@
 import pytest
 
-from littlewood.errors import ScaleError
+from littlewood import partitions
+from littlewood.errors import InconsistencyError, ScaleError
 from littlewood.partitions import (
     Decomposition,
     _lr,
@@ -14,6 +15,7 @@ from littlewood.partitions import (
     partitions_of,
     plethysm_wedge_power,
     rank,
+    schur_fill,
     skew_schur_expand,
     transpose,
 )
@@ -155,12 +157,46 @@ def test_plethysm_examples():
 
 
 def test_plethysm_scale_errors():
-    with pytest.raises(ScaleError):
+    with pytest.raises(ScaleError, match="plethysm_wedge_power: k 7 is past the bound 6"):
         plethysm_wedge_power(7, "alternating", 4)
-    with pytest.raises(ScaleError):
+    with pytest.raises(ScaleError, match="plethysm_wedge_power: dimE 9 is past the bound 8"):
         plethysm_wedge_power(2, "alternating", 9)
+    with pytest.raises(ScaleError, match="plethysm_wedge_power: dimE 0 is below the bound 1"):
+        plethysm_wedge_power(2, "alternating", 0)
     with pytest.raises(ValueError):
         plethysm_wedge_power(2, "skew", 4)
+
+
+def _full_expansion_plethysm(k, form, dim_e):
+    """The oracle before its dominant-only fills: expand every monomial of the
+    column and of each leading shape, and peel the lex-highest term."""
+    basis = [tuple(int(c == i) + int(c == j) for c in range(dim_e))
+             for i in range(dim_e) for j in range(i + (form == "alternating"), dim_e)]
+    zero = (0,) * dim_e
+    units = [tuple(int(i == j) for j in range(dim_e)) for i in range(dim_e)]
+    poly = schur_fill((1,) * k, basis, zero)
+    out = Decomposition()
+    while poly:
+        top = max(poly)
+        coeff = poly[top]
+        out.add(P(top), coeff)
+        for expo, c in schur_fill(top, units, zero).items():
+            poly[expo] = poly.get(expo, 0) - coeff * c
+            if not poly[expo]:
+                del poly[expo]
+    return out
+
+
+@pytest.mark.parametrize("k,dim_e", [(k, d) for k in range(5) for d in range(1, 7)] + [(6, 8)])
+@pytest.mark.parametrize("form", ["alternating", "symmetric"])
+def test_plethysm_matches_the_full_expansion(k, dim_e, form):
+    assert plethysm_wedge_power(k, form, dim_e) == _full_expansion_plethysm(k, form, dim_e)
+
+
+def test_plethysm_dimension_must_match(monkeypatch):
+    monkeypatch.setattr(partitions, "dim_schur", lambda lam, m: 1)
+    with pytest.raises(InconsistencyError, match=r"k 2, alternating, dimE 4: dimension 1, not C\(6, 2\) = 15"):
+        plethysm_wedge_power(2, "alternating", 4)
 
 
 def test_q_sets_match_plethysm_at_dim_8():

@@ -44,3 +44,17 @@ def test_skew_schur_polynomial_is_symmetric(case, data):
     perm = data.draw(st.permutations(range(m)))
     poly = schur_fill(lam, units(m), (0,) * m, inner)
     assert {tuple(vec[i] for i in perm): c for vec, c in poly.items()} == poly
+
+
+def degree_two(m):
+    return [tuple(int(k == i) + int(k == j) for k in range(m)) for i in range(m) for j in range(i, m)]
+
+
+@settings(deadline=None)
+@given(shape_and_width(), st.booleans())
+def test_dominant_fill_is_the_dominant_part_of_the_full_fill(case, monomials):
+    lam, inner, m = case
+    letters = degree_two(m) if monomials else units(m)
+    full = schur_fill(lam, letters, (0,) * m, inner)
+    dominant = {vec: c for vec, c in full.items() if all(a >= b for a, b in zip(vec, vec[1:]))}
+    assert schur_fill(lam, letters, (0,) * m, inner, dominant=True) == dominant
