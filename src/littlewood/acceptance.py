@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
 
 from .bott import SpinLabel, b_spinor_twist_weight, bott, d_spinor_twist_weight, spin_cohomology_B, spin_cohomology_D
 from .characters import build_root_system, dim_irrep
@@ -17,6 +18,7 @@ from .complexes import parse_case, spinor_complex, verify_littlewood_identity, v
 from .errors import LittlewoodError
 from .partitions import enumerate_q, partitions_in_box, partitions_of, plethysm_wedge_power
 from .resolutions import (
+    AUDITS,
     E6_BETTI_TOTALS,
     E6_HILBERT_NUMERATOR,
     betti_of,
@@ -147,9 +149,9 @@ def _crit_g2_y2():
     return ok, expected, computed
 
 
-def _crit_g2_y1():
-    report = run_audit("g2-y1")
-    return report.passed, [1, 24, 84, 126, 119, 77, 27, 4], [r.computed for r in report.rows]
+def _crit_audit_totals(name):
+    report = run_audit(name)
+    return report.passed, AUDITS[name].expected_totals, [r.computed for r in report.rows]
 
 
 def _crit_e6():
@@ -161,11 +163,6 @@ def _crit_e6():
     expected = {"totals": E6_BETTI_TOTALS, "numerator": E6_HILBERT_NUMERATOR, "krull_dim": 17}
     computed = {"totals": [r.computed for r in report.rows], "numerator": hd.numerator, "krull_dim": hd.krull_dim}
     return ok, expected, computed
-
-
-def _crit_f4():
-    report = run_audit("f4-cone")
-    return report.passed, E6_BETTI_TOTALS, [r.computed for r in report.rows]
 
 
 def _crit_littlewood_sweep():
@@ -307,9 +304,9 @@ def _crit_quadrics():
 
 CRITERIA = [
     ("g2-y2", "rank-2 equivariant resolution, Betti table, and layout", _crit_g2_y2, 10.0),
-    ("g2-y1", "rank-1 resolution dimension audit", _crit_g2_y1, 5.0),
+    ("g2-y1", "rank-1 resolution dimension audit", partial(_crit_audit_totals, "g2-y1"), 5.0),
     ("e6-betti", "27-dimensional minimal-orbit cone Betti table and Hilbert numerator", _crit_e6, None),
-    ("f4-betti", "26-dimensional minimal-orbit cone dimension audit", _crit_f4, None),
+    ("f4-betti", "26-dimensional minimal-orbit cone dimension audit", partial(_crit_audit_totals, "f4-cone"), None),
     ("littlewood-sweep", "Euler identity for Littlewood complexes, all families", _crit_littlewood_sweep, 60.0),
     ("qset-oracle", "Q-set recursion against the plethysm oracle", _crit_qset_oracle, None),
     ("spin-bott", "closed-form spin cohomology against the generic walk", _crit_spin_vs_bott, None),

@@ -765,13 +765,13 @@ def decompose_character(rs: RootSystem, char: Character, bound=None) -> Decompos
     return out
 
 
-def schur_character(rs: RootSystem, base: Character, lam, *, size_bound=SCHUR_SIZE_BOUND, dim_bound_=SCHUR_DIM_BOUND) -> Character:
+def schur_character(rs: RootSystem, base: Character, lam, *, size_bound=SCHUR_SIZE_BOUND) -> Character:
     """Character of the Schur functor applied to a virtual space with the given
     character: the Schur polynomial evaluated on the weight multiset, computed
     by the horizontal-strip recursion of `schur_fill` over its letters."""
     lam = Partition(lam)
     if lam.size > size_bound:
         raise ScaleError(f"schur_character supports |lambda| <= {size_bound}")
-    if base.dimension() > dim_bound_:
-        raise ScaleError(f"schur_character supports base dimension <= {dim_bound_}")
+    if base.dimension() > SCHUR_DIM_BOUND:
+        raise ScaleError(f"schur_character supports base dimension <= {SCHUR_DIM_BOUND}")
     return Character(rs, schur_fill(lam, base.letters(), (0,) * rs.rank))

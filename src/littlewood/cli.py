@@ -277,11 +277,7 @@ def _cmd_hilbert(args):
 
 def _cmd_audit(args):
     report = run_audit(args.case)
-    lines = [
-        f"F_{row.index}: {row.computed}"
-        + (f" (expected {row.expected}: {'ok' if row.passed else 'MISMATCH'})" if row.expected is not None else "")
-        for row in report.rows
-    ]
+    lines = [f"F_{r.index}: {r.computed} (expected {r.expected}: {'ok' if r.passed else 'MISMATCH'})" for r in report.rows]
     lines.append("pass" if report.passed else "FAIL")
     return (0 if report.passed else 1), report.to_json(), lines
 

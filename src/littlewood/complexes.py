@@ -368,14 +368,19 @@ def _spin_dims(family: str, n: int):
     return dims, 2 * n, rs
 
 
-def _spin_shifted_weight(n: int, lam: Partition, mirror: bool) -> Weight:
-    """lam + delta in epsilon coordinates; mirrored, the last coordinate is
-    negated (the highest weight of the image of the full-length module under
-    the outer involution)."""
-    xs = [HalfInt.from_twice(2 * lam[i] + 1) for i in range(n)]
+# The spin-shifted irreducibles each family's Euler characteristic equals, as
+# mirror flags: mirrored, the last epsilon coordinate of lam + delta is negated
+# (the highest weight of the image of the full-length module under the outer
+# involution).
+_SPIN_MIRRORS = {"B": [False], "Dplus": [False], "Dminus": [True], "Dfull": [False, True]}
+
+
+def _spin_shifted_weight(rs: RootSystem, lam: Partition, mirror: bool) -> Weight:
+    """lam + delta in epsilon coordinates, the last one negated if mirrored."""
+    xs = [HalfInt.from_twice(2 * lam[i] + 1) for i in range(rs.rank)]
     if mirror:
         xs[-1] = -xs[-1]
-    return Weight.epsilon("D", n, tuple(xs))
+    return Weight.epsilon(rs.family, rs.rank, tuple(xs))
 
 
 def verify_spinor_identity(family: str, n: int, lam, bound=None) -> Report:
@@ -388,29 +393,13 @@ def verify_spinor_identity(family: str, n: int, lam, bound=None) -> Report:
     if len(lam) > n:
         raise ValueError(f"need at most {n} rows, got {len(lam)}")
     label_dims, dim_v, rs = _spin_dims(family, n)
-
     lhs = 0
-    for mu in partitions_in_box(n, n):
-        if mu.transpose() != mu or not lam.contains(mu):
-            continue
-        i = (mu.size + mu.rank) // 2
-        sign = -1 if i % 2 else 1
-        skew_dim = sum(
-            c * dim_schur(nu, dim_v) for nu, c in skew_schur_expand(lam, mu).entries.items()
-        )
-        lhs += sign * skew_dim * label_dims[_spin_label(family, mu.rank)]
-
-    if family == "B":
-        shifted = Weight.epsilon("B", n, tuple(HalfInt.from_twice(2 * lam[i] + 1) for i in range(n)))
-        rhs = dim_irrep(rs, shifted)
-    elif family == "Dplus":
-        rhs = dim_irrep(rs, _spin_shifted_weight(n, lam, mirror=False))
-    elif family == "Dminus":
-        rhs = dim_irrep(rs, _spin_shifted_weight(n, lam, mirror=True))
-    else:
-        rhs = dim_irrep(rs, _spin_shifted_weight(n, lam, mirror=False)) + dim_irrep(
-            rs, _spin_shifted_weight(n, lam, mirror=True)
-        )
+    for term in spinor_complex(family, n):
+        for (mu, label), mult in term.content.entries.items():
+            if lam.contains(mu):
+                skew_dim = sum(c * dim_schur(nu, dim_v) for nu, c in skew_schur_expand(lam, mu).entries.items())
+                lhs += (-1) ** term.index * mult * skew_dim * label_dims[label]
+    rhs = sum(dim_irrep(rs, _spin_shifted_weight(rs, lam, mirror)) for mirror in _SPIN_MIRRORS[family])
     limit = dim_bound() if bound is None else bound
     if rhs > limit:
         raise ScaleError(f"dimension {rhs} exceeds the configured bound {limit}")

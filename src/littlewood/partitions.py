@@ -234,33 +234,45 @@ def rank(lam) -> int:
 
 
 def partitions_of(n: int, max_length=None, max_part=None) -> list[Partition]:
-    """All partitions of n, ascending lexicographic, optionally boxed."""
-    if max_part is None:
-        max_part = n
+    """All partitions of n, ascending lexicographic, optionally boxed.
+
+    Parts are chosen in ascending order, each at least the share of what
+    remains that the rows left must carry, so every branch ends in a
+    partition."""
     out = []
 
     def rec(remaining, bound, prefix):
         if remaining == 0:
             out.append(Partition(tuple(prefix)))
             return
-        if max_length is not None and len(prefix) == max_length:
+        rows = remaining if max_length is None else max_length - len(prefix)
+        if rows <= 0:
             return
-        for p in range(min(bound, remaining), 0, -1):
+        for p in range(-(-remaining // rows), min(bound, remaining) + 1):  # ceil(remaining / rows) >= 1
             prefix.append(p)
             rec(remaining - p, p, prefix)
             prefix.pop()
 
-    rec(n, max_part, [])
-    out.sort(key=lambda p: p.parts)
+    rec(n, n if max_part is None else max_part, [])
     return out
 
 
 def partitions_in_box(rows: int, cols: int) -> list[Partition]:
-    """All partitions with at most `rows` parts, each at most `cols`."""
-    out = []
-    for n in range(rows * cols + 1):
-        out.extend(partitions_of(n, max_length=rows, max_part=cols))
-    return out
+    """All partitions with at most `rows` parts, each at most `cols`: by
+    size, then ascending lexicographic.  One walk over the box yields the
+    shapes in lexicographic order, a shape before its extensions."""
+    by_size = [[] for _ in range(max(rows * cols, 0) + 1)]
+
+    def rec(prefix, size, bound):
+        by_size[size].append(Partition(tuple(prefix)))
+        if len(prefix) < rows:
+            for p in range(1, bound + 1):
+                prefix.append(p)
+                rec(prefix, size + p, p)
+                prefix.pop()
+
+    rec([], 0, cols)
+    return [lam for group in by_size for lam in group]
 
 
 def in_q(lam, variant: str) -> bool:

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import contextlib
 import itertools
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cache
 
-from .characters import RootSystem, Weight, build_root_system, char_of_irrep, dim_irrep, schur_character
+from .characters import Character, RootSystem, Weight, build_root_system, char_of_irrep, decompose_character, dim_irrep, schur_character
 from .complexes import GradedTerm, GroupCase, bracket_dim, bracket_weight, branch_gl_to_iso
 from .errors import InconsistencyError, ScaleError
 from .partitions import Decomposition, Partition, dim_schur, enumerate_q, lr_coefficient, partitions_of
@@ -142,12 +143,19 @@ def hilbert_numerator(table: BettiTable, codim: int) -> HilbertData:
 # Koszul complexes of the generic quadric systems
 
 
+def _koszul_top(form: str, m: int) -> int:
+    """The number of quadrics, the last homological degree."""
+    if form not in ("alternating", "symmetric"):
+        raise ValueError("form must be alternating or symmetric")
+    if m < 0:
+        raise ValueError(f"koszul {form}: m {m} is negative")
+    return m * (m - 1) // 2 if form == "alternating" else m * (m + 1) // 2
+
+
 def koszul_terms(form: str, m: int, i: int) -> Decomposition:
     """Schur constituents of the i-th exterior power of the quadric space:
     size-2i members of the matching Q-set with at most m rows."""
-    if form not in ("alternating", "symmetric"):
-        raise ValueError("form must be alternating or symmetric")
-    top = m * (m - 1) // 2 if form == "alternating" else m * (m + 1) // 2
+    top = _koszul_top(form, m)
     if not 0 <= i <= top:
         raise ValueError(f"homological degree {i} out of range 0..{top}")
     variant = "minus" if form == "alternating" else "plus"
@@ -159,8 +167,7 @@ def koszul_terms(form: str, m: int, i: int) -> Decomposition:
 
 
 def koszul_complex(form: str, m: int) -> list[GradedTerm]:
-    top = m * (m - 1) // 2 if form == "alternating" else m * (m + 1) // 2
-    return [GradedTerm(i, 2 * i, koszul_terms(form, m, i)) for i in range(top + 1)]
+    return [GradedTerm(i, 2 * i, koszul_terms(form, m, i)) for i in range(_koszul_top(form, m) + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -266,10 +273,12 @@ def peel_resolution(case: GroupCase, slice_fn, codim: int) -> list[GradedTerm]:
     the current end of the resolution, the positive part goes to whichever
     of e, e + 1 is even and the negative part to the odd one.  A summand
     present in both neighbouring homological degrees of one internal degree
-    cancels there and is invisible to this rule.  The walk stops at the
-    first degree where the length is codim and the dimension-level
-    K-polynomial divides by (1-T)^codim; a term past the codimension, or no
-    stop by internal degree SLICE_BOUND, raises InconsistencyError.
+    cancels there and is invisible to this rule, so a peeled resolution that
+    matches stated Betti totals is consistent with them, not proven minimal.
+    The walk stops at the first degree where the length is codim and the
+    dimension-level K-polynomial divides by (1-T)^codim; a term past the
+    codimension, or no stop by internal degree SLICE_BOUND, raises
+    InconsistencyError.
 
     OD raises ValueError: its slices give a fused mirror pair of full-length
     shapes one label (see `cauchy_slice`), while V is an irreducible of the
@@ -327,10 +336,77 @@ def label_dimension(rs: RootSystem, dim_e: int | None):
 
 
 # ---------------------------------------------------------------------------
-# dimension audits of stated resolutions
+# dimension audits: resolutions derived or stated, against stated Betti totals
 
-# Term spec: (homological index, internal degree, E-shape or None, weight fund
-# coords, multiplicity).
+
+def _g2_y1_slice(j: int) -> Decomposition:
+    """The rank-1 variety's coordinate ring in degree j, Sym^j E (x) V_(j,0):
+    the one-row part of the rank-2 slice."""
+    dec = cauchy_slice(GroupCase("G2"), j)[0]
+    return Decomposition({label: m for label, m in dec.entries.items() if len(label[0]) <= 1})
+
+
+def _stated(family: str, rank: int, rows):
+    """The terms of a stated resolution over Sym(V), with no multiplicity
+    space, from rows (homological index, internal degree, fundamental
+    coordinates, multiplicity), labelled (None, weight)."""
+
+    def terms() -> list[GradedTerm]:
+        rs = build_root_system(family, rank)
+        cells: dict[tuple[int, int], Decomposition] = {}
+        for i, j, fc, mult in rows:
+            cells.setdefault((i, j), Decomposition()).add((None, rs.weight(fc)), mult)
+        return [GradedTerm(i, j, content) for (i, j), content in sorted(cells.items())]
+
+    return terms
+
+
+E6_CONE_TERMS = [  # the cone over the minimal orbit of the 27-dimensional representation
+    (0, 0, (0, 0, 0, 0, 0, 0), 1),
+    (1, 2, (1, 0, 0, 0, 0, 0), 1),
+    (2, 3, (0, 1, 0, 0, 0, 0), 1),
+    (3, 5, (0, 0, 0, 0, 1, 0), 1),
+    (4, 6, (1, 0, 0, 0, 0, 1), 1),
+    (5, 7, (2, 0, 0, 0, 0, 0), 1),
+    (5, 8, (0, 0, 0, 0, 0, 2), 1),
+    (6, 9, (1, 0, 0, 0, 0, 1), 1),
+    (7, 10, (0, 0, 1, 0, 0, 0), 1),
+    (8, 12, (0, 1, 0, 0, 0, 0), 1),
+    (9, 13, (0, 0, 0, 0, 0, 1), 1),
+    (10, 15, (0, 0, 0, 0, 0, 0), 1),
+]
+
+E6_BETTI_TOTALS = [1, 27, 78, 351, 650, 702, 650, 351, 78, 27, 1]
+E6_HILBERT_NUMERATOR = [1, 10, 28, 28, 10, 1]
+
+E8_START_TERMS = [  # the first steps for the cone over the adjoint minimal orbit
+    (0, 0, (0, 0, 0, 0, 0, 0, 0, 0), 1),
+    (1, 2, (0, 0, 0, 0, 0, 0, 0, 0), 1),
+    (1, 2, (1, 0, 0, 0, 0, 0, 0, 0), 1),
+    (2, 3, (0, 0, 0, 0, 0, 0, 0, 1), 1),
+    (2, 3, (0, 1, 0, 0, 0, 0, 0, 0), 1),
+    (2, 3, (1, 0, 0, 0, 0, 0, 0, 0), 1),
+]
+
+
+def _f4_cone_terms() -> list[GradedTerm]:
+    """The cone over the minimal orbit of the 26-dimensional representation of
+    F4, a hyperplane section of the E6 cone: the 27 restricts to 26 + 1 under
+    the folding F4 < E6, a -> (a2, a4, a3 + a5, a1 + a6) on fundamental
+    coordinates, so each term is the E6 cone's term restricted to F4."""
+    e6, f4 = build_root_system("E", 6), build_root_system("F", 4)
+
+    def fold(a):
+        return (a[1], a[3], a[2] + a[4], a[0] + a[5])
+
+    out = []
+    for term in AUDITS["e6-cone"].terms():
+        restricted = Character(f4)
+        for (_, w), mult in term.content.entries.items():
+            restricted += char_of_irrep(e6, w).restrict(f4, fold).scale(mult)
+        content = decompose_character(f4, restricted).map_labels(lambda w: (None, w))
+        out.append(GradedTerm(term.index, term.degree, content))
+    return out
 
 
 @dataclass
@@ -338,21 +414,20 @@ class AuditSpec:
     family: str
     rank: int
     e_dim: int | None
-    terms: list
-    expected_totals: list | None
-    ambient_dim: int | None = None
-    description: str = ""
+    terms: Callable[[], list[GradedTerm]]  # labels (E-shape or None, weight)
+    expected_totals: list
+    ambient_dim: int
 
 
 @dataclass
 class AuditRow:
     index: int
     computed: int
-    expected: int | None
+    expected: int
 
     @property
     def passed(self) -> bool:
-        return self.expected is None or self.computed == self.expected
+        return self.computed == self.expected
 
     def to_json(self):
         return {"i": self.index, "computed": self.computed, "expected": self.expected, "pass": self.passed}
@@ -377,191 +452,27 @@ class AuditReport:
         }
 
 
-def _audit_terms_to_graded(spec: AuditSpec) -> list[GradedTerm]:
-    by_cell: dict[tuple, Decomposition] = {}
-    for i, j, e_parts, fc, mult in spec.terms:
-        lam = Partition(e_parts) if e_parts is not None else None
-        label = (lam, fc)
-        by_cell.setdefault((i, j), Decomposition()).add(label, mult)
-    return [GradedTerm(i, j, content) for (i, j), content in sorted(by_cell.items())]
-
-
 def run_audit(name: str) -> AuditReport:
+    """The Betti totals of the audit's resolution against the stated ones; a
+    column on one side only is compared with 0."""
     spec = AUDITS[name]
     dim_of = label_dimension(build_root_system(spec.family, spec.rank), spec.e_dim)
-    betti = betti_of(_audit_terms_to_graded(spec), dim_of, spec.ambient_dim)
-    ncols = max(betti.max_index + 1, len(spec.expected_totals or []))
-    rows = []
-    for i in range(ncols):
-        expected = spec.expected_totals[i] if spec.expected_totals and i < len(spec.expected_totals) else None
-        rows.append(AuditRow(i, betti.total(i), expected))
+    betti = betti_of(spec.terms(), dim_of, spec.ambient_dim)
+    expected = spec.expected_totals
+    ncols = max(betti.max_index + 1, len(expected))
+    rows = [AuditRow(i, betti.total(i), expected[i] if i < len(expected) else 0) for i in range(ncols)]
     return AuditReport(name, rows, betti)
 
 
-def _cone_terms(entries) -> list:
-    """Terms of a resolution over Sym(V) with no multiplicity space."""
-    return [(i, j, None, fc, mult) for i, j, fc, mult in entries]
-
-
-_F4_TRIV = (0, 0, 0, 0)
-_F4_W1 = (1, 0, 0, 0)
-_F4_W3 = (0, 0, 1, 0)
-_F4_W4 = (0, 0, 0, 1)
-_F4_2W4 = (0, 0, 0, 2)
-
-# Resolution of the cone over the minimal orbit of the 26-dimensional
-# representation.  The extracted source text of the middle terms dropped the
-# 273-dimensional summand in homological degrees 4 and 6; it is restored here,
-# as both the stated Betti column totals (650) and branching the rank-6
-# minimal-orbit resolution through the rank-4 subgroup require it.
-F4_CONE_TERMS = _cone_terms(
-    [
-        (0, 0, _F4_TRIV, 1),
-        (1, 2, _F4_TRIV, 1),
-        (1, 2, _F4_W4, 1),
-        (2, 3, _F4_W1, 1),
-        (2, 3, _F4_W4, 1),
-        (3, 5, _F4_W4, 1),
-        (3, 5, _F4_W3, 1),
-        (3, 5, _F4_W1, 1),
-        (4, 6, _F4_TRIV, 1),
-        (4, 6, _F4_W4, 2),
-        (4, 6, _F4_2W4, 1),
-        (4, 6, _F4_W3, 1),
-        (5, 7, _F4_TRIV, 1),
-        (5, 7, _F4_W4, 1),
-        (5, 7, _F4_2W4, 1),
-        (5, 8, _F4_TRIV, 1),
-        (5, 8, _F4_W4, 1),
-        (5, 8, _F4_2W4, 1),
-        (6, 9, _F4_TRIV, 1),
-        (6, 9, _F4_W4, 2),
-        (6, 9, _F4_2W4, 1),
-        (6, 9, _F4_W3, 1),
-        (7, 10, _F4_W4, 1),
-        (7, 10, _F4_W3, 1),
-        (7, 10, _F4_W1, 1),
-        (8, 12, _F4_W1, 1),
-        (8, 12, _F4_W4, 1),
-        (9, 13, _F4_TRIV, 1),
-        (9, 13, _F4_W4, 1),
-        (10, 15, _F4_TRIV, 1),
-    ]
-)
-
-
-def _e6(a1=0, a2=0, a3=0, a4=0, a5=0, a6=0):
-    return (a1, a2, a3, a4, a5, a6)
-
-
-E6_CONE_TERMS = _cone_terms(
-    [
-        (0, 0, _e6(), 1),
-        (1, 2, _e6(a1=1), 1),
-        (2, 3, _e6(a2=1), 1),
-        (3, 5, _e6(a5=1), 1),
-        (4, 6, _e6(a1=1, a6=1), 1),
-        (5, 7, _e6(a1=2), 1),
-        (5, 8, _e6(a6=2), 1),
-        (6, 9, _e6(a1=1, a6=1), 1),
-        (7, 10, _e6(a3=1), 1),
-        (8, 12, _e6(a2=1), 1),
-        (9, 13, _e6(a6=1), 1),
-        (10, 15, _e6(), 1),
-    ]
-)
-
-E6_BETTI_TOTALS = [1, 27, 78, 351, 650, 702, 650, 351, 78, 27, 1]
-E6_HILBERT_NUMERATOR = [1, 10, 28, 28, 10, 1]
-
-_E8_TRIV = (0,) * 8
-_E8_W1 = (1, 0, 0, 0, 0, 0, 0, 0)
-_E8_W2 = (0, 1, 0, 0, 0, 0, 0, 0)
-_E8_W8 = (0, 0, 0, 0, 0, 0, 0, 1)
-
-E8_START_TERMS = _cone_terms(
-    [
-        (0, 0, _E8_TRIV, 1),
-        (1, 2, _E8_TRIV, 1),
-        (1, 2, _E8_W1, 1),
-        (2, 3, _E8_W8, 1),
-        (2, 3, _E8_W2, 1),
-        (2, 3, _E8_W1, 1),
-    ]
-)
-
-# Resolution of the rank-1 isotropic variety in two copies of the
-# 7-dimensional representation, as (E-shape; weight) pairs.  The list is the
-# unique one compatible with the coordinate ring, the stated Betti table, and
-# Euler-characteristic exactness (every internal degree splits with exact
-# dimension match); the extracted source text of the middle terms was
-# internally inconsistent, and the test suite re-derives this list from
-# scratch with peel_resolution.
-G2_Y1_TERMS = [
-    (0, 0, (), (0, 0), 1),
-    (1, 2, (2,), (0, 0), 1),
-    (1, 2, (1, 1), (1, 0), 1),
-    (1, 2, (1, 1), (0, 1), 1),
-    (2, 3, (2, 1), (0, 0), 1),
-    (2, 3, (2, 1), (1, 0), 2),
-    (2, 3, (2, 1), (2, 0), 1),
-    (3, 4, (3, 1), (0, 0), 1),
-    (3, 4, (2, 2), (1, 0), 1),
-    (3, 4, (3, 1), (1, 0), 1),
-    (3, 4, (3, 1), (2, 0), 1),
-    (3, 4, (2, 2), (0, 1), 1),
-    (4, 5, (4, 1), (1, 0), 1),
-    (4, 5, (4, 1), (0, 1), 1),
-    (4, 6, (3, 3), (0, 0), 1),
-    (4, 6, (3, 3), (1, 0), 1),
-    (4, 6, (3, 3), (2, 0), 1),
-    (5, 6, (5, 1), (1, 0), 1),
-    (5, 7, (4, 3), (1, 0), 1),
-    (5, 7, (4, 3), (0, 1), 1),
-    (6, 7, (6, 1), (0, 0), 1),
-    (6, 8, (5, 3), (1, 0), 1),
-    (7, 9, (6, 3), (0, 0), 1),
-]
-
-G2_Y1_BETTI_TOTALS = [1, 24, 84, 126, 119, 77, 27, 4]
-
+# g2-y1 is peeled from its coordinate ring (codimension 7), and f4-cone is
+# e6-cone restricted to F4; e6-cone and e8-start are stated.
 AUDITS = {
     "g2-y1": AuditSpec(
-        family="G",
-        rank=2,
-        e_dim=2,
-        terms=G2_Y1_TERMS,
-        expected_totals=G2_Y1_BETTI_TOTALS,
-        ambient_dim=14,
-        description="rank-1 variety in two copies of the 7-dimensional representation",
+        "G", 2, 2, lambda: peel_resolution(GroupCase("G2"), _g2_y1_slice, 7), [1, 24, 84, 126, 119, 77, 27, 4], 14
     ),
-    "f4-cone": AuditSpec(
-        family="F",
-        rank=4,
-        e_dim=None,
-        terms=F4_CONE_TERMS,
-        expected_totals=E6_BETTI_TOTALS,
-        ambient_dim=26,
-        description="cone over the minimal orbit of the 26-dimensional representation",
-    ),
-    "e6-cone": AuditSpec(
-        family="E",
-        rank=6,
-        e_dim=None,
-        terms=E6_CONE_TERMS,
-        expected_totals=E6_BETTI_TOTALS,
-        ambient_dim=27,
-        description="cone over the minimal orbit of the 27-dimensional representation",
-    ),
-    "e8-start": AuditSpec(
-        family="E",
-        rank=8,
-        e_dim=None,
-        terms=E8_START_TERMS,
-        expected_totals=[1, 3876, 151373],
-        ambient_dim=248,
-        description="first steps of the resolution of the adjoint minimal-orbit cone",
-    ),
+    "f4-cone": AuditSpec("F", 4, None, _f4_cone_terms, E6_BETTI_TOTALS, 26),
+    "e6-cone": AuditSpec("E", 6, None, _stated("E", 6, E6_CONE_TERMS), E6_BETTI_TOTALS, 27),
+    "e8-start": AuditSpec("E", 8, None, _stated("E", 8, E8_START_TERMS), [1, 3876, 151373], 248),
 }
 
 # Reference only: the characteristic-2 Betti table of the rank-2 variety, as

@@ -208,3 +208,76 @@ def test_python_dash_m_entry_point():
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert done.returncode == 0 and done.stdout == "7\n"
+
+
+# Golden output of the two derived audits, frozen from when their terms were
+# typed-in tables: (case, codim, Betti totals, Betti cells, Betti text,
+# Hilbert numerator as text and as a list, Krull dimension).
+DERIVED_AUDIT_GOLDENS = [
+    (
+        "g2-y1",
+        7,
+        [1, 24, 84, 126, 119, 77, 27, 4],
+        {"0,0": 1, "1,2": 24, "2,3": 84, "3,4": 126, "4,5": 84, "4,6": 35, "5,6": 35, "5,7": 42, "6,7": 6, "6,8": 21, "7,9": 4},
+        """\
+       0  1  2   3   4  5  6 7
+total: 1 24 84 126 119 77 27 4
+    0: 1  .  .   .   .  .  . .
+    1: . 24 84 126  84 35  6 .
+    2: .  .  .   .  35 42 21 4
+""",
+        "1 + 7T + 4T^2",
+        [1, 7, 4],
+        7,
+    ),
+    (
+        "f4-cone",
+        10,
+        [1, 27, 78, 351, 650, 702, 650, 351, 78, 27, 1],
+        {"0,0": 1, "1,2": 27, "10,15": 1, "2,3": 78, "3,5": 351, "4,6": 650, "5,7": 351, "5,8": 351, "6,9": 650, "7,10": 351, "8,12": 78, "9,13": 27},
+        """\
+       0  1  2   3   4   5   6   7  8  9 10
+total: 1 27 78 351 650 702 650 351 78 27  1
+    0: 1  .  .   .   .   .   .   .  .  .  .
+    1: . 27 78   .   .   .   .   .  .  .  .
+    2: .  .  . 351 650 351   .   .  .  .  .
+    3: .  .  .   .   . 351 650 351  .  .  .
+    4: .  .  .   .   .   .   .   . 78 27  .
+    5: .  .  .   .   .   .   .   .  .  .  1
+""",
+        "1 + 10T + 28T^2 + 28T^3 + 10T^4 + T^5",
+        [1, 10, 28, 28, 10, 1],
+        16,
+    ),
+]
+
+
+@pytest.mark.parametrize("case,codim,totals,cells,betti_text,hilbert_text,numerator,krull", DERIVED_AUDIT_GOLDENS)
+def test_derived_audit_cli_goldens(capsys, case, codim, totals, cells, betti_text, hilbert_text, numerator, krull):
+    def out_of(*argv):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0, argv
+        return out
+
+    def as_json(payload):
+        return json.dumps(payload, sort_keys=True) + "\n"
+
+    ambient = {"g2-y1": 14, "f4-cone": 26}[case]
+    betti_json = {"ambient": ambient, "entries": cells}
+    rows = [{"computed": t, "expected": t, "i": i, "pass": True} for i, t in enumerate(totals)]
+    assert out_of("audit", "--case", case) == "".join(f"F_{i}: {t} (expected {t}: ok)\n" for i, t in enumerate(totals)) + "pass\n"
+    assert out_of("audit", "--case", case, "--format", "json") == as_json(
+        {"betti": betti_json, "name": case, "pass": True, "rows": rows}
+    )
+    assert out_of("betti", "--case", case) == betti_text
+    assert out_of("betti", "--case", case, "--format", "json") == as_json(betti_json)
+    assert out_of("hilbert", "--case", case, "--codim", str(codim)) == f"{hilbert_text}\nkrull dim {krull}\n"
+    assert out_of("hilbert", "--case", case, "--codim", str(codim), "--format", "json") == as_json(
+        {"krull_dim": krull, "numerator": numerator}
+    )
+
+
+@pytest.mark.parametrize("argv", [("koszul", "--form", "alternating", "--m", "-2", "--i", "1"), ("betti", "--case", "koszul:alternating:-3")])
+def test_koszul_negative_m_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and "alternating" in err and "is negative" in err

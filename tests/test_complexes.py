@@ -251,6 +251,14 @@ def test_verify_spinor_sweep():
                     assert verify_spinor_identity(family, n, lam).passed
 
 
+def test_full_spinor_identity_is_the_sum_of_the_half_spin_ones():
+    for n in (2, 3, 4):
+        for size in range(0, 6):
+            for lam in partitions_of(size, max_length=n):
+                plus, minus, full = (verify_spinor_identity(f, n, lam) for f in ("Dplus", "Dminus", "Dfull"))
+                assert full.lhs == plus.lhs + minus.lhs and full.rhs == plus.rhs + minus.rhs, (n, lam)
+
+
 def test_od_full_length_bracket_is_a_pair():
     case = parse_case("OD(2)")
     rs = case.root_system()

@@ -12,6 +12,7 @@ from littlewood.partitions import (
     enumerate_q,
     in_q,
     lr_coefficient,
+    partitions_in_box,
     partitions_of,
     plethysm_wedge_power,
     rank,
@@ -43,6 +44,24 @@ def test_transpose_is_involution_up_to_size_12():
     for n in range(13):
         for lam in partitions_of(n):
             assert lam.transpose().transpose() == lam
+
+
+def test_partitions_of_is_ascending_under_every_bound():
+    counts = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77]  # p(n)
+    for n in range(0, 13):
+        every = partitions_of(n)
+        assert [p.parts for p in every] == sorted(p.parts for p in every) and len(set(every)) == len(every) == counts[n]
+        for max_length in [None] + list(range(0, n + 2)):
+            for max_part in [None] + list(range(0, n + 2)):
+                want = [p for p in every if (max_length is None or len(p) <= max_length) and (max_part is None or p[0] <= max_part)]
+                assert partitions_of(n, max_length, max_part) == want, (n, max_length, max_part)
+
+
+def test_partitions_in_box_matches_the_per_size_concatenation():
+    for rows in range(0, 6):
+        for cols in range(0, 6):
+            want = [lam for n in range(rows * cols + 1) for lam in partitions_of(n, max_length=rows, max_part=cols)]
+            assert partitions_in_box(rows, cols) == want, (rows, cols)
 
 
 def test_rank_examples():

@@ -1,21 +1,21 @@
+import dataclasses
 from math import comb
 
 import pytest
 
-from littlewood.characters import Character, build_root_system, char_of_irrep, decompose_character, dim_irrep
+from littlewood.characters import build_root_system, char_of_irrep, decompose_character, dim_irrep
 from littlewood.acceptance import G2_Y2_EXPECTED_TERMS
 from littlewood.complexes import GradedTerm, GroupCase, parse_case
 from littlewood.errors import InconsistencyError
 from littlewood.partitions import Decomposition, Partition, dim_schur
 from littlewood.resolutions import (
+    AUDITS,
     BettiTable,
-    E6_CONE_TERMS,
     E6_HILBERT_NUMERATOR,
-    F4_CONE_TERMS,
-    G2_Y1_TERMS,
     G2_Y2_BETTI_CHAR2_TEXT,
     SLICE_BOUND,
     _euler_characteristic,
+    _g2_y1_slice,
     betti_of,
     cauchy_slice,
     g2_equivariant_resolution,
@@ -37,6 +37,14 @@ def test_koszul_examples():
     assert sorted(p.parts for p in koszul_terms("symmetric", 4, 1).support()) == [(2,)]
     with pytest.raises(ValueError):
         koszul_terms("alternating", 3, 4)
+
+
+@pytest.mark.parametrize("form", ["alternating", "symmetric"])
+def test_koszul_refuses_negative_m(form):
+    with pytest.raises(ValueError, match=f"koszul {form}: m -2 is negative"):
+        koszul_terms(form, -2, 1)
+    with pytest.raises(ValueError, match=f"koszul {form}: m -3 is negative"):
+        koszul_complex(form, -3)
 
 
 def test_koszul_complete_intersection_hilbert():
@@ -129,20 +137,98 @@ def test_g2_coordinate_ring_hilbert_series_consistency():
         assert from_slice == from_series, d
 
 
-def _g2_y1_slice(j):
-    """The rank-1 variety's coordinate ring: Sym^j E (x) V_(j,0) in degree j."""
+# The rank-1 resolution as the peel gives it, (i, degree, E-shape, weight
+# fund coords): multiplicity.  Frozen from the table this package used to
+# state; the source text of its middle terms was internally inconsistent,
+# and this is the one list compatible with the coordinate ring and the
+# stated Betti totals.
+G2_Y1_TERMS = {
+    (0, 0, (), (0, 0)): 1,
+    (1, 2, (2,), (0, 0)): 1,
+    (1, 2, (1, 1), (1, 0)): 1,
+    (1, 2, (1, 1), (0, 1)): 1,
+    (2, 3, (2, 1), (0, 0)): 1,
+    (2, 3, (2, 1), (1, 0)): 2,
+    (2, 3, (2, 1), (2, 0)): 1,
+    (3, 4, (3, 1), (0, 0)): 1,
+    (3, 4, (2, 2), (1, 0)): 1,
+    (3, 4, (3, 1), (1, 0)): 1,
+    (3, 4, (3, 1), (2, 0)): 1,
+    (3, 4, (2, 2), (0, 1)): 1,
+    (4, 5, (4, 1), (1, 0)): 1,
+    (4, 5, (4, 1), (0, 1)): 1,
+    (4, 6, (3, 3), (0, 0)): 1,
+    (4, 6, (3, 3), (1, 0)): 1,
+    (4, 6, (3, 3), (2, 0)): 1,
+    (5, 6, (5, 1), (1, 0)): 1,
+    (5, 7, (4, 3), (1, 0)): 1,
+    (5, 7, (4, 3), (0, 1)): 1,
+    (6, 7, (6, 1), (0, 0)): 1,
+    (6, 8, (5, 3), (1, 0)): 1,
+    (7, 9, (6, 3), (0, 0)): 1,
+}
+
+# The resolution of the cone over the minimal orbit of the 26-dimensional
+# representation, (i, degree, weight fund coords): multiplicity.  It holds the
+# 273-dimensional (0,0,1,0) summand in homological degrees 4 and 6, which the
+# source text of the middle terms dropped.
+F4_CONE_TERMS = {
+    (0, 0, (0, 0, 0, 0)): 1,
+    (1, 2, (0, 0, 0, 0)): 1,
+    (1, 2, (0, 0, 0, 1)): 1,
+    (2, 3, (1, 0, 0, 0)): 1,
+    (2, 3, (0, 0, 0, 1)): 1,
+    (3, 5, (0, 0, 0, 1)): 1,
+    (3, 5, (0, 0, 1, 0)): 1,
+    (3, 5, (1, 0, 0, 0)): 1,
+    (4, 6, (0, 0, 0, 0)): 1,
+    (4, 6, (0, 0, 0, 1)): 2,
+    (4, 6, (0, 0, 0, 2)): 1,
+    (4, 6, (0, 0, 1, 0)): 1,
+    (5, 7, (0, 0, 0, 0)): 1,
+    (5, 7, (0, 0, 0, 1)): 1,
+    (5, 7, (0, 0, 0, 2)): 1,
+    (5, 8, (0, 0, 0, 0)): 1,
+    (5, 8, (0, 0, 0, 1)): 1,
+    (5, 8, (0, 0, 0, 2)): 1,
+    (6, 9, (0, 0, 0, 0)): 1,
+    (6, 9, (0, 0, 0, 1)): 2,
+    (6, 9, (0, 0, 0, 2)): 1,
+    (6, 9, (0, 0, 1, 0)): 1,
+    (7, 10, (0, 0, 0, 1)): 1,
+    (7, 10, (0, 0, 1, 0)): 1,
+    (7, 10, (1, 0, 0, 0)): 1,
+    (8, 12, (1, 0, 0, 0)): 1,
+    (8, 12, (0, 0, 0, 1)): 1,
+    (9, 13, (0, 0, 0, 0)): 1,
+    (9, 13, (0, 0, 0, 1)): 1,
+    (10, 15, (0, 0, 0, 0)): 1,
+}
+
+
+def _plain(terms):
+    """{(i, degree, E-shape parts or None, weight fund coords): multiplicity}."""
+    return {
+        (t.index, t.degree, None if lam is None else lam.parts, w.fund_coords()): m
+        for t in terms
+        for (lam, w), m in t.content.entries.items()
+    }
+
+
+def _rank_one_slice(j):
+    """The rank-1 variety's coordinate ring, built directly: Sym^j E (x) V_(j,0)
+    in degree j."""
     return Decomposition({(P((j,) if j else ()), build_root_system("G", 2).weight((j, 0))): 1})
 
 
 def test_g2_y1_terms_rederived_by_euler_characteristics():
-    """Re-derive the rank-1 resolution from scratch with the same peeling as
-    the rank-2 one; the codimension is 7."""
-    got = {
-        (t.index, t.degree, lam.parts, w.fund_coords()): m
-        for t in peel_resolution(GroupCase("G2"), _g2_y1_slice, 7)
-        for (lam, w), m in t.content.entries.items()
-    }
-    assert got == {(i, j, e, fc): m for i, j, e, fc, m in G2_Y1_TERMS} and len(got) == 23
+    """The audit peels the rank-1 resolution (codimension 7) from the one-row
+    part of the rank-2 slices; that part is Sym^j E (x) V_(j,0), and the peel
+    gives the frozen 23 terms."""
+    for j in range(SLICE_BOUND + 1):
+        assert _g2_y1_slice(j) == _rank_one_slice(j), j
+    assert _plain(AUDITS["g2-y1"].terms()) == G2_Y1_TERMS and len(G2_Y1_TERMS) == 23
+    assert _plain(peel_resolution(GroupCase("G2"), _rank_one_slice, 7)) == G2_Y1_TERMS
 
 
 def test_peel_resolution_stops_only_where_the_k_polynomial_divides():
@@ -150,7 +236,7 @@ def test_peel_resolution_stops_only_where_the_k_polynomial_divides():
     # 7, where its K-polynomial is not divisible by (1-T)^6, and again in
     # degree 8; so the walk goes on and meets the degree-9 term F_7.
     with pytest.raises(InconsistencyError, match="internal degree 9 needs homological degree 7, past the codimension 6"):
-        peel_resolution(GroupCase("G2"), _g2_y1_slice, 6)
+        peel_resolution(GroupCase("G2"), _rank_one_slice, 6)
 
 
 @pytest.mark.parametrize(
@@ -303,28 +389,36 @@ def test_f4_cone_audit_and_hilbert():
 
 def test_f4_cone_terms_match_e6_branching():
     """The 26-variable cone is a hyperplane section of the 27-variable one, so
-    each resolution term must be the branching of the corresponding term
-    through the folding embedding of the rank-4 group."""
+    each resolution term is the branching of the corresponding term through
+    the folding embedding of the rank-4 group: the 27 restricts to 26 + 1."""
     e6 = build_root_system("E", 6)
     f4 = build_root_system("F", 4)
 
     def fold(a):
         return (a[1], a[3], a[2] + a[4], a[0] + a[5])
 
-    e6_cells = {}
-    for i, j, _, fc, mult in E6_CONE_TERMS:
-        e6_cells.setdefault((i, j), []).append((fc, mult))
-    f4_cells = {}
-    for i, j, _, fc, mult in F4_CONE_TERMS:
-        f4_cells.setdefault((i, j), {})
-        f4_cells[(i, j)][fc] = f4_cells[(i, j)].get(fc, 0) + mult
-    assert set(e6_cells) == set(f4_cells)
-    for cell, items in e6_cells.items():
-        total = Character(f4)
-        for fc, mult in items:
-            total = total + char_of_irrep(e6, fc).restrict(f4, fold).scale(mult)
-        dec = decompose_character(f4, total)
-        assert {w.fund_coords(): m for w, m in dec.entries.items()} == f4_cells[cell], cell
+    dec = decompose_character(f4, char_of_irrep(e6, (1, 0, 0, 0, 0, 0)).restrict(f4, fold))
+    assert {w.fund_coords(): m for w, m in dec.entries.items()} == {(0, 0, 0, 1): 1, (0, 0, 0, 0): 1}
+    got = _plain(AUDITS["f4-cone"].terms())
+    assert got == {(i, j, None, fc): m for (i, j, fc), m in F4_CONE_TERMS.items()} and len(got) == 30
+    for cell in ((4, 6), (6, 9)):
+        assert got[(*cell, None, (0, 0, 1, 0))] == 1 and dim_irrep(f4, (0, 0, 1, 0)) == 273
+
+
+@pytest.mark.parametrize(
+    "name,dual",
+    [
+        ("f4-cone", lambda a: a),  # -w0 = 1
+        ("e6-cone", lambda a: (a[5], a[1], a[4], a[3], a[2], a[0])),  # -w0 swaps w1, w6 and w3, w5
+    ],
+)
+def test_cone_resolution_is_gorenstein_self_dual(name, dual):
+    """F_{c-i} = F_i^* (x) F_c with c = 10 and F_c the trivial representation
+    in degree 15: V_a in degree j pairs with V_{-w0 a} in degree 15 - j."""
+    cells = {(i, j, fc): m for (i, j, _, fc), m in _plain(AUDITS[name].terms()).items()}
+    [(top, m)] = [((j, fc), m) for (i, j, fc), m in cells.items() if i == 10]
+    assert top == (15, (0,) * AUDITS[name].rank) and m == 1 and max(i for i, _, _ in cells) == 10
+    assert {(10 - i, 15 - j, dual(fc)): m for (i, j, fc), m in cells.items()} == cells
 
 
 def test_e8_start_audit_and_weyl_euler_identities():
@@ -337,6 +431,12 @@ def test_e8_start_audit_and_weyl_euler_identities():
     f2 = report.rows[2].computed
     assert dim_irrep(e8, (0,) * 7 + (2,)) == sym2 - f1
     assert dim_irrep(e8, (0,) * 7 + (3,)) == sym3 - 248 * f1 + f2
+
+
+def test_audit_compares_a_column_stated_on_one_side_only_with_zero(monkeypatch):
+    monkeypatch.setitem(AUDITS, "e8-start", dataclasses.replace(AUDITS["e8-start"], expected_totals=[1, 3876]))
+    report = run_audit("e8-start")
+    assert not report.passed and (report.rows[2].computed, report.rows[2].expected) == (151373, 0)
 
 
 def test_audit_json_shape():
