@@ -1,8 +1,8 @@
 """Exact-arithmetic Littlewood complexes and equivariant resolution tooling
 for the classical and exceptional groups."""
 
-from .partitions import Decomposition, Partition, SkewShape
-from .characters import Character, HalfInt, RootSystem, Weight, build_root_system, dim_irrep
+from .partitions import Decomposition, Partition
+from .characters import Character, RootSystem, Weight, build_root_system, dim_irrep
 from .bott import BottOutcome, SpinLabel, bott
 from .complexes import GradedTerm, GroupCase, parse_case
 from .resolutions import BettiTable, HilbertData
@@ -14,11 +14,9 @@ __all__ = [
     "Decomposition",
     "GradedTerm",
     "GroupCase",
-    "HalfInt",
     "HilbertData",
     "Partition",
     "RootSystem",
-    "SkewShape",
     "SpinLabel",
     "Weight",
     "bott",

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .characters import HalfInt, RootSystem, Weight, _fund_to_eps
+from .characters import CoordSystem, RootSystem, Weight, _fund_to_eps
 from .partitions import Partition, in_q
 
 
@@ -50,26 +50,10 @@ class SpinOutcome:
         return {"degree": self.degree, "label": str(self.label)}
 
 
-def shifted_reflection(rs: RootSystem, i: int, weight: Weight) -> Weight:
-    """The rho-shifted action of the i-th simple reflection (i is 1-based)."""
-    if not 1 <= i <= rs.rank:
-        raise ValueError(f"simple index {i} out of range for {rs}")
-    fc = weight.fund_coords()
-    v = tuple(c + 1 for c in fc)
-    v = rs.reflect(i - 1, v)
-    out = Weight.fundamental(rs.family, rs.rank, tuple(c - 1 for c in v))
-    return out.to_epsilon() if weight.system.kind == "epsilon" else out
-
-
-def epsilon_singular(family: str, coords) -> bool:
-    """Wall test in epsilon coordinates for the classical orthogonal and
-    symplectic types: two coordinates equal up to sign, or (B and C, where a
-    coroot is a single epsilon) a zero coordinate."""
-    return _on_wall(family, [HalfInt(c).twice for c in coords])
-
-
 def _on_wall(family: str, twice) -> bool:
-    """`epsilon_singular` on doubled epsilon coordinates."""
+    """Wall test on doubled epsilon coordinates: two coordinates equal (up to
+    sign outside type A), or (B and C, where a coroot is a single epsilon) a
+    zero coordinate."""
     if family in ("B", "C") and 0 in twice:
         return True
     return len(set(twice if family == "A" else map(abs, twice))) < len(twice)
@@ -101,17 +85,16 @@ def d_spinor_twist_weight(n: int, lam, component: str) -> Weight:
     lam = Partition(lam)
     if component not in ("plus", "minus"):
         raise ValueError("component must be plus or minus")
-    coords = [HalfInt.from_twice(-2 * lam[n - 1 - i] + 1) for i in range(n)]
+    twice = [-2 * lam[n - 1 - i] + 1 for i in range(n)]
     if component == "minus":
-        coords[-1] = HalfInt.from_twice(2 * lam[0] - 1)
-    return Weight.epsilon("D", n, coords)
+        twice[-1] = 2 * lam[0] - 1
+    return Weight(CoordSystem("epsilon", "D", n), twice)
 
 
 def b_spinor_twist_weight(n: int, lam) -> Weight:
     """The B_n weight (-lam reversed) + delta in epsilon coordinates."""
     lam = Partition(lam)
-    coords = [HalfInt.from_twice(-2 * lam[n - 1 - i] + 1) for i in range(n)]
-    return Weight.epsilon("B", n, coords)
+    return Weight(CoordSystem("epsilon", "B", n), [-2 * lam[n - 1 - i] + 1 for i in range(n)])
 
 
 def spin_cohomology_D(n: int, lam, component: str) -> SpinOutcome:
@@ -153,10 +136,9 @@ def spin_cohomology_B(n: int, lam) -> SpinOutcome:
 
 
 def delta_weight_B(n: int) -> Weight:
-    return Weight.epsilon("B", n, tuple(HalfInt.from_twice(1) for _ in range(n)))
+    return Weight(CoordSystem("epsilon", "B", n), (1,) * n)
 
 
 def delta_weight_D(n: int, component: str) -> Weight:
     sign = 1 if component == "plus" else -1
-    coords = [HalfInt.from_twice(1)] * (n - 1) + [HalfInt.from_twice(sign)]
-    return Weight.epsilon("D", n, coords)
+    return Weight(CoordSystem("epsilon", "D", n), (1,) * (n - 1) + (sign,))

@@ -4,7 +4,8 @@ Weights are stored internally as integer vectors of pairings with the simple
 coroots ("fundamental coordinates").  The epsilon realizations of the
 classical types are provided for input and output because that is how the
 classical literature writes weights as partitions; spin weights are
-half-integral there but always integral in fundamental coordinates.  All
+half-integral there but always integral in fundamental coordinates, and a
+`Weight` stores every coordinate doubled, so it holds both as ints.  All
 arithmetic is exact: ints, doubled ints, and Fractions only.
 
 Conversion conventions (Bourbaki node numbering):
@@ -40,109 +41,6 @@ def dim_bound() -> int:
     return int(os.environ.get(DIM_BOUND_ENV, DEFAULT_DIM_BOUND))
 
 
-class HalfInt:
-    """Exact half-integer stored as its doubled value."""
-
-    __slots__ = ("twice",)
-
-    def __init__(self, value=0):
-        if isinstance(value, HalfInt):
-            self.twice = value.twice
-        elif isinstance(value, int):
-            self.twice = 2 * value
-        else:
-            raise TypeError(f"cannot make a HalfInt from {value!r}")
-
-    @classmethod
-    def from_twice(cls, twice: int) -> "HalfInt":
-        h = cls.__new__(cls)
-        h.twice = int(twice)
-        return h
-
-    @classmethod
-    def parse(cls, text: str) -> "HalfInt":
-        text = text.strip()
-        if "/" in text:
-            num, den = text.split("/")
-            if den.strip() != "2":
-                raise ValueError(f"not a half-integer: {text}")
-            return cls.from_twice(int(num))
-        return cls(int(text))
-
-    @property
-    def is_integer(self) -> bool:
-        return self.twice % 2 == 0
-
-    def __int__(self) -> int:
-        if not self.is_integer:
-            raise ValueError(f"{self} is not an integer")
-        return self.twice // 2
-
-    @staticmethod
-    def _twice_of(other):
-        if isinstance(other, HalfInt):
-            return other.twice
-        if isinstance(other, int):
-            return 2 * other
-        return NotImplemented
-
-    def __add__(self, other):
-        t = self._twice_of(other)
-        return NotImplemented if t is NotImplemented else HalfInt.from_twice(self.twice + t)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        t = self._twice_of(other)
-        return NotImplemented if t is NotImplemented else HalfInt.from_twice(self.twice - t)
-
-    def __rsub__(self, other):
-        t = self._twice_of(other)
-        return NotImplemented if t is NotImplemented else HalfInt.from_twice(t - self.twice)
-
-    def __neg__(self):
-        return HalfInt.from_twice(-self.twice)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return HalfInt.from_twice(self.twice * other)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        t = self._twice_of(other)
-        return NotImplemented if t is NotImplemented else self.twice == t
-
-    def __lt__(self, other):
-        t = self._twice_of(other)
-        return NotImplemented if t is NotImplemented else self.twice < t
-
-    def __le__(self, other):
-        t = self._twice_of(other)
-        return NotImplemented if t is NotImplemented else self.twice <= t
-
-    def __gt__(self, other):
-        return not self <= other
-
-    def __ge__(self, other):
-        return not self < other
-
-    def __hash__(self):
-        # An integral value hashes as its int, so int and HalfInt keys meet.
-        return hash(self.twice >> 1) if self.twice & 1 == 0 else hash((self.twice,))
-
-    def __str__(self):
-        if self.is_integer:
-            return str(self.twice // 2)
-        return f"{self.twice}/2"
-
-    __repr__ = __str__
-
-    def to_json(self):
-        return self.twice // 2 if self.is_integer else str(self)
-
-
 @dataclass(frozen=True)
 class CoordSystem:
     kind: str  # "fundamental" | "epsilon"
@@ -162,63 +60,62 @@ class CoordSystem:
     def __str__(self):
         return f"{self.kind}:{self.family}{self.rank}"
 
-    @classmethod
-    def parse(cls, text: str) -> "CoordSystem":
-        kind, name = text.split(":")
-        kind = {"fund": "fundamental", "eps": "epsilon"}.get(kind, kind)
-        return cls(kind, name[0], int(name[1:]))
+
+def _half_str(t: int) -> str:
+    """The number t/2, written as an integer or as n/2."""
+    return str(t >> 1) if t & 1 == 0 else f"{t}/2"
 
 
 @dataclass(frozen=True)
 class Weight:
+    """A weight in one coordinate system, every coordinate stored doubled, so
+    the half-integral epsilon coordinates of spin weights are ints too."""
+
     system: CoordSystem
-    coords: tuple
+    twice: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(HalfInt(c) if not isinstance(c, HalfInt) else c for c in self.coords))
-        if len(self.coords) != self.system.dimension:
+        object.__setattr__(self, "twice", tuple(self.twice))
+        if not all(isinstance(t, int) for t in self.twice):
+            raise TypeError(f"doubled weight coordinates must be ints, got {self.twice!r}")
+        if len(self.twice) != self.system.dimension:
             raise ValueError(
-                f"{self.system} weights have {self.system.dimension} coordinates, got {len(self.coords)}"
+                f"{self.system} weights have {self.system.dimension} coordinates, got {len(self.twice)}"
             )
 
     @classmethod
     def fundamental(cls, family: str, rank: int, coords) -> "Weight":
-        return cls(CoordSystem("fundamental", family, rank), tuple(coords))
+        return cls(CoordSystem("fundamental", family, rank), tuple(2 * c for c in coords))
 
     @classmethod
     def epsilon(cls, family: str, rank: int, coords) -> "Weight":
-        return cls(CoordSystem("epsilon", family, rank), tuple(coords))
+        return cls(CoordSystem("epsilon", family, rank), tuple(2 * c for c in coords))
 
     def fund_coords(self) -> tuple:
         """Integer fundamental coordinates; errors off the weight lattice."""
-        twice = [c.twice for c in self.coords]
+        twice = self.twice
         if self.system.kind == "epsilon":
             twice = _eps_to_fund(self.system.family, self.system.rank, twice)
         if any(t & 1 for t in twice):
             raise ValueError(f"{self} is not on the weight lattice")
         return tuple(t >> 1 for t in twice)
 
-    def to_fundamental(self) -> "Weight":
-        if self.system.kind == "fundamental":
-            return self
-        return Weight.fundamental(self.system.family, self.system.rank, self.fund_coords())
-
     def to_epsilon(self) -> "Weight":
         if self.system.kind == "epsilon":
             return self
         xs = _fund_to_eps(self.system.family, self.system.rank, self.fund_coords())
-        return Weight.epsilon(self.system.family, self.system.rank, map(HalfInt.from_twice, xs))
+        return Weight(CoordSystem("epsilon", self.system.family, self.system.rank), xs)
 
     def __str__(self):
         kind = "fund" if self.system.kind == "fundamental" else "eps"
-        coords = ",".join(str(c) for c in self.coords)
+        coords = ",".join(map(_half_str, self.twice))
         return f"{kind}:{self.system.family}{self.system.rank}:{coords}"
 
     def __repr__(self):
         return f"Weight({self})"
 
     def to_json(self):
-        return {"system": str(self.system), "coords": [c.to_json() for c in self.coords]}
+        return {"system": str(self.system), "coords": [_half_str(t) if t & 1 else t >> 1 for t in self.twice]}
 
 
 def _eps_to_fund(family: str, rank: int, xs) -> tuple:
@@ -419,26 +316,6 @@ class RootSystem:
 
     def __repr__(self):
         return f"RootSystem({self.family}{self.rank})"
-
-    # -- public data views --------------------------------------------------
-    @property
-    def num_positive_roots(self) -> int:
-        return len(self._roots)
-
-    @property
-    def positive_roots(self):
-        return [Weight.fundamental(self.family, self.rank, r.fund_coords) for r in self._roots]
-
-    @property
-    def rho(self) -> Weight:
-        return Weight.fundamental(self.family, self.rank, (1,) * self.rank)
-
-    @property
-    def fundamental_weights(self):
-        return [
-            Weight.fundamental(self.family, self.rank, tuple(int(i == j) for j in range(self.rank)))
-            for i in range(self.rank)
-        ]
 
     # -- internal exact linear algebra on fundamental coordinates ----------
     def reflect(self, i: int, fc: tuple) -> tuple:
@@ -693,9 +570,6 @@ class Character(Decomposition):
                 if self[self.rs.reflect(i, fc)] != m:
                     return fc, i
 
-    def is_weyl_invariant(self) -> bool:
-        return self.weyl_defect() is None
-
     def letters(self):
         """The weight multiset as a sorted list with repetitions."""
         out = []
@@ -705,12 +579,6 @@ class Character(Decomposition):
                 raise ValueError("virtual character has no weight multiset")
             out.extend([fc] * m)
         return out
-
-    def exterior_power(self, k: int) -> "Character":
-        return Character(self.rs, schur_fill((1,) * k, self.letters(), (0,) * self.rs.rank))
-
-    def symmetric_power(self, k: int) -> "Character":
-        return Character(self.rs, schur_fill((k,), self.letters(), (0,) * self.rs.rank))
 
     def restrict(self, target_rs: RootSystem, coord_map) -> "Character":
         """Push the weight multiset through a map on fundamental coordinates."""
@@ -725,10 +593,6 @@ class Character(Decomposition):
 
     def to_json(self):
         return {str(self.rs.weight(fc)): m for fc, m in self.sorted_items()}
-
-
-def trivial_character(rs: RootSystem) -> Character:
-    return Character(rs, {(0,) * rs.rank: 1})
 
 
 def decompose_character(rs: RootSystem, char: Character, bound=None) -> Decomposition:

@@ -16,7 +16,6 @@ from .acceptance import criterion_ids, run_all, run_criterion
 from .bott import bott, spin_cohomology_B, spin_cohomology_D
 from .characters import (
     CoordSystem,
-    HalfInt,
     Weight,
     build_root_system,
     char_of_irrep,
@@ -72,14 +71,24 @@ def parse_type(text: str):
     return text[0].upper(), int(text[1:])
 
 
+def parse_half(text: str) -> int:
+    """Twice a coordinate written as an integer or as n/2: "3/2" -> 3."""
+    text = text.strip()
+    if "/" in text:
+        num, den = text.split("/")
+        if den.strip() != "2":
+            raise ValueError(f"not a half-integer: {text}")
+        return int(num)
+    return 2 * int(text)
+
+
 def parse_weight(text: str, family: str, rank: int) -> Weight:
     text = text.strip()
     kind = "fundamental"
     if ":" in text:
         prefix, text = text.split(":", 1)
         kind = {"fund": "fundamental", "eps": "epsilon"}[prefix]
-    coords = tuple(HalfInt.parse(x) for x in text.split(","))
-    return Weight(CoordSystem(kind, family, rank), coords)
+    return Weight(CoordSystem(kind, family, rank), tuple(parse_half(x) for x in text.split(",")))
 
 
 def weight_from_key(text: str) -> Weight:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .bott import SpinLabel, delta_weight_B, delta_weight_D, half_spin_label
 from .characters import (
     Character,
-    HalfInt,
+    CoordSystem,
     RootSystem,
     Weight,
     build_root_system,
@@ -266,7 +266,7 @@ def _branch_by_characters(lam: Partition, kind: str, m: int) -> Decomposition:
     dec = decompose_character(rs, char)
     out, unmatched = Decomposition(), Decomposition()
     for w, mult in dec.entries.items():
-        eps = tuple(int(x) for x in w.to_epsilon().coords)
+        eps = tuple(t >> 1 for t in w.to_epsilon().twice)  # integral, as in every tensor power of V
         label = Partition(tuple(map(abs, eps)))
         if kind == "O" and m % 2 and (label.size - lam.size) % 2:
             label = Partition(label.parts + (1,) * (m - 2 * len(label)))
@@ -377,10 +377,10 @@ _SPIN_MIRRORS = {"B": [False], "Dplus": [False], "Dminus": [True], "Dfull": [Fal
 
 def _spin_shifted_weight(rs: RootSystem, lam: Partition, mirror: bool) -> Weight:
     """lam + delta in epsilon coordinates, the last one negated if mirrored."""
-    xs = [HalfInt.from_twice(2 * lam[i] + 1) for i in range(rs.rank)]
+    twice = [2 * lam[i] + 1 for i in range(rs.rank)]
     if mirror:
-        xs[-1] = -xs[-1]
-    return Weight.epsilon(rs.family, rs.rank, tuple(xs))
+        twice[-1] = -twice[-1]
+    return Weight(CoordSystem("epsilon", rs.family, rs.rank), twice)
 
 
 def verify_spinor_identity(family: str, n: int, lam, bound=None) -> Report:

@@ -7,8 +7,8 @@ compare and hash equally.
 Semistandard fillings are enumerated in one place, `schur_fill`, by the
 horizontal-strip recursion: the cells holding one entry form a horizontal
 strip, so the fillings grow one letter at a time through the shapes between
-inner and outer.  Schur functors of characters, exterior and symmetric
-powers, the plethysm oracle and the skew tableau count all use it.
+inner and outer.  Schur functors of characters and the plethysm oracle
+both use it.
 
 Littlewood-Richardson coefficients count lattice-word fillings, a different
 object, in `_lr`: one walk per skew shape lam/mu gives every c^lam_{mu nu}
@@ -86,11 +86,6 @@ class Partition:
         other = Partition(other)
         return all(self[i] >= q for i, q in enumerate(other.parts))
 
-    def __add__(self, other) -> "Partition":
-        other = Partition(other)
-        n = max(len(self), len(other))
-        return Partition(tuple(self[i] + other[i] for i in range(n)))
-
     def remove_first_hook(self) -> "Partition":
         """Delete the first row and first column (the Q-set recursion step)."""
         return Partition(tuple(p - 1 for p in self.parts[1:]))
@@ -115,24 +110,6 @@ class Partition:
 
     def to_json(self):
         return list(self.parts)
-
-
-class SkewShape:
-    """A pair of nested partitions outer/inner; flagged empty if not nested."""
-
-    __slots__ = ("outer", "inner", "is_empty")
-
-    def __init__(self, outer, inner):
-        self.outer = Partition(outer)
-        self.inner = Partition(inner)
-        self.is_empty = not self.outer.contains(self.inner)
-
-    @property
-    def size(self) -> int:
-        return self.outer.size - self.inner.size
-
-    def __repr__(self):
-        return f"SkewShape({self.outer}/{self.inner})"
 
 
 def label_str(label) -> str:
@@ -223,14 +200,6 @@ class Decomposition:
 
 # ---------------------------------------------------------------------------
 # basic operations
-
-
-def transpose(lam) -> Partition:
-    return Partition(lam).transpose()
-
-
-def rank(lam) -> int:
-    return Partition(lam).rank
 
 
 def partitions_of(n: int, max_length=None, max_part=None) -> list[Partition]:
@@ -363,15 +332,15 @@ def _lr(lam: tuple, mu: tuple) -> MappingProxyType:
     return MappingProxyType({Partition(content): mult for (content, _), mult in states.items()})
 
 
-def skew_schur_expand(shape, inner=None) -> Decomposition:
-    """Expansion of the skew Schur functor into straight Schur functors: the
-    table `_lr(outer, inner)` of one lattice-word walk.  A first call on a
-    skew shape walks all of it; repeats are memo hits."""
-    if inner is not None:
-        shape = SkewShape(shape, inner)
-    if shape.is_empty:
+def skew_schur_expand(outer, inner) -> Decomposition:
+    """Expansion of the skew Schur functor of outer/inner into straight Schur
+    functors: the table `_lr(outer, inner)` of one lattice-word walk, empty
+    when outer does not contain inner.  A first call on a skew shape walks
+    all of it; repeats are memo hits."""
+    outer, inner = Partition(outer), Partition(inner)
+    if not outer.contains(inner):
         return Decomposition()
-    return Decomposition(_lr(shape.outer.parts, shape.inner.parts))
+    return Decomposition(_lr(outer.parts, inner.parts))
 
 
 # ---------------------------------------------------------------------------
@@ -394,15 +363,6 @@ def dim_schur(lam, m: int) -> int:
     if num % den:
         raise InconsistencyError(f"dim_schur({lam}, {m}): hook-content quotient {num}/{den} is not an integer")
     return num // den
-
-
-def count_skew_ssyt(outer, inner, m: int) -> int:
-    """Number of semistandard fillings of outer/inner with entries <= m.
-
-    Counted by the horizontal-strip recursion of `schur_fill`; used as the
-    independent check against the LR route.
-    """
-    return sum(schur_fill(outer, [(1,)] * m, (0,), inner).values())
 
 
 def schur_fill(outer, letters, zero: tuple, inner=(), dominant=False) -> dict:

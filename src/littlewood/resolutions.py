@@ -130,7 +130,13 @@ def divide_by_one_minus_t(poly: list[int], codim: int) -> list[int]:
 def hilbert_numerator(table: BettiTable, codim: int) -> HilbertData:
     """Divide the K-polynomial by (1-T)^codim exactly; a nonzero remainder at
     any stage means the table is not the Betti table of a Cohen-Macaulay
-    quotient of the claimed codimension."""
+    quotient of the claimed codimension.  A resolution is never shorter than
+    its codimension, so a table that is must be cut, and is refused first."""
+    if table.max_index < codim:
+        raise InconsistencyError(
+            f"hilbert: the table has homological length {table.max_index}, below the codimension {codim}; "
+            "a resolution is never shorter than its codimension, so this table is cut"
+        )
     poly = divide_by_one_minus_t(table.kpolynomial(), codim)
     if sum(poly) <= 0:
         raise InconsistencyError("Hilbert numerator must have positive value at T=1")

@@ -6,33 +6,39 @@ import pytest
 from littlewood.bott import (
     BottOutcome,
     SpinLabel,
+    _on_wall,
     b_spinor_twist_weight,
     bott,
     d_spinor_twist_weight,
-    epsilon_singular,
-    shifted_reflection,
     spin_cohomology_B,
     spin_cohomology_D,
 )
-from littlewood.characters import HalfInt, Weight, build_root_system
+from littlewood.characters import Weight, build_root_system
 from littlewood.partitions import partitions_in_box
+
+
+def shifted_reflection(rs, i, fc):
+    """The rho-shifted action s_i(fc + rho) - rho of the i-th simple
+    reflection (i is 1-based) on fundamental coordinates."""
+    return tuple(c - 1 for c in rs.reflect(i - 1, tuple(c + 1 for c in fc)))
+
+
+def _eps_halves(rs, fc):
+    return tuple(t // 2 for t in rs.weight(fc).to_epsilon().twice)
 
 
 def test_shifted_reflection_a1():
     a1 = build_root_system("A", 1)
-    w = shifted_reflection(a1, 1, Weight.fundamental("A", 1, (0,)))
-    assert w.fund_coords() == (-2,)
+    assert shifted_reflection(a1, 1, (0,)) == (-2,)
 
 
 def test_shifted_reflection_d_epsilon_rules():
     d4 = build_root_system("D", 4)
-    w = Weight.epsilon("D", 4, (5, 3, 2, 1))
+    fc = Weight.epsilon("D", 4, (5, 3, 2, 1)).fund_coords()
     # inner reflection swaps with a shift
-    got = shifted_reflection(d4, 2, w).coords
-    assert tuple(int(c) for c in got) == (5, 1, 4, 1)
+    assert _eps_halves(d4, shifted_reflection(d4, 2, fc)) == (5, 1, 4, 1)
     # the last node negates and swaps the final pair, shifted
-    got = shifted_reflection(d4, 4, w).coords
-    assert tuple(int(c) for c in got) == (5, 3, -2, -3)
+    assert _eps_halves(d4, shifted_reflection(d4, 4, fc)) == (5, 3, -2, -3)
 
 
 def test_shifted_reflection_is_involution():
@@ -41,9 +47,8 @@ def test_shifted_reflection_is_involution():
         rs = build_root_system(family, rank)
         for _ in range(10):
             fc = tuple(rng.randint(-4, 4) for _ in range(rank))
-            w = Weight.fundamental(family, rank, fc)
             for i in range(1, rank + 1):
-                assert shifted_reflection(rs, i, shifted_reflection(rs, i, w)).fund_coords() == fc
+                assert shifted_reflection(rs, i, shifted_reflection(rs, i, fc)) == fc
 
 
 def test_bott_dominant_is_degree_zero():
@@ -71,18 +76,18 @@ def _length(rs, word):
 def test_bott_recovers_word_length_up_to_4():
     for family, rank in (("A", 3), ("B", 2), ("C", 3), ("D", 4), ("G", 2)):
         rs = build_root_system(family, rank)
-        lam = Weight.fundamental(family, rank, tuple(1 for _ in range(rank)))
+        lam = (1,) * rank
         for length in range(1, 5):
             for word in itertools.product(range(1, rank + 1), repeat=length):
                 twisted = lam
                 for i in reversed(word):
                     twisted = shifted_reflection(rs, i, twisted)
-                out = bott(rs, twisted)
+                out = bott(rs, rs.weight(twisted))
                 wl = _length(rs, list(word))
                 if wl == length:  # reduced word
                     assert not out.vanishes
                     assert out.degree == length
-                    assert out.weight.fund_coords() == lam.fund_coords()
+                    assert out.weight.fund_coords() == lam
 
 
 def test_bott_vanishing_on_walls():
@@ -104,9 +109,11 @@ def test_epsilon_shortcut_agrees_with_generic_walk():
 
 
 def test_epsilon_singular_zero_coordinate_type_c():
-    # zero coordinate on a long-root wall, no up-to-sign collision
-    assert epsilon_singular("C", (HalfInt(0), HalfInt(1)))
-    assert not epsilon_singular("D", (HalfInt(0), HalfInt(1)))
+    # zero coordinate on a long-root wall, no up-to-sign collision; the
+    # coordinates are doubled, (0, 1) written as (0, 2)
+    assert _on_wall("C", (0, 2))
+    assert not _on_wall("D", (0, 2))
+    assert _on_wall("D", (1, -1)) and not _on_wall("A", (1, -1, 0))
 
 
 def test_spin_cohomology_d_examples():
@@ -161,7 +168,7 @@ def test_bott_degree_bounded_by_positive_roots():
             fc = tuple(rng.randint(-6, 6) for _ in range(rank))
             out = bott(rs, Weight.fundamental(family, rank, fc), epsilon_shortcut=False)
             if not out.vanishes:
-                assert 0 <= out.degree <= rs.num_positive_roots
+                assert 0 <= out.degree <= len(rs._roots)
 
 
 def test_outcome_json():

@@ -1,5 +1,7 @@
+import itertools
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -7,7 +9,6 @@ from littlewood.characters import (
     _RANK_RANGES,
     Character,
     CoordSystem,
-    HalfInt,
     RootSystem,
     Weight,
     _dominant_mults,
@@ -16,7 +17,6 @@ from littlewood.characters import (
     decompose_character,
     dim_irrep,
     schur_character,
-    trivial_character,
     weight_multiplicities,
     weyl_orbit,
 )
@@ -42,17 +42,18 @@ EXPECTED_POSITIVE_ROOTS = [
 @pytest.mark.parametrize("family,rank,count", EXPECTED_POSITIVE_ROOTS)
 def test_positive_root_counts(family, rank, count):
     rs = build_root_system(family, rank)
-    assert rs.num_positive_roots == count
+    assert len(rs._roots) == count
 
 
 def test_rho_is_sum_of_fundamental_weights():
+    # Half the sum of the positive roots is (1, ..., 1) in fundamental
+    # coordinates, the shift `RootSystem.dot_walk` adds.
     for family, rank, _ in EXPECTED_POSITIVE_ROOTS:
         rs = build_root_system(family, rank)
-        total = [0] * rank
-        for w in rs.fundamental_weights:
-            for i, c in enumerate(w.fund_coords()):
-                total[i] += c
-        assert tuple(total) == rs.rho.fund_coords()
+        twice_rho = tuple(map(sum, zip(*(r.fund_coords for r in rs._roots))))
+        assert twice_rho == (2,) * rank
+        assert rs.dot_walk((0,) * rank) == (0, (0,) * rank)
+        assert rs.dot_walk((-1,) + (0,) * (rank - 1)) is None
 
 
 SUPPORTED_TYPES = [(f, r) for f, (lo, hi) in _RANK_RANGES.items() for r in range(lo, hi + 1)]
@@ -62,8 +63,8 @@ SUPPORTED_TYPES = [(f, r) for f, (lo, hi) in _RANK_RANGES.items() for r in range
 def test_integer_height_matches_fraction_height(family, rank):
     rs = build_root_system(family, rank)
     assert all(h > 0 for h in rs.height_vector)
-    for w in rs.fundamental_weights + rs.positive_roots:
-        fc = w.fund_coords()
+    units = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+    for fc in units + [r.fund_coords for r in rs._roots]:
         assert sum(a * b for a, b in zip(fc, rs.height_vector)) == rs.height_scale * rs.height(fc)
 
 
@@ -74,62 +75,61 @@ def test_invalid_type():
         build_root_system("H", 3)
 
 
-def test_halfint_arithmetic_and_parse():
-    h = HalfInt.parse("3/2")
-    assert h.twice == 3 and not h.is_integer
-    assert str(h) == "3/2" and str(HalfInt(2)) == "2"
-    assert h + h == 3
-    assert h - HalfInt.parse("1/2") == 1
-    assert -h == HalfInt.parse("-3/2")
-    assert 2 * h == 3
-    assert h < 2 and h > 1
-    with pytest.raises(ValueError):
-        int(h)
-    with pytest.raises(ValueError):
-        HalfInt.parse("1/3")
+def _eps(family, rank, twice):
+    """An epsilon-coordinate weight from its doubled coordinates."""
+    return Weight(CoordSystem("epsilon", family, rank), twice)
 
 
-def test_halfint_hash_meets_int_hash():
-    for k in (-3, -1, 0, 1, 2, 10**20):
-        assert hash(HalfInt(k)) == hash(k)
-        assert hash(HalfInt.from_twice(2 * k + 1)) == hash(HalfInt.parse(f"{2 * k + 1}/2"))
-    table = {HalfInt(2): "two", 3: "three", HalfInt.parse("1/2"): "half"}
-    assert table[2] == "two" and table[HalfInt(3)] == "three"
-    assert table[HalfInt.from_twice(1)] == "half" and 1 not in table
-    weights = {Weight.epsilon("C", 2, (2, 1)): 5}
-    assert weights[Weight.epsilon("C", 2, (HalfInt(2), HalfInt.parse("2/2")))] == 5
+def test_weight_lookup_ignores_how_the_weight_was_built():
+    weights = {Weight.epsilon("C", 2, (2, 1)): 5, build_root_system("G", 2).weight((1, 0)): 7}
+    assert weights[_eps("C", 2, (4, 2))] == 5
+    assert weights[Weight.fundamental("G", 2, (1, 0))] == 7
+    assert Weight.fundamental("C", 2, (1, 1)) not in weights  # the same weight, another system
+    assert hash(_eps("C", 2, (4, 2))) == hash(Weight.epsilon("C", 2, (2, 1)))
 
 
 def test_weight_conversions_round_trip():
     cases = [
-        ("B", 3, ("3/2", "1/2", "1/2")),
-        ("C", 2, ("2", "1")),
-        ("D", 4, ("1/2", "1/2", "1/2", "-1/2")),
-        ("A", 2, ("2", "1", "0")),
+        ("B", 3, (3, 1, 1)),
+        ("C", 2, (4, 2)),
+        ("D", 4, (1, 1, 1, -1)),
+        ("A", 2, (4, 2, 0)),
     ]
-    for family, rank, coords in cases:
-        w = Weight.epsilon(family, rank, tuple(HalfInt.parse(c) for c in coords))
-        back = w.to_fundamental().to_epsilon()
-        assert back.coords == w.coords
+    for family, rank, twice in cases:
+        w = _eps(family, rank, twice)
+        back = build_root_system(family, rank).weight(w.fund_coords()).to_epsilon()
+        assert back.twice == w.twice
         assert all(isinstance(m, int) for m in w.fund_coords())
 
 
 def test_weight_off_lattice_rejected():
-    w = Weight.epsilon("C", 2, (HalfInt.parse("1/2"), HalfInt(0)))
-    with pytest.raises(ValueError):
+    w = _eps("C", 2, (1, 0))
+    with pytest.raises(ValueError, match="eps:C2:1/2,0 is not on the weight lattice"):
         w.fund_coords()
     # D needs all-integer or all-half-integer coordinates
-    w = Weight.epsilon("D", 2, (HalfInt.parse("1/2"), HalfInt(1)))
+    w = _eps("D", 2, (1, 2))
     with pytest.raises(ValueError):
         w.fund_coords()
 
 
 def test_weight_json_and_str():
-    w = Weight.epsilon("B", 2, (HalfInt.parse("3/2"), HalfInt.parse("1/2")))
+    w = _eps("B", 2, (3, 1))
     assert w.to_json() == {"system": "epsilon:B2", "coords": ["3/2", "1/2"]}
     assert str(w) == "eps:B2:3/2,1/2"
-    assert CoordSystem.parse("fund:G2") == CoordSystem("fundamental", "G", 2)
     assert json.loads(json.dumps(w.to_json())) == w.to_json()
+    w = _eps("B", 2, (-4, -3))
+    assert w.to_json() == {"system": "epsilon:B2", "coords": [-2, "-3/2"]}
+    assert str(w) == "eps:B2:-2,-3/2" and repr(w) == "Weight(eps:B2:-2,-3/2)"
+
+
+def test_weight_coordinates_must_be_ints():
+    for bad in ((3.0, 1), (Fraction(3), 1), ("3", 1)):
+        with pytest.raises(TypeError):
+            _eps("B", 2, bad)
+    with pytest.raises(TypeError):
+        Weight.epsilon("B", 2, (1.5, 0.5))
+    with pytest.raises(ValueError, match="epsilon:B2 weights have 2 coordinates, got 1"):
+        _eps("B", 2, (3,))
 
 
 def test_dim_irrep_basics():
@@ -172,7 +172,7 @@ def test_characters_weyl_invariant_exhaustive_small():
         for a in range(3):
             for b in range(3):
                 char = weight_multiplicities(rs, (a, b))
-                assert char.is_weyl_invariant()
+                assert char.weyl_defect() is None
 
 
 def test_decompose_character_examples():
@@ -180,11 +180,11 @@ def test_decompose_character_examples():
     seven = char_of_irrep(g2, (1, 0))
     assert decompose_character(g2, seven).to_json() == {"fund:G2:1,0": 1}
 
-    wedge = seven.exterior_power(2)
+    wedge = schur_character(g2, seven, (1, 1))
     assert wedge.dimension() == 21
     assert decompose_character(g2, wedge).to_json() == {"fund:G2:0,1": 1, "fund:G2:1,0": 1}
 
-    sym = seven.symmetric_power(2)
+    sym = schur_character(g2, seven, (2,))
     assert sym.dimension() == 28
     assert decompose_character(g2, sym).to_json() == {"fund:G2:0,0": 1, "fund:G2:2,0": 1}
 
@@ -194,7 +194,7 @@ def test_decompose_rejects_non_characters():
     bogus = Character(g2, {(1, 0): 1})  # a bare extreme weight, no orbit
     with pytest.raises(NotCharacterError):
         decompose_character(g2, bogus)
-    minus = trivial_character(g2).scale(-1)
+    minus = Character(g2, {(0, 0): -1})  # minus the trivial character
     with pytest.raises(NotCharacterError):
         decompose_character(g2, minus)
 
@@ -225,12 +225,18 @@ def test_decompose_round_trip_fuzz():
         assert decompose_character(rs, total) == target
 
 
+def _power(rs, letters, k, choose):
+    """The character of a k-th power summed over the k-subsets or k-multisets
+    of the weight letters, by brute force."""
+    return Character(rs, ((tuple(map(sum, zip(*pick))), 1) for pick in choose(letters, k)))
+
+
 def test_schur_character_matches_powers():
     g2 = build_root_system("G", 2)
     base = char_of_irrep(g2, (1, 0))
     for k in (1, 2, 3):
-        assert schur_character(g2, base, (1,) * k) == base.exterior_power(k)
-        assert schur_character(g2, base, (k,)) == base.symmetric_power(k)
+        assert schur_character(g2, base, (1,) * k) == _power(g2, base.letters(), k, itertools.combinations)
+        assert schur_character(g2, base, (k,)) == _power(g2, base.letters(), k, itertools.combinations_with_replacement)
     assert schur_character(g2, base, (1,)) == base
 
 
@@ -240,12 +246,8 @@ def test_schur_character_sp4_example():
     char = schur_character(c2, base, (2, 2))
     assert char.dimension() == 20
     dec = decompose_character(c2, char)
-    labels = {w.to_epsilon().coords: m for w, m in dec.entries.items()}
-    assert labels == {
-        (HalfInt(2), HalfInt(2)): 1,
-        (HalfInt(1), HalfInt(1)): 1,
-        (HalfInt(0), HalfInt(0)): 1,
-    }
+    labels = {w.to_epsilon().twice: m for w, m in dec.entries.items()}
+    assert labels == {(4, 4): 1, (2, 2): 1, (0, 0): 1}
 
 
 def test_schur_character_bounds():
@@ -263,7 +265,7 @@ def test_character_tensor_and_json():
     seven = char_of_irrep(g2, (1, 0))
     sq = seven * seven
     assert sq.dimension() == 49
-    assert sq == seven.exterior_power(2) + seven.symmetric_power(2)
+    assert sq == schur_character(g2, seven, (1, 1)) + schur_character(g2, seven, (2,))
     data = seven.to_json()
     assert data["fund:G2:1,0"] == 1 and len(data) == 7
 

@@ -281,3 +281,34 @@ def test_derived_audit_cli_goldens(capsys, case, codim, totals, cells, betti_tex
 def test_koszul_negative_m_exits_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == "" and "alternating" in err and "is negative" in err
+
+
+# Weights enter as text, with half-integers as n/2, and leave through one
+# formatter; each case is (argv, exit code, text stdout, JSON stdout, stderr).
+WEIGHT_EDGE_GOLDENS = [
+    (["dim", "--type", "B3", "--weight=eps:3/2,1/2,1/2"], 0, "48\n", '{"dim": 48}\n', ""),
+    (["dim", "--type", "C2", "--weight=eps:1/2,0"], 2, "", "", "error: eps:C2:1/2,0 is not on the weight lattice\n"),
+    (["dim", "--type", "C2", "--weight=eps:1/3,0"], 2, "", "", "error: not a half-integer: 1/3\n"),
+    (["decompose", "--type", "B2", "--input", "{spinor}"], 0, "fund:B2:0,1: 1\n", '{"fund:B2:0,1": 1}\n', ""),
+    (["bracket", "--case", "SOB(2)", "--lambda", "2,1"], 0, "eps:B2:2,1\n", '{"coords": [2, 1], "system": "epsilon:B2"}\n', ""),
+]
+
+
+@pytest.mark.parametrize("argv,code,text,as_json,err", WEIGHT_EDGE_GOLDENS)
+def test_weight_edge_goldens(capsys, tmp_path, argv, code, text, as_json, err):
+    spinor = tmp_path / "spinor.json"  # the B2 spin character, keyed in epsilon coordinates
+    spinor.write_text(json.dumps({f"eps:B2:{a}/2,{b}/2": 1 for a in (1, -1) for b in (1, -1)}))
+    argv = [arg.format(spinor=spinor) for arg in argv]
+    assert run_cli(capsys, *argv) == (code, text, err)
+    assert run_cli(capsys, *argv, "--format", "json") == (code, as_json, err)
+
+
+def test_hilbert_refuses_a_table_shorter_than_its_codimension(capsys):
+    # e8-start holds homological degrees 0-2 only: a cut resolution
+    for fmt in ("text", "json"):
+        code, out, err = run_cli(capsys, "hilbert", "--case", "e8-start", "--codim", "3", "--format", fmt)
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: hilbert: the table has homological length 2, below the codimension 3; "
+            "a resolution is never shorter than its codimension, so this table is cut\n"
+        )

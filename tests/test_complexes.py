@@ -1,8 +1,10 @@
 import pytest
 
-from littlewood.bott import SpinLabel
-from littlewood.characters import dim_irrep
+from littlewood.bott import SpinLabel, delta_weight_B, delta_weight_D
+from littlewood.characters import Character, Weight, build_root_system, char_of_irrep, dim_irrep, schur_character
 from littlewood.complexes import (
+    _SPIN_MIRRORS,
+    _spin_shifted_weight,
     GroupCase,
     bracket_dim,
     bracket_weight,
@@ -14,7 +16,7 @@ from littlewood.complexes import (
     verify_spinor_identity,
 )
 from littlewood.errors import StableRangeError
-from littlewood.partitions import Decomposition, Partition, dim_schur, partitions_of
+from littlewood.partitions import Decomposition, Partition, dim_schur, partitions_of, skew_schur_expand
 
 P = Partition
 
@@ -63,7 +65,7 @@ def test_bracket_additivity():
         ]
         for lam in shapes:
             for mu in shapes:
-                both = lam + mu
+                both = P(tuple(lam[i] + mu[i] for i in range(max(len(lam), len(mu)))))  # row-wise sum
                 if len(both) > rows:
                     continue
                 left = bracket_weight(case, lam).fund_coords()
@@ -257,6 +259,43 @@ def test_full_spinor_identity_is_the_sum_of_the_half_spin_ones():
             for lam in partitions_of(size, max_length=n):
                 plus, minus, full = (verify_spinor_identity(f, n, lam) for f in ("Dplus", "Dminus", "Dfull"))
                 assert full.lhs == plus.lhs + minus.lhs and full.rhs == plus.rhs + minus.rhs, (n, lam)
+
+
+def _spinor_identity_failures(family, n, max_size):
+    """The shapes lam with at most n rows and |lam| <= max_size whose spinor
+    identity fails on characters: sum_i (-1)^i sum_mu c^lam_{mu nu}
+    chi(S_nu V) chi(label) against the sum of chi(V_{lam+delta}) over the
+    family's mirrors (`_SPIN_MIRRORS`).  Mirror irreducibles have equal
+    dimensions, so only characters tell Delta+ from Delta-."""
+    fam = family[0]
+    rs = build_root_system(fam, n)
+    vector = char_of_irrep(rs, Weight.epsilon(fam, n, (1,) + (0,) * (n - 1)))
+    if fam == "B":
+        labels = {SpinLabel.DELTA: char_of_irrep(rs, delta_weight_B(n))}
+    else:
+        plus, minus = (char_of_irrep(rs, delta_weight_D(n, c)) for c in ("plus", "minus"))
+        labels = {SpinLabel.DELTA_PLUS: plus, SpinLabel.DELTA_MINUS: minus, SpinLabel.DELTA: plus + minus}
+    failures = []
+    for size in range(max_size + 1):
+        for lam in partitions_of(size, max_length=n):
+            lhs = Character(rs)
+            for term in spinor_complex(family, n):
+                for (mu, label), mult in term.content.entries.items():
+                    for nu, c in skew_schur_expand(lam, mu).entries.items():
+                        piece = schur_character(rs, vector, nu) * labels[label]
+                        lhs = lhs + piece.scale((-1) ** term.index * mult * c)
+            rhs = Character(rs)
+            for mirror in _SPIN_MIRRORS[family]:
+                rhs = rhs + char_of_irrep(rs, _spin_shifted_weight(rs, lam, mirror))
+            if lhs != rhs:
+                failures.append(lam)
+    return failures
+
+
+@pytest.mark.parametrize("family", ["B", "Dplus", "Dminus", "Dfull"])
+def test_spinor_identity_holds_on_characters(family):
+    for n in (1, 2, 3) if family == "B" else (2, 3):
+        assert _spinor_identity_failures(family, n, 4) == [], (family, n)
 
 
 def test_od_full_length_bracket_is_a_pair():

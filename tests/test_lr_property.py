@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from littlewood.complexes import branch_gl_to_iso
-from littlewood.partitions import count_skew_ssyt, dim_schur, lr_coefficient, partitions_of, skew_schur_expand
+from littlewood.partitions import dim_schur, lr_coefficient, partitions_of, skew_schur_expand
+from oracles import count_skew_ssyt
 
 
 @st.composite

@@ -82,6 +82,17 @@ def test_hilbert_rejects_inconsistent_codimension():
         hilbert_numerator(table, 2)
 
 
+def test_hilbert_refuses_a_table_shorter_than_its_codimension():
+    # Koszul on the one alternating quadric of a 2-space: length 1
+    table = betti_of(koszul_complex("alternating", 2), lambda lam: dim_schur(lam, 2), ambient_dim=3)
+    assert hilbert_numerator(table, 1).numerator == [1, 1]
+    with pytest.raises(InconsistencyError, match="homological length 1, below the codimension 2"):
+        hilbert_numerator(table, 2)
+    # within its length, a table that does not divide still names the remainder
+    with pytest.raises(InconsistencyError, match="remainder 1 at division step 0"):
+        hilbert_numerator(BettiTable({(0, 0): 1, (1, 1): 1, (2, 2): 1}, ambient_dim=3), 1)
+
+
 def test_cauchy_slice_degree_one_is_matrix_space():
     for name in ("SpC(2)", "SOB(2)", "OD(3)", "G2", "F4_6", "F4_3", "E6_5", "E6_3", "E7_6", "E8_7"):
         case = parse_case(name)
