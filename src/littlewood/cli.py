@@ -46,13 +46,12 @@ from .partitions import (
 )
 from .resolutions import (
     AUDITS,
+    G2_Y2_BETTI_CHAR2,
     BettiTable,
-    G2_Y2_BETTI_CHAR2_TEXT,
     betti_of,
     cauchy_slice,
     g2_equivariant_resolution,
     hilbert_numerator,
-    label_dimension,
     koszul_complex,
     koszul_terms,
     run_audit,
@@ -77,18 +76,22 @@ def parse_half(text: str) -> int:
     if "/" in text:
         num, den = text.split("/")
         if den.strip() != "2":
-            raise ValueError(f"not a half-integer: {text}")
+            raise LittlewoodError(f"not a half-integer: {text}")
         return int(num)
     return 2 * int(text)
 
 
 def parse_weight(text: str, family: str, rank: int) -> Weight:
-    text = text.strip()
-    kind = "fundamental"
-    if ":" in text:
-        prefix, text = text.split(":", 1)
-        kind = {"fund": "fundamental", "eps": "epsilon"}[prefix]
-    return Weight(CoordSystem(kind, family, rank), tuple(parse_half(x) for x in text.split(",")))
+    prefix, colon, coords = text.strip().partition(":")
+    try:
+        kind = {"fund": "fundamental", "eps": "epsilon"}[prefix] if colon else "fundamental"
+        twice = tuple(parse_half(x) for x in (coords if colon else prefix).split(","))
+    except (KeyError, ValueError):  # an unknown prefix, a coordinate that is no int, or two slashes
+        raise LittlewoodError(
+            f"parse_weight: {text!r} is not a weight; expected an optional fund: or eps: prefix, "
+            "then comma-separated coordinates, each an integer or n/2"
+        ) from None
+    return Weight(CoordSystem(kind, family, rank), twice)
 
 
 def weight_from_key(text: str) -> Weight:
@@ -106,10 +109,10 @@ def _emit(args, payload, text_lines) -> None:
 
 
 def _named_betti(name: str) -> BettiTable:
-    if name == "g2-y2":
-        return betti_of(g2_equivariant_resolution(), label_dimension(build_root_system("G", 2), 2), ambient_dim=14)
     if name in AUDITS:
         return run_audit(name).betti
+    if name == "g2-y2-char2":
+        return G2_Y2_BETTI_CHAR2
     if name.startswith("koszul:"):
         _, form, m = name.split(":")
         m = int(m)
@@ -272,10 +275,10 @@ def _cmd_g2_resolution(args):
 
 
 def _cmd_betti(args):
-    if args.case == "g2-y2-char2":
-        return 0, {"table": G2_Y2_BETTI_CHAR2_TEXT}, [G2_Y2_BETTI_CHAR2_TEXT]
     table = _named_betti(args.case)
-    return 0, table.to_json(), [table.render()]
+    # the stated characteristic-2 table is its text in JSON as well
+    payload = {"table": table.render()} if args.case == "g2-y2-char2" else table.to_json()
+    return 0, payload, [table.render()]
 
 
 def _cmd_hilbert(args):
@@ -419,23 +422,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     add("g2-resolution", _cmd_g2_resolution, "reconstructed equivariant resolution terms", lambda p: None)
 
-    betti_cases = ["g2-y2", "g2-y2-char2", "koszul:<form>:<m>"] + sorted(AUDITS)
+    betti_help = f"one of {', '.join(sorted(AUDITS))}, g2-y2-char2, koszul:<form>:<m>"
 
     def conf_betti(p):
-        p.add_argument("--case", required=True, help=f"one of {', '.join(betti_cases)}")
+        p.add_argument("--case", required=True, help=betti_help)
 
     add("betti", _cmd_betti, "render a graded Betti table", conf_betti)
 
     def conf_hilbert(p):
-        p.add_argument("--case", required=True, help="same names as betti")
+        p.add_argument("--case", required=True, help=betti_help)
         p.add_argument("--codim", type=int, required=True)
 
-    add("hilbert", _cmd_hilbert, "Hilbert-series numerator by exact division", conf_hilbert)
+    add("hilbert", _cmd_hilbert, "Hilbert-series numerator of a named Betti table, divided by (1-T)^codim", conf_hilbert)
 
     def conf_audit(p):
         p.add_argument("--case", choices=sorted(AUDITS), required=True)
 
-    add("audit", _cmd_audit, "dimension audit of a stated resolution", conf_audit)
+    add("audit", _cmd_audit, "Betti totals of a named resolution against the stated ones", conf_audit)
 
     def conf_suite(p):
         p.add_argument("--name", choices=criterion_ids(), default=None)

@@ -15,11 +15,11 @@ from dataclasses import dataclass
 
 from .bott import SpinLabel, delta_weight_B, delta_weight_D, half_spin_label
 from .characters import (
-    Character,
     CoordSystem,
     RootSystem,
     Weight,
     build_root_system,
+    char_of_irrep,
     decompose_character,
     dim_bound,
     dim_irrep,
@@ -235,24 +235,6 @@ def branch_gl_to_iso(lam, target, oracle: bool = False) -> Decomposition:
     return out
 
 
-def _vector_character(kind: str, m: int) -> Character:
-    n = m // 2
-    if kind == "Sp":
-        rs = build_root_system("C", n)
-    elif m % 2 == 1:
-        rs = build_root_system("B", n)
-    else:
-        rs = build_root_system("D", n)
-    char = Character(rs)
-    for i in range(n):
-        eps = tuple(int(i == j) for j in range(n))
-        char.add(Weight.epsilon(rs.family, n, eps).fund_coords())
-        char.add(Weight.epsilon(rs.family, n, tuple(-e for e in eps)).fund_coords())
-    if m % 2 == 1:
-        char.add((0,) * n)
-    return char
-
-
 def _branch_by_characters(lam: Partition, kind: str, m: int) -> Decomposition:
     """Brute-force branching: build the Schur functor of the vector character
     and decompose.  Labels are partitions; in the even orthogonal case the two
@@ -260,9 +242,10 @@ def _branch_by_characters(lam: Partition, kind: str, m: int) -> Decomposition:
     the odd one a constituent mu whose size has the other parity than lam is
     the associate label (first column m - len(mu)), since -I acts on S_lam by
     (-1)^|lam|."""
-    base = _vector_character(kind, m)
-    rs = base.rs
-    char = schur_character(rs, base, lam)
+    family, n = ("C" if kind == "Sp" else "B" if m % 2 else "D"), m // 2
+    rs = build_root_system(family, n)
+    vector = char_of_irrep(rs, Weight.epsilon(family, n, (1,) + (0,) * (n - 1)))  # V = V_{eps_1}
+    char = schur_character(rs, vector, lam)
     dec = decompose_character(rs, char)
     out, unmatched = Decomposition(), Decomposition()
     for w, mult in dec.entries.items():

@@ -8,6 +8,7 @@ import pytest
 
 from littlewood import cli
 from littlewood.complexes import Report
+from littlewood.resolutions import AUDITS
 
 
 def run_cli(capsys, *argv):
@@ -97,8 +98,9 @@ def test_decompose_stdin_character(capsys, monkeypatch):
 
 
 def test_audit_command(capsys):
-    code, out, _ = run_cli(capsys, "audit", "--case", "f4-cone")
-    assert code == 0 and out.strip().endswith("pass")
+    for name in sorted(AUDITS):  # every registry name
+        code, out, err = run_cli(capsys, "audit", "--case", name)
+        assert (code, err) == (0, "") and out.endswith("pass\n"), name
     code, out, _ = run_cli(capsys, "audit", "--case", "g2-y1", "--format", "json")
     assert code == 0 and json.loads(out)["pass"] is True
 
@@ -111,10 +113,22 @@ def test_betti_golden_text(capsys):
     assert code == 0 and "total: 1 10 17 17 10 1" in out
 
 
+# Each named table at its codimension: (numerator as text, Krull dimension);
+# the characteristic-2 table has the characteristic-0 K-polynomial.
+HILBERT_AT_CODIM = {
+    "g2-y2": (5, "1 + 5T + 5T^2 + T^3", 9),
+    "g2-y2-char2": (5, "1 + 5T + 5T^2 + T^3", 9),
+    "g2-y1": (7, "1 + 7T + 4T^2", 7),
+    "e6-cone": (10, "1 + 10T + 28T^2 + 28T^3 + 10T^4 + T^5", 17),
+    "f4-cone": (10, "1 + 10T + 28T^2 + 28T^3 + 10T^4 + T^5", 16),
+}
+
+
 def test_hilbert_text(capsys):
-    code, out, _ = run_cli(capsys, "hilbert", "--case", "g2-y2", "--codim", "5")
-    assert code == 0
-    assert out.splitlines()[0] == "1 + 5T + 5T^2 + T^3"
+    # e8-start is cut, and refused (test_hilbert_refuses_a_table_shorter_than_its_codimension)
+    assert set(HILBERT_AT_CODIM) | {"e8-start"} == set(AUDITS) | {"g2-y2-char2"}
+    for name, (codim, numerator, krull) in HILBERT_AT_CODIM.items():
+        assert run_cli(capsys, "hilbert", "--case", name, "--codim", str(codim)) == (0, f"{numerator}\nkrull dim {krull}\n", "")
 
 
 def test_g2_resolution_listing(capsys):
@@ -312,3 +326,24 @@ def test_hilbert_refuses_a_table_shorter_than_its_codimension(capsys):
             "error: hilbert: the table has homological length 2, below the codimension 3; "
             "a resolution is never shorter than its codimension, so this table is cut\n"
         )
+
+
+@pytest.mark.parametrize("weight", ["foo:1,0", "eps:1/2/3,0,0", "eps:x,0,0"])
+def test_malformed_weight_names_the_operation_the_input_and_the_form(capsys, weight):
+    code, out, err = run_cli(capsys, "dim", "--type", "B3", f"--weight={weight}")
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: parse_weight: {weight!r} is not a weight; expected an optional fund: or eps: prefix, "
+        "then comma-separated coordinates, each an integer or n/2\n"
+    )
+
+
+def test_every_listed_betti_name_renders(capsys):
+    assert cli.run(["betti", "--help"]) == 0
+    listed = " ".join(capsys.readouterr().out.split()).split("--case CASE one of ", 1)[1].split(", ")
+    assert set(AUDITS) | {"g2-y2-char2", "koszul:<form>:<m>"} == set(listed)
+    names = [n for n in listed if not n.startswith("koszul:")] + ["koszul:alternating:3", "koszul:symmetric:2"]
+    for name in names:
+        for fmt in ("text", "json"):
+            code, out, err = run_cli(capsys, "betti", "--case", name, "--format", fmt)
+            assert (code, err) == (0, "") and out.strip(), (name, fmt)

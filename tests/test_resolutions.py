@@ -12,7 +12,7 @@ from littlewood.resolutions import (
     AUDITS,
     BettiTable,
     E6_HILBERT_NUMERATOR,
-    G2_Y2_BETTI_CHAR2_TEXT,
+    G2_Y2_BETTI_CHAR2,
     SLICE_BOUND,
     _euler_characteristic,
     _g2_y1_slice,
@@ -128,9 +128,8 @@ def test_g2_resolution_matches_stated_terms():
 
 
 def test_g2_resolution_betti_and_hilbert():
-    g2 = build_root_system("G", 2)
-    table = betti_of(g2_equivariant_resolution(), label_dimension(g2, 2), ambient_dim=14)
-    assert table.totals() == [1, 10, 16, 16, 10, 1]
+    table = run_audit("g2-y2").betti
+    assert table.totals() == [1, 10, 16, 16, 10, 1] and table.ambient_dim == 14
     hd = hilbert_numerator(table, 5)
     assert hd.numerator == [1, 5, 5, 1]
     assert hd.krull_dim == 9
@@ -462,15 +461,33 @@ def test_betti_json_round_trip():
     assert table.to_json() == {"ambient": 14, "entries": {"0,0": 1, "1,2": 10}}
 
 
+G2_Y2_BETTI_CHAR2_TEXT = """\
+       0  1  2  3  4 5
+total: 1 10 17 17 10 1
+    0: 1  .  .  .  . .
+    1: . 10 16  1  . .
+    2: .  .  1 16 10 .
+    3: .  .  .  .  . 1"""
+
+
 def test_char2_reference_table_renders_identically():
-    entries = {
-        (0, 0): 1,
-        (1, 2): 10,
-        (2, 3): 16,
-        (3, 4): 1,
-        (2, 4): 1,
-        (3, 5): 16,
-        (4, 6): 10,
-        (5, 8): 1,
-    }
-    assert BettiTable(entries).render() == G2_Y2_BETTI_CHAR2_TEXT
+    assert G2_Y2_BETTI_CHAR2.render() == G2_Y2_BETTI_CHAR2_TEXT
+    # the extra pair cancels: the K-polynomial is that of characteristic 0
+    assert G2_Y2_BETTI_CHAR2.kpolynomial() == run_audit("g2-y2").betti.kpolynomial()
+
+
+@pytest.mark.parametrize("name", ["g2-y2", "e6-cone"])
+def test_every_single_cell_change_changes_the_layout(name):
+    """render() prints beta_{i,j} at row j - i, column i, so comparing the
+    layout text compares every cell: raising any cell of the grid by one,
+    or clearing a nonzero one, gives another text."""
+    table = run_audit(name).betti
+    layout = table.render()
+    rows = max(j - i for i, j in table.entries) + 1
+    for i in range(table.max_index + 1):
+        for j in range(i, i + rows):
+            v = table.entries.get((i, j), 0)
+            for changed in {v + 1, 0} - {v}:
+                entries = dict(table.entries)
+                entries[(i, j)] = changed
+                assert BettiTable(entries, table.ambient_dim).render() != layout, (name, i, j, changed)

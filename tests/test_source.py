@@ -66,3 +66,29 @@ def test_benchmark_memo_counters_resolve():
         if not callable(getattr(memo, "cache_info", None)):
             missing.append(name)
     assert not missing, missing
+
+
+def test_benchmark_workload_names_resolve():
+    # The benchmark draws audit, hilbert, slice and bracket cases from these
+    # tuples; a renamed registry entry or case would otherwise surface only
+    # as a failed command in a cli-cold run.
+    from littlewood.complexes import parse_case
+    from littlewood.resolutions import AUDITS
+
+    workloads = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    names = {}
+    for node in ast.parse(workloads.read_text()).body:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            name = getattr(node.targets[0], "id", None)
+            if name in ("_AUDITS", "_HILBERT", "_SLICE_CASES", "_BRACKET_CASES"):
+                names[name] = ast.literal_eval(node.value)
+    assert set(names) == {"_AUDITS", "_HILBERT", "_SLICE_CASES", "_BRACKET_CASES"}
+    missing = [f"_AUDITS:{n}" for n in names["_AUDITS"] if n not in AUDITS]
+    missing += [f"_HILBERT:{n}" for n, _ in names["_HILBERT"] if n not in AUDITS]
+    for key, cases in (("_SLICE_CASES", names["_SLICE_CASES"]), ("_BRACKET_CASES", [c for c, _ in names["_BRACKET_CASES"]])):
+        for case in cases:
+            try:
+                parse_case(case)
+            except ValueError:
+                missing.append(f"{key}:{case}")
+    assert not missing, missing
