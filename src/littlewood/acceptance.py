@@ -141,8 +141,6 @@ def _crit_littlewood_sweep():
                 continue
             for size in range(0, 7):
                 for lam in partitions_of(size, max_length=n):
-                    if family == "D" and len(lam) >= n:
-                        continue
                     rep = verify_littlewood_identity(family, lam, n)
                     checked += 1
                     if not rep.passed:

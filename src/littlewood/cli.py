@@ -283,6 +283,8 @@ def _cmd_betti(args):
 
 def _cmd_hilbert(args):
     table = _named_betti(args.case)
+    if table.ambient_dim is None:
+        raise LittlewoodError(f"hilbert --case {args.case}: the table has no ambient dimension to fix the Krull dimension")
     hd = hilbert_numerator(table, args.codim)
     return 0, hd.to_json(), [hd.numerator_str(), f"krull dim {hd.krull_dim}"]
 
@@ -422,15 +424,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     add("g2-resolution", _cmd_g2_resolution, "reconstructed equivariant resolution terms", lambda p: None)
 
-    betti_help = f"one of {', '.join(sorted(AUDITS))}, g2-y2-char2, koszul:<form>:<m>"
+    hilbert_help = f"one of {', '.join(sorted(AUDITS))}, g2-y2-char2"
 
     def conf_betti(p):
-        p.add_argument("--case", required=True, help=betti_help)
+        p.add_argument("--case", required=True, help=f"{hilbert_help}, koszul:<form>:<m>")
 
     add("betti", _cmd_betti, "render a graded Betti table", conf_betti)
 
     def conf_hilbert(p):
-        p.add_argument("--case", required=True, help=betti_help)
+        p.add_argument("--case", required=True, help=hilbert_help)
         p.add_argument("--codim", type=int, required=True)
 
     add("hilbert", _cmd_hilbert, "Hilbert-series numerator of a named Betti table, divided by (1-T)^codim", conf_hilbert)

@@ -137,18 +137,15 @@ def bracket_weight(case: GroupCase, lam) -> Weight:
     raise InconsistencyError(f"bracket_weight: no bracket map for case kind {case.kind!r}")
 
 
-def bracket_dim(case: GroupCase, lam) -> int:
-    """Dimension of the image of the bracket map; for the even orthogonal case
-    with a full-length shape this is the sum of the two mirror irreducibles."""
+def bracket_labels(case: GroupCase, lam) -> list[Weight]:
+    """The irreducibles of the connected group that the shape tags: its
+    bracket weight, and for an even orthogonal shape with n rows also the
+    mirror, the same epsilon weight with the last coordinate negated."""
     lam = Partition(lam)
-    rs = case.root_system()
     w = bracket_weight(case, lam)
-    dim = dim_irrep(rs, w)
     if case.kind == "OD" and len(lam) == case.n:
-        mirror = list(w.fund_coords())
-        mirror[-1], mirror[-2] = mirror[-2], mirror[-1]
-        dim += dim_irrep(rs, tuple(mirror))
-    return dim
+        return [w, Weight(w.system, w.twice[:-1] + (-w.twice[-1],))]
+    return [w]
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from functools import cache
 
 from .characters import Character, RootSystem, Weight, build_root_system, char_of_irrep, decompose_character, dim_irrep, schur_character
-from .complexes import GradedTerm, GroupCase, bracket_dim, bracket_weight, branch_gl_to_iso
+from .complexes import GradedTerm, GroupCase, bracket_labels, bracket_weight, branch_gl_to_iso
 from .errors import InconsistencyError, ScaleError
 from .partitions import Decomposition, Partition, dim_schur, enumerate_q, lr_coefficient, partitions_of
 
@@ -30,6 +30,7 @@ from .partitions import Decomposition, Partition, dim_schur, enumerate_q, lr_coe
 class BettiTable:
     entries: dict
     ambient_dim: int | None = None
+    cut: int | None = None  # the last internal degree of a resolution stated only in part
 
     def __post_init__(self):
         self.entries = {k: v for k, v in self.entries.items() if v}
@@ -104,13 +105,13 @@ class HilbertData:
         return {"numerator": self.numerator, "krull_dim": self.krull_dim}
 
 
-def betti_of(terms, dim_of, ambient_dim=None) -> BettiTable:
+def betti_of(terms, dim_of, ambient_dim=None, cut=None) -> BettiTable:
     """Project equivariant terms to ranks: beta_{i,j} is the total dimension of
     the content at homological degree i, internal degree j."""
     entries = Decomposition()
     for term in terms:
         entries.add((term.index, term.degree), term.content.total(dim_of))
-    return BettiTable(entries.entries, ambient_dim)
+    return BettiTable(entries.entries, ambient_dim, cut)
 
 
 def divide_by_one_minus_t(poly: list[int], codim: int) -> list[int]:
@@ -131,17 +132,23 @@ def hilbert_numerator(table: BettiTable, codim: int) -> HilbertData:
     """Divide the K-polynomial by (1-T)^codim exactly; a nonzero remainder at
     any stage means the table is not the Betti table of a Cohen-Macaulay
     quotient of the claimed codimension.  A resolution is never shorter than
-    its codimension, so a table that is must be cut, and is refused first."""
+    its codimension, so a table that is must be cut, and is refused first, as
+    is a table known to be cut."""
+    if table.ambient_dim is None:
+        raise ValueError("table needs ambient_dim to fix the Krull dimension")
     if table.max_index < codim:
         raise InconsistencyError(
             f"hilbert: the table has homological length {table.max_index}, below the codimension {codim}; "
             "a resolution is never shorter than its codimension, so this table is cut"
         )
+    if table.cut is not None:
+        raise InconsistencyError(
+            f"hilbert: the table is cut at internal degree {table.cut}, so its K-polynomial is not the "
+            "resolution's and has no Hilbert numerator"
+        )
     poly = divide_by_one_minus_t(table.kpolynomial(), codim)
     if sum(poly) <= 0:
         raise InconsistencyError("Hilbert numerator must have positive value at T=1")
-    if table.ambient_dim is None:
-        raise ValueError("table needs ambient_dim to fix the Krull dimension")
     return HilbertData(poly, table.ambient_dim - codim)
 
 
@@ -191,31 +198,24 @@ def cauchy_slice(case: GroupCase, d: int):
     multiplicities, computed by branching each shape through the rank-3
     symplectic group and re-indexing, instead of a single bracket label.
 
-    In the even orthogonal case a full-length shape tags a mirror pair of
-    irreducibles of the connected group; the label carries only the bracket
-    weight (last epsilon coordinate positive), while the dimension counts
-    both mirrors.
+    Every label is one irreducible of the connected group, so an even
+    orthogonal shape with n rows carries both mirrors (see `bracket_labels`).
     """
     if d < 0 or d > SLICE_BOUND:
         raise ScaleError(f"slice degree {d} out of range 0..{SLICE_BOUND}")
-    rs = case.root_system()
     out = Decomposition()
-    total = 0
-    if case.kind == "F4_6":
-        for lam in partitions_of(d, max_length=case.dim_e):
-            gl_dim = dim_schur(lam, case.dim_e)
-            dec = branch_gl_to_iso(lam, ("Sp", 6), oracle=len(lam) > 3)
-            for mu, mult in dec.entries.items():
-                w = Weight.fundamental(
-                    "F", 4, ((lam.size - mu.size) // 2, mu[2], mu[1] - mu[2], mu[0] - mu[1])
-                )
-                out.add((lam, w), mult)
-                total += gl_dim * mult * dim_irrep(rs, w)
-        return out, total
     for lam in partitions_of(d, max_length=case.dim_e):
-        out.add((lam, bracket_weight(case, lam)), 1)
-        total += dim_schur(lam, case.dim_e) * bracket_dim(case, lam)
-    return out, total
+        if case.kind == "F4_6":
+            dec = branch_gl_to_iso(lam, ("Sp", 6), oracle=len(lam) > 3)
+            labels = [
+                (Weight.fundamental("F", 4, ((d - mu.size) // 2, mu[2], mu[1] - mu[2], mu[0] - mu[1])), mult)
+                for mu, mult in dec.entries.items()
+            ]
+        else:
+            labels = [(w, 1) for w in bracket_labels(case, lam)]
+        for w, mult in labels:
+            out.add((lam, w), mult)
+    return out, out.total(label_dimension(case.root_system(), case.dim_e))
 
 
 def quadric_space_dim(case: GroupCase) -> int:
@@ -285,13 +285,7 @@ def peel_resolution(case: GroupCase, slice_fn, codim: int) -> list[GradedTerm]:
     dimension-level K-polynomial divides by (1-T)^codim; a term past the
     codimension, or no stop by internal degree SLICE_BOUND, raises
     InconsistencyError.
-
-    OD raises ValueError: its slices give a fused mirror pair of full-length
-    shapes one label (see `cauchy_slice`), while V is an irreducible of the
-    connected group.
     """
-    if case.kind == "OD":
-        raise ValueError(f"peel {case.name}: the slices fuse mirror pairs into one label; OD is not supported")
     rs = case.root_system()
     dim_of = label_dimension(rs, case.dim_e)
     cells: dict[tuple[int, int], Decomposition] = {}
@@ -418,8 +412,9 @@ def _f4_cone_terms() -> list[GradedTerm]:
 @dataclass
 class AuditSpec:
     """A named resolution: its terms over Sym(E (x) V), labelled (E-shape or
-    None, weight), the Betti totals stated for it, and the dimension of the
-    ambient space E (x) V."""
+    None, weight), the Betti totals stated for it, the dimension of the
+    ambient space E (x) V, and for a resolution known only in part the last
+    internal degree it reaches."""
 
     family: str
     rank: int
@@ -427,6 +422,7 @@ class AuditSpec:
     terms: Callable[[], list[GradedTerm]]
     expected_totals: list
     ambient_dim: int
+    cut: int | None = None
 
 
 @dataclass
@@ -469,7 +465,7 @@ def run_audit(name: str) -> AuditReport:
     spec = AUDITS[name]
     dim_of = label_dimension(build_root_system(spec.family, spec.rank), spec.e_dim)
     terms = spec.terms()
-    betti = betti_of(terms, dim_of, spec.ambient_dim)
+    betti = betti_of(terms, dim_of, spec.ambient_dim, spec.cut)
     expected = spec.expected_totals
     ncols = max(betti.max_index + 1, len(expected))
     rows = [AuditRow(i, betti.total(i), expected[i] if i < len(expected) else 0) for i in range(ncols)]
@@ -478,7 +474,8 @@ def run_audit(name: str) -> AuditReport:
 
 # The one registry of named resolutions.  g2-y2 and g2-y1 are peeled from
 # their coordinate rings (codimensions 5 and 7), and f4-cone is e6-cone
-# restricted to F4; e6-cone and e8-start are stated.
+# restricted to F4; e6-cone and e8-start are stated, e8-start through internal
+# degree 3 only.
 AUDITS = {
     # called by its module name, so a wrapper installed there sees the call
     "g2-y2": AuditSpec("G", 2, 2, lambda: g2_equivariant_resolution(), [1, 10, 16, 16, 10, 1], 14),
@@ -487,7 +484,7 @@ AUDITS = {
     ),
     "f4-cone": AuditSpec("F", 4, None, _f4_cone_terms, E6_BETTI_TOTALS, 26),
     "e6-cone": AuditSpec("E", 6, None, _stated("E", 6, E6_CONE_TERMS), E6_BETTI_TOTALS, 27),
-    "e8-start": AuditSpec("E", 8, None, _stated("E", 8, E8_START_TERMS), [1, 3876, 151373], 248),
+    "e8-start": AuditSpec("E", 8, None, _stated("E", 8, E8_START_TERMS), [1, 3876, 151373], 248, cut=3),
 }
 
 # Reference only: the characteristic-2 Betti table of the rank-2 variety, as

@@ -125,7 +125,7 @@ HILBERT_AT_CODIM = {
 
 
 def test_hilbert_text(capsys):
-    # e8-start is cut, and refused (test_hilbert_refuses_a_table_shorter_than_its_codimension)
+    # e8-start is cut, and refused (test_hilbert_refuses_a_cut_table)
     assert set(HILBERT_AT_CODIM) | {"e8-start"} == set(AUDITS) | {"g2-y2-char2"}
     for name, (codim, numerator, krull) in HILBERT_AT_CODIM.items():
         assert run_cli(capsys, "hilbert", "--case", name, "--codim", str(codim)) == (0, f"{numerator}\nkrull dim {krull}\n", "")
@@ -326,6 +326,35 @@ def test_hilbert_refuses_a_table_shorter_than_its_codimension(capsys):
             "error: hilbert: the table has homological length 2, below the codimension 3; "
             "a resolution is never shorter than its codimension, so this table is cut\n"
         )
+
+
+@pytest.mark.parametrize("codim", [0, 1, 2])
+def test_hilbert_refuses_a_cut_table(capsys, codim):
+    # within its length e8-start is refused for its cut, not for its data
+    for fmt in ("text", "json"):
+        code, out, err = run_cli(capsys, "hilbert", "--case", "e8-start", "--codim", str(codim), "--format", fmt)
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: hilbert: the table is cut at internal degree 3, so its K-polynomial is not the "
+            "resolution's and has no Hilbert numerator\n"
+        )
+
+
+@pytest.mark.parametrize("name", ["koszul:alternating:3", "koszul:symmetric:2"])
+def test_hilbert_refuses_a_table_with_no_ambient_dimension(capsys, name):
+    for codim in (0, 3):
+        code, out, err = run_cli(capsys, "hilbert", "--case", name, "--codim", str(codim))
+        assert (code, out) == (2, "")
+        assert err == f"error: hilbert --case {name}: the table has no ambient dimension to fix the Krull dimension\n"
+
+
+def test_hilbert_help_lists_the_tables_with_an_ambient_dimension(capsys):
+    def listed(command):
+        assert cli.run([command, "--help"]) == 0
+        return " ".join(capsys.readouterr().out.split()).split("--case CASE one of ", 1)[1].split(" --codim")[0].split(", ")
+
+    assert listed("hilbert") == sorted(AUDITS) + ["g2-y2-char2"]
+    assert listed("betti") == listed("hilbert") + ["koszul:<form>:<m>"]
 
 
 @pytest.mark.parametrize("weight", ["foo:1,0", "eps:1/2/3,0,0", "eps:x,0,0"])

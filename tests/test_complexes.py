@@ -6,7 +6,7 @@ from littlewood.complexes import (
     _SPIN_MIRRORS,
     _spin_shifted_weight,
     GroupCase,
-    bracket_dim,
+    bracket_labels,
     bracket_weight,
     branch_gl_to_iso,
     littlewood_complex,
@@ -54,7 +54,8 @@ def test_bracket_examples():
 def test_bracket_first_column_dimensions():
     # degree-one slice must be a copy of the small representation
     for case in ALL_CASES:
-        assert bracket_dim(case, (1,)) == case.dim_v
+        rs = case.root_system()
+        assert sum(dim_irrep(rs, w) for w in bracket_labels(case, (1,))) == case.dim_v
 
 
 def test_bracket_additivity():
@@ -159,14 +160,15 @@ def test_even_orthogonal_oracle_refuses_outside_the_stable_range():
 
 
 def test_branch_total_dimension():
-    # restriction preserves dimension; group side measured through brackets
+    # restriction preserves dimension; group side measured through the
+    # irreducibles each O(m) or Sp(2n) label tags
     for kind, n, case in (("Sp", 2, "SpC(2)"), ("Sp", 3, "SpC(3)"), ("O", 2, "SOB(2)"), ("O", 3, "OD(3)")):
         case = parse_case(case)
-        m = case.dim_v
+        rs, m = case.root_system(), case.dim_v
         for size in range(0, 5):
             for lam in partitions_of(size, max_length=n):
                 dec = branch_gl_to_iso(lam, (kind, m))
-                total = sum(mult * bracket_dim(case, mu) for mu, mult in dec.entries.items())
+                total = sum(mult * dim_irrep(rs, w) for mu, mult in dec.entries.items() for w in bracket_labels(case, mu))
                 assert total == dim_schur(lam, m), (kind, m, lam)
 
 
@@ -299,8 +301,18 @@ def test_spinor_identity_holds_on_characters(family):
 
 
 def test_od_full_length_bracket_is_a_pair():
+    # an even orthogonal shape with n rows tags a mirror pair of SO(2n)
+    # irreducibles, the last epsilon coordinate negated; every other shape,
+    # of every case, tags one irreducible, its bracket weight
     case = parse_case("OD(2)")
-    rs = case.root_system()
-    lam = P((2, 1))
-    w = bracket_weight(case, lam)
-    assert bracket_dim(case, lam) == dim_irrep(rs, w) + dim_irrep(rs, (w.fund_coords()[1], w.fund_coords()[0]))
+    assert [str(w) for w in bracket_labels(case, (2, 1))] == ["eps:D2:2,1", "eps:D2:2,-1"]
+    for case in ALL_CASES + [parse_case("OD(2)"), parse_case("OD(4)")]:
+        for size in range(5):
+            for lam in partitions_of(size, max_length=case.bracket_rows):
+                labels = bracket_labels(case, lam)
+                assert labels[0] == bracket_weight(case, lam)
+                pair = case.kind == "OD" and len(lam) == case.n
+                assert len(labels) == (2 if pair else 1), (case, lam)
+                if pair:
+                    w, mirror = labels
+                    assert mirror.twice == w.twice[:-1] + (-w.twice[-1],) and w.twice[-1] > 0

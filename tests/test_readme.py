@@ -1,0 +1,48 @@
+"""Every command of the README's CLI block runs, and its output comments hold."""
+
+import re
+import shlex
+from pathlib import Path
+
+import pytest
+
+from littlewood import cli
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+CLI_BLOCK = README.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+LINES = [line for line in CLI_BLOCK.splitlines() if line.startswith("littlewood ")]
+
+# A comment made of digits, partition brackets and polynomial signs is the
+# first line the command prints, word for word.
+LITERAL = re.compile(r"[\d\[\],+\-T^ ]+")
+WEIGHT = re.compile(r"(?:eps|fund):[A-H]\d+:[-\d,/]+")
+
+
+def _commands():
+    for line in LINES:
+        command, _, comment = line.partition("#")
+        command = command.strip()
+        flags = re.findall(r"\[(--[\w-]+)\]", command)
+        plain = shlex.split(re.sub(r"\s*\[--[\w-]+\]", "", command))[1:]
+        yield plain, comment.strip()
+        if flags:
+            yield plain + flags, comment.strip()
+
+
+COMMANDS = list(_commands())
+
+
+def test_the_block_has_the_literal_outputs():
+    literal = [comment for _, comment in COMMANDS if LITERAL.fullmatch(comment)]
+    assert literal == ["7", "1", "[2,1,1]", "1 + 10T + 28T^2 + 28T^3 + 10T^4 + T^5"]
+    assert any("--oracle" in argv for argv, _ in COMMANDS)
+
+
+@pytest.mark.parametrize("argv,comment", COMMANDS, ids=[" ".join(argv) for argv, _ in COMMANDS])
+def test_readme_command(capsys, argv, comment):
+    assert cli.run(argv) == 0
+    out = capsys.readouterr().out
+    if LITERAL.fullmatch(comment):
+        assert out.splitlines()[0] == comment
+    for weight in WEIGHT.findall(comment):
+        assert re.search(rf"{re.escape(weight)}(?![\d,])", out), weight

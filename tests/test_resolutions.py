@@ -93,6 +93,16 @@ def test_hilbert_refuses_a_table_shorter_than_its_codimension():
         hilbert_numerator(BettiTable({(0, 0): 1, (1, 1): 1, (2, 2): 1}, ambient_dim=3), 1)
 
 
+def test_hilbert_refuses_a_cut_table_or_one_with_no_ambient_dimension_before_dividing():
+    # neither table divides by (1-T): the refusal comes first, not the remainder
+    table = BettiTable({(0, 0): 1, (1, 2): 2}, ambient_dim=5, cut=2)
+    with pytest.raises(InconsistencyError, match="cut at internal degree 2"):
+        hilbert_numerator(table, 1)
+    with pytest.raises(ValueError, match="needs ambient_dim"):
+        hilbert_numerator(BettiTable(table.entries), 1)
+    assert run_audit("e8-start").betti.cut == 3 and run_audit("e6-cone").betti.cut is None
+
+
 def test_cauchy_slice_degree_one_is_matrix_space():
     for name in ("SpC(2)", "SOB(2)", "OD(3)", "G2", "F4_6", "F4_3", "E6_5", "E6_3", "E7_6", "E8_7"):
         case = parse_case(name)
@@ -116,6 +126,33 @@ def test_cauchy_slice_f4_six_copies_has_multiplicities():
         ((1, 1), (1, 0, 0, 0)): 1,
     }
     assert total == 21 * 324 + 15 * (273 + 52)
+
+
+# Slice dimensions at degrees 0-4, as they stood when an even orthogonal
+# shape with n rows carried one label (its bracket weight) and a dimension
+# that counted both mirrors; labelling the mirrors apart leaves them equal.
+SLICE_DIMENSIONS = {
+    "SpC(2)": [1, 8, 35, 112, 294],
+    "SpC(3)": [1, 18, 168, 1086, 5475],
+    "SOB(2)": [1, 10, 52, 190, 553],
+    "SOB(3)": [1, 21, 225, 1645, 9255],
+    "OD(2)": [1, 8, 33, 96, 225],
+    "OD(3)": [1, 18, 165, 1032, 4974],
+    "OD(4)": [1, 32, 518, 5664, 47125],
+    "G2": [1, 14, 95, 436, 1554],
+    "F4_6": [1, 156, 11679, 555482, 18850467],
+    "F4_3": [1, 78, 2763, 60562, 940287],
+    "E6_5": [1, 135, 8775, 367315, 11173545],
+    "E6_3": [1, 81, 3159, 79547, 1462698],
+    "E7_6": [1, 336, 53808, 5490240, 402567060],
+    "E8_7": [1, 1736, 1393980, 692612900, 240328960200],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SLICE_DIMENSIONS))
+def test_cauchy_slice_dimension_golden(name):
+    case = parse_case(name)
+    assert [cauchy_slice(case, d)[1] for d in range(5)] == SLICE_DIMENSIONS[name]
 
 
 def test_g2_resolution_matches_stated_terms():
@@ -256,6 +293,8 @@ def test_peel_resolution_stops_only_where_the_k_polynomial_divides():
         ("SpC(3)", "alternating", 3),
         ("SOB(2)", "symmetric", 3),
         ("SOB(3)", "symmetric", 6),
+        ("OD(2)", "symmetric", 3),
+        ("OD(3)", "symmetric", 6),
     ],
 )
 def test_peel_resolution_recovers_the_koszul_complex(name, form, codim):
@@ -278,12 +317,6 @@ def _koszul_with_weights(case, form):
         GradedTerm(t.index, t.degree, t.content.map_labels(lambda lam: (lam, trivial)))
         for t in koszul_complex(form, case.n)
     ]
-
-
-def test_peel_resolution_refuses_the_even_orthogonal_case():
-    case = parse_case("OD(2)")
-    with pytest.raises(ValueError, match=r"OD\(2\)"):
-        peel_resolution(case, lambda j: cauchy_slice(case, j)[0], 3)
 
 
 def test_peel_resolution_guards_the_codimension():
