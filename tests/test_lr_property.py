@@ -1,6 +1,7 @@
 """Property tests of the Littlewood-Richardson layer: the skew tables of
 `_lr` against symmetry, the semistandard tableau count, and the character
-oracle of the branching rule."""
+oracle of the branching rule; and of the partitions the layer builds
+itself, against the checked `Partition` constructor."""
 
 import pytest
 
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from littlewood.complexes import branch_gl_to_iso
-from littlewood.partitions import dim_schur, lr_coefficient, partitions_of, skew_schur_expand
+from littlewood.partitions import Partition, _lr, dim_schur, lr_coefficient, partitions_in_box, partitions_of, skew_schur_expand
 from oracles import count_skew_ssyt
 
 
@@ -52,3 +53,15 @@ def test_branch_rule_matches_oracle_in_the_stable_range(lam, extra, kind):
     n = max(len(lam), 1) + extra
     target = (kind, 2 * n) if kind == "Sp" else (kind, 2 * n + 1)
     assert branch_gl_to_iso(lam, target) == branch_gl_to_iso(lam, target, oracle=True)
+
+
+@settings(deadline=None, max_examples=60)
+@given(skew_shapes(max_size=12), st.integers(0, 4), st.integers(0, 4))
+def test_built_partitions_pass_the_checked_constructor(shape, rows, cols):
+    # transpose, remove_first_hook and partitions_in_box skip the checks;
+    # each result must be what the checked constructor makes of its parts.
+    lam, mu = Partition(shape[0]), Partition(shape[1])
+    built = [lam.transpose(), lam.remove_first_hook(), *partitions_in_box(rows, cols), *_lr(lam.parts, mu.parts)]
+    for p in built:
+        assert type(p) is Partition and all(type(x) is int for x in p.parts), p
+        assert Partition(list(p.parts)).parts == p.parts, p

@@ -23,11 +23,14 @@ P = Partition
 
 def test_partition_normalization_and_validation():
     assert P((3, 1, 0, 0)).parts == (3, 1)
+    assert P([0, 0]).parts == () and P((2, 2, 0)) == P((2, 2))
     assert P(()).parts == ()
     assert P((2, 2)).size == 4 and len(P((2, 2))) == 2
-    with pytest.raises(ValueError):
+    lam = P((3, 1))
+    assert P(lam) is lam
+    with pytest.raises(ValueError, match=r"^parts not weakly decreasing: \(1, 2\)$"):
         P((1, 2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^negative part in \(2, -1\)$"):
         P((2, -1))
 
 
@@ -50,8 +53,11 @@ def test_partitions_of_is_ascending_under_every_bound():
         assert [p.parts for p in every] == sorted(p.parts for p in every) and len(set(every)) == len(every) == counts[n]
         for max_length in [None] + list(range(0, n + 2)):
             for max_part in [None] + list(range(0, n + 2)):
+                got = partitions_of(n, max_length, max_part)
                 want = [p for p in every if (max_length is None or len(p) <= max_length) and (max_part is None or p[0] <= max_part)]
-                assert partitions_of(n, max_length, max_part) == want, (n, max_length, max_part)
+                assert got == want, (n, max_length, max_part)
+                # built unchecked: each must be what the checked constructor makes of its parts
+                assert all(p.size == n and P(list(p.parts)).parts == p.parts for p in got), (n, max_length, max_part)
 
 
 def test_partitions_in_box_matches_the_per_size_concatenation():
@@ -89,6 +95,10 @@ def test_q_sets_are_transposes_of_each_other():
     for d in range(0, 13, 2):
         minus = {p.transpose() for p in enumerate_q("minus", d)}
         assert minus == set(enumerate_q("plus", d))
+    # plus is built from the minus members; the filter by its own rule must agree, order included
+    for d in range(0, 31, 2):
+        for variant in ("minus", "plus"):
+            assert enumerate_q(variant, d) == [p for p in partitions_of(d) if in_q(p, variant)], (variant, d)
 
 
 def test_lr_examples():

@@ -23,6 +23,20 @@ def test_no_assert_in_package():
     assert not found, found
 
 
+def test_unchecked_partition_constructor_stays_in_partitions():
+    # Partition._of skips the checks; only partitions.py builds its tuples
+    # decreasing, positive and zero-free by construction.
+    tests = Path(__file__).resolve().parent
+    found = []
+    for path in sorted([*SRC.rglob("*.py"), *tests.rglob("*.py")]):
+        if path == SRC / "partitions.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and node.attr == "_of":
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
+
+
 def test_benchmark_tracer_targets_resolve():
     # The benchmark's tracer wraps these names from outside the package: a
     # module attribute, or Class.__dict__[method].  A rename would otherwise
