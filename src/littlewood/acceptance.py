@@ -16,7 +16,7 @@ from .bott import SpinLabel, b_spinor_twist_weight, bott, d_spinor_twist_weight,
 from .characters import build_root_system, dim_irrep
 from .complexes import parse_case, spinor_complex, verify_littlewood_identity, verify_spinor_identity
 from .errors import LittlewoodError
-from .partitions import enumerate_q, partitions_in_box, partitions_of, plethysm_wedge_power
+from .partitions import enumerate_q, partitions_of, plethysm_wedge_power
 from .resolutions import AUDITS, E6_HILBERT_NUMERATOR, hilbert_numerator, koszul_terms, quadric_space_dim, run_audit
 
 G2_Y2_BETTI_TEXT = """\
@@ -169,17 +169,18 @@ def _crit_spin_vs_bott():
         rs = build_root_system("D", n)
         fund_plus = (0,) * (n - 1) + (1,)
         fund_minus = (0,) * (n - 2) + (1, 0)
-        for lam in partitions_in_box(n, n):
-            for comp in ("plus", "minus"):
-                closed = spin_cohomology_D(n, lam, comp)
-                walked = bott(rs, d_spinor_twist_weight(n, lam, comp))
-                checked += 1
-                ok = closed.vanishes == walked.vanishes
-                if ok and not closed.vanishes:
-                    expect_fc = fund_plus if closed.label == SpinLabel.DELTA_PLUS else fund_minus
-                    ok = walked.degree == closed.degree and walked.weight.fund_coords() == expect_fc
-                if not ok:
-                    mism.append(("D", n, lam.parts, comp))
+        for size in range(n * n + 1):
+            for lam in partitions_of(size, max_length=n, max_part=n):
+                for comp in ("plus", "minus"):
+                    closed = spin_cohomology_D(n, lam, comp)
+                    walked = bott(rs, d_spinor_twist_weight(n, lam, comp))
+                    checked += 1
+                    ok = closed.vanishes == walked.vanishes
+                    if ok and not closed.vanishes:
+                        expect_fc = fund_plus if closed.label == SpinLabel.DELTA_PLUS else fund_minus
+                        ok = walked.degree == closed.degree and walked.weight.fund_coords() == expect_fc
+                    if not ok:
+                        mism.append(("D", n, lam.parts, comp))
     for n in range(1, 7):
         rs = build_root_system("B", n)
         delta_fc = (0,) * (n - 1) + (1,)

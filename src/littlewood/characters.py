@@ -515,9 +515,8 @@ def _irrep_character(family: str, rank: int, fc: tuple, bound: int) -> "Characte
     return char
 
 
-def char_of_irrep(rs: RootSystem, weight, bound=None) -> "Character":
-    fc = rs.fund_tuple(weight)
-    return _irrep_character(rs.family, rs.rank, fc, dim_bound() if bound is None else bound)
+def char_of_irrep(rs: RootSystem, weight) -> "Character":
+    return _irrep_character(rs.family, rs.rank, rs.fund_tuple(weight), dim_bound())
 
 
 # ---------------------------------------------------------------------------
@@ -595,7 +594,7 @@ class Character(Decomposition):
         return {str(self.rs.weight(fc)): m for fc, m in self.sorted_items()}
 
 
-def decompose_character(rs: RootSystem, char: Character, bound=None) -> Decomposition:
+def decompose_character(rs: RootSystem, char: Character) -> Decomposition:
     """Write a character as a nonnegative sum of irreducible characters.
 
     Weyl's character formula read backwards (Brauer-Klimyk with the trivial
@@ -614,7 +613,7 @@ def decompose_character(rs: RootSystem, char: Character, bound=None) -> Decompos
         walked = rs.dot_walk(fc)
         if walked:
             mults.add(walked[1], -c if walked[0] % 2 else c)
-    limit = dim_bound() if bound is None else bound
+    limit = dim_bound()
     out = Decomposition()
     for fc in sorted(mults.entries, key=lambda fc: (sum(map(operator.mul, fc, rs.height_vector)), fc), reverse=True):
         m = mults[fc]

@@ -31,12 +31,9 @@ from .partitions import (
     Partition,
     dim_schur,
     enumerate_q,
-    partitions_in_box,
     partitions_of,
     skew_schur_expand,
 )
-
-CASE_KINDS = ("SpC", "SOB", "OD", "G2", "F4_6", "F4_3", "E6_5", "E6_3", "E7_6", "E8_7")
 
 _CLASSICAL = {"SpC": "C", "SOB": "B", "OD": "D"}  # kind: root-system family
 
@@ -51,11 +48,18 @@ _EXCEPTIONAL = {
     "E8_7": (7, 248, ("E", 8), 7),
 }
 
+CASE_KINDS = (*_CLASSICAL, *_EXCEPTIONAL)
+
 
 @dataclass(frozen=True)
 class GroupCase:
+    """A multiplicity space E and a representation V of the kind's group.  dim E
+    defaults to the kind's (n for a classical kind); an exceptional kind with
+    dim E = 1 is the cone over the minimal orbit of V."""
+
     kind: str
     n: int | None = None
+    dim_e: int | None = None
 
     def __post_init__(self):
         if self.kind not in CASE_KINDS:
@@ -65,16 +69,14 @@ class GroupCase:
                 raise ValueError(f"case {self.kind} needs a valid rank")
         elif self.n is not None:
             raise ValueError(f"case {self.kind} takes no rank parameter")
+        if self.dim_e is None:
+            object.__setattr__(self, "dim_e", self.n if self.n is not None else _EXCEPTIONAL[self.kind][0])
+        elif self.dim_e < 1:
+            raise ValueError(f"case {self.kind}: dim E {self.dim_e} is below 1")
 
     @property
     def name(self) -> str:
         return f"{self.kind}({self.n})" if self.n is not None else self.kind
-
-    @property
-    def dim_e(self) -> int:
-        if self.n is not None:
-            return self.n
-        return _EXCEPTIONAL[self.kind][0]
 
     @property
     def dim_v(self) -> int:
@@ -322,12 +324,11 @@ def spinor_complex(family: str, n: int) -> list[GradedTerm]:
     if not 1 <= n <= 8:
         raise ScaleError("spinor complexes supported for 1 <= n <= 8")
     by_cell: dict[tuple, Decomposition] = {}
-    for lam in partitions_in_box(n, n):
-        if lam.transpose() != lam:
-            continue
-        i = (lam.size + lam.rank) // 2
-        cell = by_cell.setdefault((i, lam.size), Decomposition())
-        cell.add((lam, _spin_label(family, lam.rank)), 1)
+    for size in range(n * n + 1):
+        for lam in partitions_of(size, max_length=n, max_part=n):
+            if lam.transpose() == lam:
+                cell = by_cell.setdefault(((size + lam.rank) // 2, size), Decomposition())
+                cell.add((lam, _spin_label(family, lam.rank)), 1)
     return [GradedTerm(i, j, content) for (i, j), content in sorted(by_cell.items())]
 
 
@@ -363,7 +364,7 @@ def _spin_shifted_weight(rs: RootSystem, lam: Partition, mirror: bool) -> Weight
     return Weight(CoordSystem("epsilon", rs.family, rs.rank), twice)
 
 
-def verify_spinor_identity(family: str, n: int, lam, bound=None) -> Report:
+def verify_spinor_identity(family: str, n: int, lam) -> Report:
     """Dimension-level Euler check of the spinor complex against the spin-
     shifted irreducible(s): alternating sums of skew Schur dimensions times
     the spin dimension must equal dim V_{lam+delta}."""
@@ -380,7 +381,7 @@ def verify_spinor_identity(family: str, n: int, lam, bound=None) -> Report:
                 skew_dim = sum(c * dim_schur(nu, dim_v) for nu, c in skew_schur_expand(lam, mu).entries.items())
                 lhs += (-1) ** term.index * mult * skew_dim * label_dims[label]
     rhs = sum(dim_irrep(rs, _spin_shifted_weight(rs, lam, mirror)) for mirror in _SPIN_MIRRORS[family])
-    limit = dim_bound() if bound is None else bound
+    limit = dim_bound()
     if rhs > limit:
         raise ScaleError(f"dimension {rhs} exceeds the configured bound {limit}")
     return Report(passed=lhs == rhs, case=f"{family} n={n} lambda={lam}", lhs=lhs, rhs=rhs)

@@ -241,24 +241,6 @@ def partitions_of(n: int, max_length=None, max_part=None) -> list[Partition]:
     return out
 
 
-def partitions_in_box(rows: int, cols: int) -> list[Partition]:
-    """All partitions with at most `rows` parts, each at most `cols`: by
-    size, then ascending lexicographic.  One walk over the box yields the
-    shapes in lexicographic order, a shape before its extensions."""
-    by_size = [[] for _ in range(max(rows * cols, 0) + 1)]
-
-    def rec(prefix, size, bound):
-        by_size[size].append(Partition._of(tuple(prefix)))
-        if len(prefix) < rows:
-            for p in range(1, bound + 1):
-                prefix.append(p)
-                rec(prefix, size + p, p)
-                prefix.pop()
-
-    rec([], 0, cols)
-    return [lam for group in by_size for lam in group]
-
-
 def in_q(lam, variant: str) -> bool:
     """Membership in the Q-set family.
 

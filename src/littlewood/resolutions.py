@@ -16,7 +16,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cache
 
-from .characters import Character, RootSystem, Weight, build_root_system, char_of_irrep, decompose_character, dim_irrep, schur_character
+from .characters import Character, Weight, build_root_system, char_of_irrep, decompose_character, dim_irrep, schur_character
 from .complexes import GradedTerm, GroupCase, bracket_labels, bracket_weight, branch_gl_to_iso
 from .errors import InconsistencyError, ScaleError
 from .partitions import Decomposition, Partition, dim_schur, enumerate_q, lr_coefficient, partitions_of
@@ -215,7 +215,7 @@ def cauchy_slice(case: GroupCase, d: int):
             labels = [(w, 1) for w in bracket_labels(case, lam)]
         for w, mult in labels:
             out.add((lam, w), mult)
-    return out, out.total(label_dimension(case.root_system(), case.dim_e))
+    return out, out.total(label_dimension(case))
 
 
 def quadric_space_dim(case: GroupCase) -> int:
@@ -287,7 +287,7 @@ def peel_resolution(case: GroupCase, slice_fn, codim: int) -> list[GradedTerm]:
     InconsistencyError.
     """
     rs = case.root_system()
-    dim_of = label_dimension(rs, case.dim_e)
+    dim_of = label_dimension(case)
     cells: dict[tuple[int, int], Decomposition] = {}
     slices, kpoly = [], []
     end = 0
@@ -329,10 +329,11 @@ def g2_equivariant_resolution() -> list[GradedTerm]:
     return peel_resolution(case, lambda j: cauchy_slice(case, j)[0], 5)
 
 
-def label_dimension(rs: RootSystem, dim_e: int | None):
+def label_dimension(case: GroupCase):
     """The dimension of a (shape, weight) label, S_shape E (x) V_weight, as a
-    function of the label; a shape of None has no multiplicity space."""
-    return lambda label: dim_irrep(rs, label[1]) * (1 if label[0] is None else dim_schur(label[0], dim_e))
+    function of the label."""
+    rs = case.root_system()
+    return lambda label: dim_irrep(rs, label[1]) * dim_schur(label[0], case.dim_e)
 
 
 # ---------------------------------------------------------------------------
@@ -346,16 +347,16 @@ def _g2_y1_slice(j: int) -> Decomposition:
     return Decomposition({label: m for label, m in dec.entries.items() if len(label[0]) <= 1})
 
 
-def _stated(family: str, rank: int, rows):
-    """The terms of a stated resolution over Sym(V), with no multiplicity
-    space, from rows (homological index, internal degree, fundamental
-    coordinates, multiplicity), labelled (None, weight)."""
+def _stated(case: GroupCase, rows):
+    """The terms of a stated resolution of a cone, a case with dim E = 1, from
+    rows (homological index, internal degree j, fundamental coordinates,
+    multiplicity), labelled ((j), weight): S_(j)E is the degree-j line."""
 
     def terms() -> list[GradedTerm]:
-        rs = build_root_system(family, rank)
+        rs = case.root_system()
         cells: dict[tuple[int, int], Decomposition] = {}
         for i, j, fc, mult in rows:
-            cells.setdefault((i, j), Decomposition()).add((None, rs.weight(fc)), mult)
+            cells.setdefault((i, j), Decomposition()).add((Partition((j,)), rs.weight(fc)), mult)
         return [GradedTerm(i, j, content) for (i, j), content in sorted(cells.items())]
 
     return terms
@@ -404,24 +405,20 @@ def _f4_cone_terms() -> list[GradedTerm]:
         restricted = Character(f4)
         for (_, w), mult in term.content.entries.items():
             restricted += char_of_irrep(e6, w).restrict(f4, fold).scale(mult)
-        content = decompose_character(f4, restricted).map_labels(lambda w: (None, w))
+        content = decompose_character(f4, restricted).map_labels(lambda w: (Partition((term.degree,)), w))
         out.append(GradedTerm(term.index, term.degree, content))
     return out
 
 
 @dataclass
 class AuditSpec:
-    """A named resolution: its terms over Sym(E (x) V), labelled (E-shape or
-    None, weight), the Betti totals stated for it, the dimension of the
-    ambient space E (x) V, and for a resolution known only in part the last
-    internal degree it reaches."""
+    """A named resolution: its case, its terms over Sym(E (x) V) labelled
+    (E-shape, weight), the Betti totals stated for it, and for a resolution
+    known only in part the last internal degree it reaches."""
 
-    family: str
-    rank: int
-    e_dim: int | None
+    case: GroupCase
     terms: Callable[[], list[GradedTerm]]
     expected_totals: list
-    ambient_dim: int
     cut: int | None = None
 
 
@@ -463,9 +460,8 @@ def run_audit(name: str) -> AuditReport:
     """The Betti totals of the audit's resolution against the stated ones; a
     column on one side only is compared with 0."""
     spec = AUDITS[name]
-    dim_of = label_dimension(build_root_system(spec.family, spec.rank), spec.e_dim)
     terms = spec.terms()
-    betti = betti_of(terms, dim_of, spec.ambient_dim, spec.cut)
+    betti = betti_of(terms, label_dimension(spec.case), spec.case.dim_e * spec.case.dim_v, spec.cut)
     expected = spec.expected_totals
     ncols = max(betti.max_index + 1, len(expected))
     rows = [AuditRow(i, betti.total(i), expected[i] if i < len(expected) else 0) for i in range(ncols)]
@@ -475,16 +471,16 @@ def run_audit(name: str) -> AuditReport:
 # The one registry of named resolutions.  g2-y2 and g2-y1 are peeled from
 # their coordinate rings (codimensions 5 and 7), and f4-cone is e6-cone
 # restricted to F4; e6-cone and e8-start are stated, e8-start through internal
-# degree 3 only.
+# degree 3 only.  The cones are their cases with dim E = 1.
+_G2 = GroupCase("G2")
+_E6_CONE, _E8_CONE = GroupCase("E6_3", dim_e=1), GroupCase("E8_7", dim_e=1)
 AUDITS = {
     # called by its module name, so a wrapper installed there sees the call
-    "g2-y2": AuditSpec("G", 2, 2, lambda: g2_equivariant_resolution(), [1, 10, 16, 16, 10, 1], 14),
-    "g2-y1": AuditSpec(
-        "G", 2, 2, lambda: peel_resolution(GroupCase("G2"), _g2_y1_slice, 7), [1, 24, 84, 126, 119, 77, 27, 4], 14
-    ),
-    "f4-cone": AuditSpec("F", 4, None, _f4_cone_terms, E6_BETTI_TOTALS, 26),
-    "e6-cone": AuditSpec("E", 6, None, _stated("E", 6, E6_CONE_TERMS), E6_BETTI_TOTALS, 27),
-    "e8-start": AuditSpec("E", 8, None, _stated("E", 8, E8_START_TERMS), [1, 3876, 151373], 248, cut=3),
+    "g2-y2": AuditSpec(_G2, lambda: g2_equivariant_resolution(), [1, 10, 16, 16, 10, 1]),
+    "g2-y1": AuditSpec(_G2, lambda: peel_resolution(_G2, _g2_y1_slice, 7), [1, 24, 84, 126, 119, 77, 27, 4]),
+    "f4-cone": AuditSpec(GroupCase("F4_3", dim_e=1), _f4_cone_terms, E6_BETTI_TOTALS),
+    "e6-cone": AuditSpec(_E6_CONE, _stated(_E6_CONE, E6_CONE_TERMS), E6_BETTI_TOTALS),
+    "e8-start": AuditSpec(_E8_CONE, _stated(_E8_CONE, E8_START_TERMS), [1, 3876, 151373], cut=3),
 }
 
 # Reference only: the characteristic-2 Betti table of the rank-2 variety, as

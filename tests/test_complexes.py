@@ -3,6 +3,7 @@ import pytest
 from littlewood.bott import SpinLabel, delta_weight_B, delta_weight_D
 from littlewood.characters import Character, Weight, build_root_system, char_of_irrep, dim_irrep, schur_character
 from littlewood.complexes import (
+    CASE_KINDS,
     _SPIN_MIRRORS,
     _spin_shifted_weight,
     GroupCase,
@@ -40,6 +41,15 @@ def test_case_tables():
         parse_case("G3")
     with pytest.raises(ValueError):
         GroupCase("G2", 2)
+    assert CASE_KINDS == ("SpC", "SOB", "OD", "G2", "F4_6", "F4_3", "E6_5", "E6_3", "E7_6", "E8_7")
+
+
+def test_case_dim_e_override():
+    cone = GroupCase("F4_3", dim_e=1)
+    assert (cone.dim_e, cone.dim_v, cone.bracket_rows, cone.name) == (1, 26, 3, "F4_3")
+    assert GroupCase("G2", dim_e=2) == parse_case("G2") and GroupCase("SpC", 3, dim_e=2).dim_e == 2
+    with pytest.raises(ValueError, match="case E6_3: dim E 0 is below 1"):
+        GroupCase("E6_3", dim_e=0)
 
 
 def test_bracket_examples():

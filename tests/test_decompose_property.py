@@ -3,6 +3,8 @@ characters, agrees with the subtraction peel it replaced, and refuses what is
 not a character."""
 
 import itertools
+import os
+from unittest import mock
 
 import pytest
 
@@ -12,11 +14,11 @@ from hypothesis import strategies as st
 
 from littlewood import characters as characters_module
 from littlewood.characters import (
+    DIM_BOUND_ENV,
     Character,
     build_root_system,
     char_of_irrep,
     decompose_character,
-    dim_bound,
     dim_irrep,
     schur_character,
     weyl_orbit,
@@ -45,7 +47,7 @@ def test_decompose_inverts_char(family, mults):
 # of the highest dominant weight (integer height, then lex) until nothing is
 # left.  Kept here as the reference the formula must agree with, errors and
 # their order included.
-def _peel(rs, char, bound):
+def _peel(rs, char):
     h = rs.height_vector
     work, out = Decomposition(char.entries), Decomposition()
     while work:
@@ -57,7 +59,7 @@ def _peel(rs, char, bound):
         if m < 0:
             raise NotCharacterError(f"negative multiplicity {m} at {best} in {rs}")
         out.add(rs.weight(best), m)
-        for fc, c in char_of_irrep(rs, best, bound=bound).entries.items():
+        for fc, c in char_of_irrep(rs, best).entries.items():
             work.add(fc, -m * c)
     return out
 
@@ -97,9 +99,11 @@ def _outcome(fn):
 @settings(deadline=None, max_examples=80)
 @given(characters(), st.sampled_from([None, 20, 200]))
 def test_weyl_formula_matches_the_peel(case, bound):
+    # the bound reaches both routes through the environment, the one place it is set
     rs, char = case
-    got = _outcome(lambda: decompose_character(rs, char, bound=bound))
-    want = _outcome(lambda: _peel(rs, char, dim_bound() if bound is None else bound))
+    with mock.patch.dict(os.environ, {} if bound is None else {DIM_BOUND_ENV: str(bound)}):
+        got = _outcome(lambda: decompose_character(rs, char))
+        want = _outcome(lambda: _peel(rs, char))
     assert got == want
     if isinstance(got, Decomposition):
         assert list(got.entries) == list(want.entries)  # highest constituent first

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from littlewood.complexes import branch_gl_to_iso
-from littlewood.partitions import Partition, _lr, dim_schur, lr_coefficient, partitions_in_box, partitions_of, skew_schur_expand
+from littlewood.partitions import Partition, _lr, dim_schur, lr_coefficient, partitions_of, skew_schur_expand
 from oracles import count_skew_ssyt
 
 
@@ -58,10 +58,11 @@ def test_branch_rule_matches_oracle_in_the_stable_range(lam, extra, kind):
 @settings(deadline=None, max_examples=60)
 @given(skew_shapes(max_size=12), st.integers(0, 4), st.integers(0, 4))
 def test_built_partitions_pass_the_checked_constructor(shape, rows, cols):
-    # transpose, remove_first_hook and partitions_in_box skip the checks;
+    # transpose, remove_first_hook and boxed partitions_of skip the checks;
     # each result must be what the checked constructor makes of its parts.
     lam, mu = Partition(shape[0]), Partition(shape[1])
-    built = [lam.transpose(), lam.remove_first_hook(), *partitions_in_box(rows, cols), *_lr(lam.parts, mu.parts)]
+    boxed = [p for size in range(rows * cols + 1) for p in partitions_of(size, max_length=rows, max_part=cols)]
+    built = [lam.transpose(), lam.remove_first_hook(), *boxed, *_lr(lam.parts, mu.parts)]
     for p in built:
         assert type(p) is Partition and all(type(x) is int for x in p.parts), p
         assert Partition(list(p.parts)).parts == p.parts, p

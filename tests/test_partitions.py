@@ -10,7 +10,6 @@ from littlewood.partitions import (
     enumerate_q,
     in_q,
     lr_coefficient,
-    partitions_in_box,
     partitions_of,
     plethysm_wedge_power,
     schur_fill,
@@ -58,13 +57,6 @@ def test_partitions_of_is_ascending_under_every_bound():
                 assert got == want, (n, max_length, max_part)
                 # built unchecked: each must be what the checked constructor makes of its parts
                 assert all(p.size == n and P(list(p.parts)).parts == p.parts for p in got), (n, max_length, max_part)
-
-
-def test_partitions_in_box_matches_the_per_size_concatenation():
-    for rows in range(0, 6):
-        for cols in range(0, 6):
-            want = [lam for n in range(rows * cols + 1) for lam in partitions_of(n, max_length=rows, max_part=cols)]
-            assert partitions_in_box(rows, cols) == want, (rows, cols)
 
 
 def test_rank_examples():

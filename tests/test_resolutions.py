@@ -254,9 +254,9 @@ F4_CONE_TERMS = {
 
 
 def _plain(terms):
-    """{(i, degree, E-shape parts or None, weight fund coords): multiplicity}."""
+    """{(i, degree, E-shape parts, weight fund coords): multiplicity}."""
     return {
-        (t.index, t.degree, None if lam is None else lam.parts, w.fund_coords()): m
+        (t.index, t.degree, lam.parts, w.fund_coords()): m
         for t in terms
         for (lam, w), m in t.content.entries.items()
     }
@@ -353,7 +353,7 @@ def test_peeled_betti_numbers_match_the_hilbert_series(name, codim):
     n_vars = case.dim_e * case.dim_v
     ring = [cauchy_slice(case, d)[1] for d in range(SLICE_BOUND + 1)]
     terms = peel_resolution(case, lambda j: cauchy_slice(case, j)[0], codim)
-    kpoly = betti_of(terms, label_dimension(case.root_system(), case.dim_e)).kpolynomial()
+    kpoly = betti_of(terms, label_dimension(case)).kpolynomial()
     kpoly += [0] * (SLICE_BOUND + 1 - len(kpoly))
     for j in range(SLICE_BOUND + 1):
         assert kpoly[j] == sum((-1) ** k * comb(n_vars, k) * ring[j - k] for k in range(j + 1)), j
@@ -443,9 +443,9 @@ def test_f4_cone_terms_match_e6_branching():
     dec = decompose_character(f4, char_of_irrep(e6, (1, 0, 0, 0, 0, 0)).restrict(f4, fold))
     assert {w.fund_coords(): m for w, m in dec.entries.items()} == {(0, 0, 0, 1): 1, (0, 0, 0, 0): 1}
     got = _plain(AUDITS["f4-cone"].terms())
-    assert got == {(i, j, None, fc): m for (i, j, fc), m in F4_CONE_TERMS.items()} and len(got) == 30
-    for cell in ((4, 6), (6, 9)):
-        assert got[(*cell, None, (0, 0, 1, 0))] == 1 and dim_irrep(f4, (0, 0, 1, 0)) == 273
+    assert got == {(i, j, P((j,)).parts, fc): m for (i, j, fc), m in F4_CONE_TERMS.items()} and len(got) == 30
+    for i, j in ((4, 6), (6, 9)):
+        assert got[(i, j, (j,), (0, 0, 1, 0))] == 1 and dim_irrep(f4, (0, 0, 1, 0)) == 273
 
 
 @pytest.mark.parametrize(
@@ -460,7 +460,7 @@ def test_cone_resolution_is_gorenstein_self_dual(name, dual):
     in degree 15: V_a in degree j pairs with V_{-w0 a} in degree 15 - j."""
     cells = {(i, j, fc): m for (i, j, _, fc), m in _plain(AUDITS[name].terms()).items()}
     [(top, m)] = [((j, fc), m) for (i, j, fc), m in cells.items() if i == 10]
-    assert top == (15, (0,) * AUDITS[name].rank) and m == 1 and max(i for i, _, _ in cells) == 10
+    assert top == (15, (0,) * AUDITS[name].case.root_system().rank) and m == 1 and max(i for i, _, _ in cells) == 10
     assert {(10 - i, 15 - j, dual(fc)): m for (i, j, fc), m in cells.items()} == cells
 
 
@@ -487,6 +487,54 @@ def test_audit_json_shape():
     assert data["pass"] is True
     assert data["rows"][1]["computed"] == 3876
     assert data["betti"]["entries"]["1,2"] == 3876
+
+
+def test_audit_ambient_dimension_is_dim_e_times_dim_v():
+    ambient = {name: run_audit(name).betti.ambient_dim for name in AUDITS}
+    assert ambient == {"g2-y2": 14, "g2-y1": 14, "f4-cone": 26, "e6-cone": 27, "e8-start": 248}
+
+
+@pytest.mark.parametrize("name", sorted(AUDITS))
+def test_audit_terms_live_in_their_case(name):
+    """Every label is (E-shape, weight): the shape has at most dim E rows and
+    the term's internal degree as its size, and the weight belongs to the
+    case's root system."""
+    case = AUDITS[name].case
+    rs = case.root_system()
+    for t in AUDITS[name].terms():
+        for lam, w in t.content.support():
+            assert len(lam) <= case.dim_e and lam.size == t.degree, (name, t.index, lam)
+            assert (w.system.family, w.system.rank) == (rs.family, rs.rank), (name, t.index, w)
+
+
+@pytest.mark.parametrize(
+    "name,kind,dual",
+    [
+        ("f4-cone", "F4_3", lambda a: a),  # -w0 = 1
+        ("e6-cone", "E6_3", lambda a: (a[5], a[1], a[4], a[3], a[2], a[0])),  # -w0 swaps w1, w6 and w3, w5
+    ],
+)
+def test_cone_is_its_case_with_a_one_dimensional_e(name, kind, dual):
+    """Through internal degree 7, sum_i (-1)^i F_{i,j} of the cone's terms is
+    the Euler characteristic of its case with dim E = 1, computed from that
+    case's coordinate ring, R_d = S_(d)E (x) V_{bracket((d))}.  For E6_3 the
+    bracket map gives V_{d w1}, the dual of the convention of the stated
+    terms, so their weights go through -w0 first.  e8-start is not checked
+    this way: `schur_character` refuses its 248-dimensional V, above
+    SCHUR_DIM_BOUND."""
+    case = GroupCase(kind, dim_e=1)
+    assert AUDITS[name].case == case
+    rs = case.root_system()
+    terms = AUDITS[name].terms()
+    slices = []
+    for j in range(8):
+        slices.append(cauchy_slice(case, j)[0].map_labels(lambda lab: (lab[0], rs.fund_tuple(lab[1]))))
+        stated = Decomposition()
+        for t in terms:
+            if t.degree == j:
+                for (lam, w), m in t.content.entries.items():
+                    stated.add((lam, dual(w.fund_coords())), (-1) ** t.index * m)
+        assert _euler_characteristic(case, slices, j) == stated, j
 
 
 def test_betti_json_round_trip():
