@@ -169,6 +169,10 @@ class Decomposition:
     def __getitem__(self, label) -> int:
         return self.entries.get(label, 0)
 
+    # __getitem__ answers 0 for every label, so the old sequence protocol
+    # would make iter(), list() and `in` run forever; iterate `entries`.
+    __iter__ = None
+
     def __add__(self, other):
         out = self.scale(1)
         for label, mult in other.entries.items():

@@ -168,6 +168,20 @@ def test_decomposition_algebra():
     assert a.to_json() == {"[1]": 2}
 
 
+def test_decomposition_is_not_iterable():
+    # __getitem__ answers 0 for any label, so the sequence protocol would
+    # never stop; iterating, listing or testing membership raises instead.
+    from littlewood.characters import build_root_system, char_of_irrep, dim_irrep
+
+    dec = Decomposition({P((1,)): 2})
+    for use in (iter, list, tuple, lambda d: P((1,)) in d):
+        with pytest.raises(TypeError):
+            use(dec)
+    g2 = build_root_system("G", 2)
+    with pytest.raises(TypeError):
+        dim_irrep(g2, char_of_irrep(g2, (1, 0)))  # a character passed where a weight belongs
+
+
 def test_plethysm_examples():
     assert plethysm_wedge_power(2, "alternating", 4) == Decomposition({P((2, 1, 1)): 1})
     assert plethysm_wedge_power(1, "alternating", 2) == Decomposition({P((1, 1)): 1})
