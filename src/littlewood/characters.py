@@ -19,22 +19,22 @@ Conversion conventions (Bourbaki node numbering):
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache
 from types import MappingProxyType
 
 from .errors import InconsistencyError, NotCharacterError, ScaleError
-from .partitions import Decomposition, Partition, schur_fill
+from .partitions import Decomposition, Partition, border_strips, dim_schur
 
 DIM_BOUND_ENV = "LITTLEWOOD_DIM_BOUND"
 DEFAULT_DIM_BOUND = 10**6
 
 SCHUR_SIZE_BOUND = 8
-SCHUR_DIM_BOUND = 60
 
 
 def dim_bound() -> int:
@@ -569,16 +569,6 @@ class Character(Decomposition):
                 if self[self.rs.reflect(i, fc)] != m:
                     return fc, i
 
-    def letters(self):
-        """The weight multiset as a sorted list with repetitions."""
-        out = []
-        for fc in sorted(self.entries):
-            m = self.entries[fc]
-            if m < 0:
-                raise ValueError("virtual character has no weight multiset")
-            out.extend([fc] * m)
-        return out
-
     def restrict(self, target_rs: RootSystem, coord_map) -> "Character":
         """Push the weight multiset through a map on fundamental coordinates."""
         return Character(target_rs, ((tuple(coord_map(fc)), m) for fc, m in self.entries.items()))
@@ -594,47 +584,95 @@ class Character(Decomposition):
         return {str(self.rs.weight(fc)): m for fc, m in self.sorted_items()}
 
 
-def decompose_character(rs: RootSystem, char: Character) -> Decomposition:
-    """Write a character as a nonnegative sum of irreducible characters.
+# ---------------------------------------------------------------------------
+# the representation ring: Brauer-Klimyk and Adams operations
 
-    Weyl's character formula read backwards (Brauer-Klimyk with the trivial
-    representation): a Weyl-invariant chi is the sum over its weights mu of
-    (-1)^steps chi[mu] V_lam, `RootSystem.dot_walk` taking mu to lam in that
-    many steps; mu on a wall adds nothing.  Fails loudly if the input was not
-    a genuine character.  Constituents are checked and listed highest first
-    by the integer height fc . h (`RootSystem.height_vector`), then lex.
-    """
+
+def brauer_klimyk(rs: RootSystem, weights, top: tuple) -> dict:
+    """{dominant fc: multiplicity} of sum m V_{top + w} over the (w, m) of a
+    Weyl-invariant weights: `RootSystem.dot_walk` takes top + w to V_lam with
+    sign (-1)^steps, or to nothing on a wall.  Zeros are dropped."""
+    out = {}
+    for fc, m in weights:
+        walked = rs.dot_walk(tuple(map(operator.add, top, fc)))
+        if walked:
+            out[walked[1]] = out.get(walked[1], 0) + (-m if walked[0] % 2 else m)
+    return {fc: m for fc, m in out.items() if m}
+
+
+def _constituents(rs: RootSystem, mults: dict, dim: int, where: str, negative=InconsistencyError) -> Decomposition:
+    """{dominant fc: multiplicity} as checked constituents whose dimensions sum
+    to dim, highest first by the integer height fc . h (`height_vector`), then lex."""
+    limit = dim_bound()
+    out = Decomposition()
+    for fc in sorted(mults, key=lambda fc: (sum(map(operator.mul, fc, rs.height_vector)), fc), reverse=True):
+        m = mults[fc]
+        if m < 0:
+            raise negative(f"negative multiplicity {m} at {fc} in {rs}")
+        if dim_irrep(rs, fc) > limit:
+            raise ScaleError(f"dim {dim_irrep(rs, fc)} exceeds the configured bound {limit}")
+        out.add(rs.weight(fc), m)
+    mass = sum(m * dim_irrep(rs, fc) for fc, m in mults.items())
+    if mass != dim:
+        raise InconsistencyError(f"{where}: constituent dimensions sum to {mass}, the character to {dim} in {rs}")
+    return out
+
+
+def decompose_character(rs: RootSystem, char: Character) -> Decomposition:
+    """Write a character as a nonnegative sum of irreducible characters:
+    Weyl's character formula read backwards, Brauer-Klimyk with the trivial
+    representation.  Fails loudly if the input was not a genuine character."""
     defect = char.weyl_defect()
     if defect:
         fc, s = defect[0], rs.reflect(defect[1], defect[0])
         raise NotCharacterError(f"decompose_character: {fc} has multiplicity {char[fc]} but its reflection s_{defect[1] + 1} {fc} = {s} has {char[s]} in {rs}; not Weyl-invariant")
-    mults = Decomposition()
-    for fc, c in char.entries.items():
-        walked = rs.dot_walk(fc)
-        if walked:
-            mults.add(walked[1], -c if walked[0] % 2 else c)
-    limit = dim_bound()
-    out = Decomposition()
-    for fc in sorted(mults.entries, key=lambda fc: (sum(map(operator.mul, fc, rs.height_vector)), fc), reverse=True):
-        m = mults[fc]
-        if m < 0:
-            raise NotCharacterError(f"negative multiplicity {m} at {fc} in {rs}")
-        if dim_irrep(rs, fc) > limit:
-            raise ScaleError(f"dim {dim_irrep(rs, fc)} exceeds the configured bound {limit}")
-        out.add(rs.weight(fc), m)
-    mass = mults.total(partial(dim_irrep, rs))
-    if mass != char.dimension():
-        raise InconsistencyError(f"decompose_character: constituent dimensions sum to {mass}, the character to {char.dimension()} in {rs}")
-    return out
+    mults = brauer_klimyk(rs, char.entries.items(), (0,) * rs.rank)
+    return _constituents(rs, mults, char.dimension(), "decompose_character", NotCharacterError)
 
 
-def schur_character(rs: RootSystem, base: Character, lam, *, size_bound=SCHUR_SIZE_BOUND) -> Character:
-    """Character of the Schur functor applied to a virtual space with the given
-    character: the Schur polynomial evaluated on the weight multiset, computed
-    by the horizontal-strip recursion of `schur_fill` over its letters."""
-    lam = Partition(lam)
-    if lam.size > size_bound:
-        raise ScaleError(f"schur_character supports |lambda| <= {size_bound}")
-    if base.dimension() > SCHUR_DIM_BOUND:
-        raise ScaleError(f"schur_character supports base dimension <= {SCHUR_DIM_BOUND}")
-    return Character(rs, schur_fill(lam, base.letters(), (0,) * rs.rank))
+@cache
+def _adams_tensor(family: str, rank: int, v: tuple, i: int, kappa: tuple) -> tuple:
+    """psi^i(V_v) (x) V_kappa as ((dominant fc, multiplicity), ...): the i-th
+    Adams operation has the weights of V_v times i, so this is Brauer-Klimyk."""
+    rs = build_root_system(family, rank)
+    weights = ((tuple(i * c for c in fc), m) for fc, m in char_of_irrep(rs, v).entries.items())
+    return tuple(brauer_klimyk(rs, weights, kappa).items())
+
+
+def adams_series(rs: RootSystem, v: tuple, start: dict, rows: int, sign: int, inside=None):
+    """Yield X_0 = start, X_1, ...: X_k = start (x) Lambda^k(E (x) V) for sign
+    -1, Sym^k for +1, V = V_v, keyed (E-shape parts with at most rows rows,
+    dominant fc).  Newton's identity, k X_k = sum_{i=1..k} sign^(i-1) p_i(E)
+    psi^i(V) X_{k-i}: p_i moves beads (`border_strips`), psi^i(V) is Brauer-
+    Klimyk over i times the weights of V, and the division by k must be
+    exact.  With inside, only its shapes are kept: exact when it holds every
+    shape inside its members, as a border strip only grows a shape."""
+    done = [start]
+    for k in itertools.count(1):
+        yield done[-1]
+        acc = {}
+        for i in range(1, k + 1):
+            c = -1 if sign < 0 and i % 2 == 0 else 1
+            for (parts, kappa), m in done[k - i].items():
+                tensor = _adams_tensor(rs.family, rs.rank, v, i, kappa)
+                for mu, s in border_strips(parts, i, rows):
+                    if inside is None or mu in inside:
+                        for lam, t in tensor:
+                            acc[mu, lam] = acc.get((mu, lam), 0) + c * s * m * t
+        if any(x % k for x in acc.values()):
+            raise InconsistencyError(f"adams_series of {rs.weight(v)} in {rs}: step {k} is not divisible by {k}")
+        done.append({key: x // k for key, x in acc.items() if x})
+
+
+def schur_character(rs: RootSystem, weight, lam) -> Decomposition:
+    """The constituents of S_lam(V), V the irreducible of the given highest
+    weight, listed as by `decompose_character`: by Cauchy, the S_lam E part
+    of Sym^|lam|(E (x) V), the Adams series kept to the shapes inside lam."""
+    v, lam = rs.fund_tuple(weight), Partition(lam)
+    dim_v = char_of_irrep(rs, v).dimension()
+    if lam.size > SCHUR_SIZE_BOUND:
+        raise ScaleError(f"schur_character supports |lambda| <= {SCHUR_SIZE_BOUND}")
+    inside = {tuple(filter(None, mu)) for mu in itertools.product(*(range(p + 1) for p in lam)) if all(map(operator.ge, mu, mu[1:]))}
+    top = next(itertools.islice(adams_series(rs, v, {((), (0,) * rs.rank): 1}, len(lam), 1, inside), lam.size, None))
+    mults = {fc: m for (mu, fc), m in top.items() if mu == lam.parts}
+    return _constituents(rs, mults, dim_schur(lam, dim_v), f"schur_character {lam} of {rs.weight(v)}")

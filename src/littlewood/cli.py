@@ -163,17 +163,15 @@ def _cmd_decompose(args):
     family, rank = parse_type(args.type)
     rs = build_root_system(family, rank)
     if args.input:
-        raw = sys.stdin.read() if args.input == "-" else open(args.input).read()
-        data = json.loads(raw)
-        char = Character(rs, ((weight_from_key(key).fund_coords(), mult) for key, mult in data.items()))
+        data = json.loads(sys.stdin.read() if args.input == "-" else open(args.input).read())
+        dec = decompose_character(rs, Character(rs, ((weight_from_key(key).fund_coords(), mult) for key, mult in data.items())))
     elif args.weight is None:
         raise LittlewoodError("decompose needs --weight (plus optional --schur) or --input")
+    elif args.schur:
+        dec = schur_character(rs, parse_weight(args.weight, family, rank), parse_partition(args.schur))
     else:
-        base = char_of_irrep(rs, parse_weight(args.weight, family, rank))
-        char = schur_character(rs, base, parse_partition(args.schur)) if args.schur else base
-    dec = decompose_character(rs, char)
-    lines = [f"{w}: {m}" for w, m in dec.sorted_items()]
-    return 0, dec.to_json(), lines
+        dec = decompose_character(rs, char_of_irrep(rs, parse_weight(args.weight, family, rank)))
+    return 0, dec.to_json(), [f"{w}: {m}" for w, m in dec.sorted_items()]
 
 
 def _cmd_lr(args):

@@ -19,8 +19,6 @@ from .characters import (
     RootSystem,
     Weight,
     build_root_system,
-    char_of_irrep,
-    decompose_character,
     dim_bound,
     dim_irrep,
     schur_character,
@@ -235,17 +233,15 @@ def branch_gl_to_iso(lam, target, oracle: bool = False) -> Decomposition:
 
 
 def _branch_by_characters(lam: Partition, kind: str, m: int) -> Decomposition:
-    """Brute-force branching: build the Schur functor of the vector character
-    and decompose.  Labels are partitions; in the even orthogonal case the two
-    mirror full-length irreducibles are fused into one orthogonal label, and in
-    the odd one a constituent mu whose size has the other parity than lam is
-    the associate label (first column m - len(mu)), since -I acts on S_lam by
-    (-1)^|lam|."""
+    """Branching through characters of the connected group: the constituents
+    of the Schur functor of the vector representation (`schur_character`),
+    independent of Littlewood's rule.  Labels are partitions; in the even
+    orthogonal case the two mirror full-length irreducibles are fused into one
+    orthogonal label, and in the odd one a constituent mu whose size has the
+    other parity than lam is the associate label (first column m - len(mu)),
+    since -I acts on S_lam by (-1)^|lam|."""
     family, n = ("C" if kind == "Sp" else "B" if m % 2 else "D"), m // 2
-    rs = build_root_system(family, n)
-    vector = char_of_irrep(rs, Weight.epsilon(family, n, (1,) + (0,) * (n - 1)))  # V = V_{eps_1}
-    char = schur_character(rs, vector, lam)
-    dec = decompose_character(rs, char)
+    dec = schur_character(build_root_system(family, n), Weight.epsilon(family, n, (1,) + (0,) * (n - 1)), lam)  # V_{eps_1}
     out, unmatched = Decomposition(), Decomposition()
     for w, mult in dec.entries.items():
         eps = tuple(t >> 1 for t in w.to_epsilon().twice)  # integral, as in every tensor power of V
@@ -322,7 +318,7 @@ def spinor_complex(family: str, n: int) -> list[GradedTerm]:
     if family not in SPINOR_FAMILIES:
         raise ValueError(f"family must be one of {SPINOR_FAMILIES}")
     if not 1 <= n <= 8:
-        raise ScaleError("spinor complexes supported for 1 <= n <= 8")
+        raise ScaleError(f"spinor_complex {family}: n {n} is {'below 1' if n < 1 else 'past the bound 8'}")
     by_cell: dict[tuple, Decomposition] = {}
     for size in range(n * n + 1):
         for lam in partitions_of(size, max_length=n, max_part=n):

@@ -7,8 +7,9 @@ compare and hash equally.
 Semistandard fillings are enumerated in one place, `schur_fill`, by the
 horizontal-strip recursion: the cells holding one entry form a horizontal
 strip, so the fillings grow one letter at a time through the shapes between
-inner and outer.  Schur functors of characters and the plethysm oracle
-both use it.
+inner and outer.  The plethysm oracle uses it; Schur functors of group
+representations take Adams operations instead, whose GL side is the
+Murnaghan-Nakayama bead move of `border_strips`.
 
 Littlewood-Richardson coefficients count lattice-word fillings, a different
 object, in `_lr`: one walk per skew shape lam/mu gives every c^lam_{mu nu}
@@ -169,9 +170,7 @@ class Decomposition:
     def __getitem__(self, label) -> int:
         return self.entries.get(label, 0)
 
-    # __getitem__ answers 0 for every label, so the old sequence protocol
-    # would make iter(), list() and `in` run forever; iterate `entries`.
-    __iter__ = None
+    __iter__ = None  # __getitem__ answers 0 for any label, so iter() and `in` would never end
 
     def __add__(self, other):
         out = self.scale(1)
@@ -351,6 +350,22 @@ def skew_schur_expand(outer, inner) -> Decomposition:
 
 # ---------------------------------------------------------------------------
 # dimensions and semistandard tableaux
+
+
+@cache
+def border_strips(parts: tuple, r: int, rows: int) -> tuple:
+    """((mu, sign), ...) with p_r s_parts = sum sign s_mu over the mu of at most
+    rows rows (Murnaghan-Nakayama): on the abacus of rows beads at parts[i] +
+    rows - 1 - i, a border strip of r cells moves a bead from x to an empty
+    x + r, and its height, the number of beads passed, gives the sign."""
+    beads = [p + rows - 1 - i for i, p in enumerate(parts + (0,) * (rows - len(parts)))]
+    out = []
+    for x in beads:
+        if x + r not in beads:
+            moved = sorted([b for b in beads if b != x] + [x + r], reverse=True)
+            mu = tuple(b - rows + 1 + i for i, b in enumerate(moved))
+            out.append((Partition(mu).parts, -1 if sum(x < b < x + r for b in beads) % 2 else 1))
+    return tuple(out)
 
 
 def dim_schur(lam, m: int) -> int:

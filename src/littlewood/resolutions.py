@@ -14,12 +14,11 @@ import contextlib
 import itertools
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import cache
 
-from .characters import Character, Weight, build_root_system, char_of_irrep, decompose_character, dim_irrep, schur_character
+from .characters import Character, Weight, adams_series, build_root_system, char_of_irrep, decompose_character, dim_irrep
 from .complexes import GradedTerm, GroupCase, bracket_labels, bracket_weight, branch_gl_to_iso
 from .errors import InconsistencyError, ScaleError
-from .partitions import Decomposition, Partition, dim_schur, enumerate_q, lr_coefficient, partitions_of
+from .partitions import Decomposition, Partition, dim_schur, enumerate_q, partitions_of
 
 
 # ---------------------------------------------------------------------------
@@ -30,7 +29,7 @@ from .partitions import Decomposition, Partition, dim_schur, enumerate_q, lr_coe
 class BettiTable:
     entries: dict
     ambient_dim: int | None = None
-    cut: int | None = None  # the last internal degree of a resolution stated only in part
+    cut: int | None = None  # the last internal degree of a resolution known only in part
 
     def __post_init__(self):
         self.entries = {k: v for k, v in self.entries.items() if v}
@@ -201,8 +200,8 @@ def cauchy_slice(case: GroupCase, d: int):
     Every label is one irreducible of the connected group, so an even
     orthogonal shape with n rows carries both mirrors (see `bracket_labels`).
     """
-    if d < 0 or d > SLICE_BOUND:
-        raise ScaleError(f"slice degree {d} out of range 0..{SLICE_BOUND}")
+    if not 0 <= d <= SLICE_BOUND:
+        raise ScaleError(f"cauchy_slice {case.name}: degree {d} is {'below 0' if d < 0 else f'past SLICE_BOUND {SLICE_BOUND}'}")
     out = Decomposition()
     for lam in partitions_of(d, max_length=case.dim_e):
         if case.kind == "F4_6":
@@ -230,52 +229,31 @@ def quadric_space_dim(case: GroupCase) -> int:
 # equivariant resolutions peeled from the coordinate ring
 
 
-@cache
-def _schur_weights_of_v(case: GroupCase, sigma: Partition) -> tuple:
-    """The (fundamental coordinates, multiplicity) weights of S_sigma' V, sigma'
-    the transpose and V the irreducible of the one-box shape."""
+def euler_characteristics(case: GroupCase, slice_fn):
+    """Yield sum_k (-1)^k R_{j-k} (x) wedge^k(E (x) V) for j = 0, 1, ...,
+    labelled (E-shape parts, fundamental coordinates), R_d = slice_fn(d) and V
+    = V_bracket((1)): slice d starts its series R_d (x) wedge^k(E (x) V)
+    (`adams_series`), and each degree takes the next term of every series."""
     rs = case.root_system()
-    base = char_of_irrep(rs, bracket_weight(case, (1,)))
-    return tuple(schur_character(rs, base, sigma.transpose(), size_bound=SLICE_BOUND).entries.items())
+    v = rs.fund_tuple(bracket_weight(case, (1,)))
+    series = []
+    for j in itertools.count():
+        ring = {(lam.parts, rs.fund_tuple(w)): m for (lam, w), m in slice_fn(j).entries.items()}
+        series.append(adams_series(rs, v, ring, case.dim_e, -1))
+        out = Decomposition()
+        for d, terms in enumerate(series):
+            for label, m in next(terms).items():
+                out.add(label, -m if (j - d) % 2 else m)
+        yield out
 
 
-def _euler_characteristic(case: GroupCase, slices: list, j: int) -> Decomposition:
-    """sum_k (-1)^k R_{j-k} (x) wedge^k(E (x) V), R_d = slices[d] labelled (shape,
-    fundamental coordinates), wedge^k(E (x) V) = sum over sigma |- k of
-    S_sigma E (x) S_sigma' V (dual Cauchy).  E side: c^tau_{lam sigma}; V side:
-    Brauer-Klimyk, a Bott walk of mu + w for each weight w of S_sigma' V."""
-    rs = case.root_system()
-
-    @cache
-    def walk(fc):  # (dominant weight, sign) of V_fc, or None when it vanishes
-        walked = rs.dot_walk(fc)
-        return walked and (walked[1], -1 if walked[0] % 2 else 1)
-
-    taus = partitions_of(j, max_length=case.dim_e)
-    out = Decomposition()
-    for d, ring in enumerate(slices):
-        for sigma in partitions_of(j - d, max_length=case.dim_e):
-            for (lam, mu), m in ring.entries.items():
-                v_side = Decomposition()
-                for w, mw in _schur_weights_of_v(case, sigma):
-                    shifted = walk(tuple(a + b for a, b in zip(mu, w)))
-                    if shifted:
-                        v_side.add(shifted[0], shifted[1] * mw)
-                for tau in taus:
-                    c = (-1) ** (j - d) * m * lr_coefficient(tau, lam, sigma)
-                    if c:
-                        for kappa, v in v_side.entries.items():
-                            out.add((tau, kappa), c * v)
-    return out
-
-
-def peel_resolution(case: GroupCase, slice_fn, codim: int) -> list[GradedTerm]:
+def peel_resolution(case: GroupCase, slice_fn, codim: int, stop: int | None = None) -> list[GradedTerm]:
     """Peel an equivariant minimal free resolution over Sym(E (x) V) from the
     coordinate-ring slices R_j = slice_fn(j), labelled (shape, weight) as by
     `cauchy_slice`; V is the irreducible bracket_weight(case, (1,)).
 
-    Each internal degree is closed-form, independent of the others:
-    sum_i (-1)^i F_{i,j} = sum_k (-1)^k R_{j-k} (x) wedge^k(E (x) V).  With e
+    Each internal degree j has sum_i (-1)^i F_{i,j} = sum_k (-1)^k R_{j-k} (x)
+    wedge^k(E (x) V), from `euler_characteristics`.  With e
     the current end of the resolution, the positive part goes to whichever
     of e, e + 1 is even and the negative part to the odd one.  A summand
     present in both neighbouring homological degrees of one internal degree
@@ -284,16 +262,14 @@ def peel_resolution(case: GroupCase, slice_fn, codim: int) -> list[GradedTerm]:
     The walk stops at the first degree where the length is codim and the
     dimension-level K-polynomial divides by (1-T)^codim; a term past the
     codimension, or no stop by internal degree SLICE_BOUND, raises
-    InconsistencyError.
+    InconsistencyError.  With stop, the walk ends after internal degree stop
+    at the latest: a resolution cut there.
     """
     rs = case.root_system()
     dim_of = label_dimension(case)
     cells: dict[tuple[int, int], Decomposition] = {}
-    slices, kpoly = [], []
-    end = 0
-    for j in range(SLICE_BOUND + 1):
-        slices.append(slice_fn(j).map_labels(lambda lab: (lab[0], rs.fund_tuple(lab[1]))))
-        euler = _euler_characteristic(case, slices, j)
+    kpoly, end = [], 0
+    for j, euler in zip(range(SLICE_BOUND + 1), euler_characteristics(case, slice_fn)):
         last = end
         for sign, parity in ((1, 0), (-1, 1)):
             part = Decomposition({label: sign * m for label, m in euler.entries.items() if sign * m > 0})
@@ -307,6 +283,8 @@ def peel_resolution(case: GroupCase, slice_fn, codim: int) -> list[GradedTerm]:
             cells[(i, j)] = part
             end = max(end, i)
         kpoly.append(euler.total(dim_of))
+        if j == stop:
+            break
         with contextlib.suppress(InconsistencyError):  # raised while (1-T)^codim does not divide
             if end == codim:
                 divide_by_one_minus_t(kpoly, codim)
@@ -317,7 +295,7 @@ def peel_resolution(case: GroupCase, slice_fn, codim: int) -> list[GradedTerm]:
             f"divisible by (1-T)^{codim}, when the walk stops at internal degree {SLICE_BOUND}, the slice bound"
         )
     return [
-        GradedTerm(i, j, content.map_labels(lambda lab: (lab[0], rs.weight(lab[1]))))
+        GradedTerm(i, j, content.map_labels(lambda lab: (Partition(lab[0]), rs.weight(lab[1]))))
         for (i, j), content in sorted(cells.items())
     ]
 
@@ -379,16 +357,6 @@ E6_CONE_TERMS = [  # the cone over the minimal orbit of the 27-dimensional repre
 
 E6_BETTI_TOTALS = [1, 27, 78, 351, 650, 702, 650, 351, 78, 27, 1]
 E6_HILBERT_NUMERATOR = [1, 10, 28, 28, 10, 1]
-
-E8_START_TERMS = [  # the first steps for the cone over the adjoint minimal orbit
-    (0, 0, (0, 0, 0, 0, 0, 0, 0, 0), 1),
-    (1, 2, (0, 0, 0, 0, 0, 0, 0, 0), 1),
-    (1, 2, (1, 0, 0, 0, 0, 0, 0, 0), 1),
-    (2, 3, (0, 0, 0, 0, 0, 0, 0, 1), 1),
-    (2, 3, (0, 1, 0, 0, 0, 0, 0, 0), 1),
-    (2, 3, (1, 0, 0, 0, 0, 0, 0, 0), 1),
-]
-
 
 def _f4_cone_terms() -> list[GradedTerm]:
     """The cone over the minimal orbit of the 26-dimensional representation of
@@ -469,9 +437,10 @@ def run_audit(name: str) -> AuditReport:
 
 
 # The one registry of named resolutions.  g2-y2 and g2-y1 are peeled from
-# their coordinate rings (codimensions 5 and 7), and f4-cone is e6-cone
-# restricted to F4; e6-cone and e8-start are stated, e8-start through internal
-# degree 3 only.  The cones are their cases with dim E = 1.
+# their coordinate rings (codimensions 5 and 7), e8-start too but cut after
+# internal degree 3 (the E8 cone has dimension 58, codimension 190), and
+# f4-cone is e6-cone restricted to F4; e6-cone is stated.  The cones are their
+# cases with dim E = 1.
 _G2 = GroupCase("G2")
 _E6_CONE, _E8_CONE = GroupCase("E6_3", dim_e=1), GroupCase("E8_7", dim_e=1)
 AUDITS = {
@@ -480,7 +449,7 @@ AUDITS = {
     "g2-y1": AuditSpec(_G2, lambda: peel_resolution(_G2, _g2_y1_slice, 7), [1, 24, 84, 126, 119, 77, 27, 4]),
     "f4-cone": AuditSpec(GroupCase("F4_3", dim_e=1), _f4_cone_terms, E6_BETTI_TOTALS),
     "e6-cone": AuditSpec(_E6_CONE, _stated(_E6_CONE, E6_CONE_TERMS), E6_BETTI_TOTALS),
-    "e8-start": AuditSpec(_E8_CONE, _stated(_E8_CONE, E8_START_TERMS), [1, 3876, 151373], cut=3),
+    "e8-start": AuditSpec(_E8_CONE, lambda: peel_resolution(_E8_CONE, lambda j: cauchy_slice(_E8_CONE, j)[0], 190, stop=AUDITS["e8-start"].cut), [1, 3876, 151373], cut=3),
 }
 
 # Reference only: the characteristic-2 Betti table of the rank-2 variety, as

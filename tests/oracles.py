@@ -1,6 +1,15 @@
-"""Reference oracles shared by the test modules."""
+"""Reference oracles shared by the test modules.
 
-from littlewood.partitions import schur_fill
+The weight-fill routes here are the ones the library replaced by Adams
+operations (`characters.adams_series`); they expand every Schur functor
+weight by weight, so they are slow but independent of the kernel they check.
+"""
+
+from functools import cache
+
+from littlewood.characters import Character, char_of_irrep
+from littlewood.complexes import bracket_weight
+from littlewood.partitions import Decomposition, Partition, lr_coefficient, partitions_of, schur_fill
 
 
 def count_skew_ssyt(outer, inner, m: int) -> int:
@@ -10,3 +19,52 @@ def count_skew_ssyt(outer, inner, m: int) -> int:
     of the lattice-word walk of the LR route it checks.
     """
     return sum(schur_fill(outer, [(1,)] * m, (0,), inner).values())
+
+
+def letters(char: Character) -> list:
+    """The weight multiset of a character as a sorted list with repetitions."""
+    out = []
+    for fc, m in sorted(char.entries.items()):
+        if m < 0:
+            raise ValueError("virtual character has no weight multiset")
+        out.extend([fc] * m)
+    return out
+
+
+def fill_character(rs, base: Character, lam) -> Character:
+    """The character of S_lam applied to a space with character base: the
+    Schur polynomial evaluated on its weight multiset, by `schur_fill`."""
+    return Character(rs, schur_fill(lam, letters(base), (0,) * rs.rank))
+
+
+@cache
+def _schur_weights_of_v(case, sigma: Partition) -> tuple:
+    """The (fundamental coordinates, multiplicity) weights of S_sigma' V, sigma'
+    the transpose and V the irreducible of the one-box shape."""
+    rs = case.root_system()
+    base = char_of_irrep(rs, bracket_weight(case, (1,)))
+    return tuple(fill_character(rs, base, sigma.transpose()).entries.items())
+
+
+def cauchy_euler(case, slices: list, j: int) -> Decomposition:
+    """sum_k (-1)^k R_{j-k} (x) wedge^k(E (x) V), R_d = slices[d] labelled (shape
+    parts, fundamental coordinates), wedge^k(E (x) V) = sum over sigma |- k of
+    S_sigma E (x) S_sigma' V (dual Cauchy).  E side: c^tau_{lam sigma}; V side:
+    Brauer-Klimyk, a Bott walk of mu + w for each weight w of S_sigma' V."""
+    rs = case.root_system()
+    taus = partitions_of(j, max_length=case.dim_e)
+    out = Decomposition()
+    for d, ring in enumerate(slices):
+        for sigma in partitions_of(j - d, max_length=case.dim_e):
+            for (lam, mu), m in ring.entries.items():
+                v_side = Decomposition()
+                for w, mw in _schur_weights_of_v(case, sigma):
+                    walked = rs.dot_walk(tuple(a + b for a, b in zip(mu, w)))
+                    if walked:
+                        v_side.add(walked[1], -mw if walked[0] % 2 else mw)
+                for tau in taus:
+                    c = (-1) ** (j - d) * m * lr_coefficient(tau, lam, sigma)
+                    if c:
+                        for kappa, v in v_side.entries.items():
+                            out.add((tau.parts, kappa), c * v)
+    return out

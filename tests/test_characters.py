@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from littlewood import characters as characters_module
 from littlewood.characters import (
     _RANK_RANGES,
     Character,
@@ -22,6 +23,7 @@ from littlewood.characters import (
 )
 from littlewood.errors import InconsistencyError, NotCharacterError, ScaleError
 from littlewood.partitions import Decomposition
+from oracles import fill_character, letters
 
 EXPECTED_POSITIVE_ROOTS = [
     ("A", 1, 1),
@@ -180,13 +182,15 @@ def test_decompose_character_examples():
     seven = char_of_irrep(g2, (1, 0))
     assert decompose_character(g2, seven).to_json() == {"fund:G2:1,0": 1}
 
-    wedge = schur_character(g2, seven, (1, 1))
+    wedge = fill_character(g2, seven, (1, 1))
     assert wedge.dimension() == 21
     assert decompose_character(g2, wedge).to_json() == {"fund:G2:0,1": 1, "fund:G2:1,0": 1}
+    assert schur_character(g2, (1, 0), (1, 1)) == decompose_character(g2, wedge)
 
-    sym = schur_character(g2, seven, (2,))
+    sym = fill_character(g2, seven, (2,))
     assert sym.dimension() == 28
     assert decompose_character(g2, sym).to_json() == {"fund:G2:0,0": 1, "fund:G2:2,0": 1}
+    assert schur_character(g2, (1, 0), (2,)) == decompose_character(g2, sym)
 
 
 def test_decompose_rejects_non_characters():
@@ -225,39 +229,71 @@ def test_decompose_round_trip_fuzz():
         assert decompose_character(rs, total) == target
 
 
-def _power(rs, letters, k, choose):
+def _power(rs, weights, k, choose):
     """The character of a k-th power summed over the k-subsets or k-multisets
     of the weight letters, by brute force."""
-    return Character(rs, ((tuple(map(sum, zip(*pick))), 1) for pick in choose(letters, k)))
+    return Character(rs, ((tuple(map(sum, zip(*pick))), 1) for pick in choose(weights, k)))
 
 
 def test_schur_character_matches_powers():
+    # the constituents of wedge^k and Sym^k, against brute-force powers of
+    # the weight letters decomposed by Weyl's formula
     g2 = build_root_system("G", 2)
     base = char_of_irrep(g2, (1, 0))
     for k in (1, 2, 3):
-        assert schur_character(g2, base, (1,) * k) == _power(g2, base.letters(), k, itertools.combinations)
-        assert schur_character(g2, base, (k,)) == _power(g2, base.letters(), k, itertools.combinations_with_replacement)
-    assert schur_character(g2, base, (1,)) == base
+        wedge = _power(g2, letters(base), k, itertools.combinations)
+        sym = _power(g2, letters(base), k, itertools.combinations_with_replacement)
+        assert schur_character(g2, (1, 0), (1,) * k) == decompose_character(g2, wedge)
+        assert schur_character(g2, (1, 0), (k,)) == decompose_character(g2, sym)
+        assert fill_character(g2, base, (1,) * k) == wedge and fill_character(g2, base, (k,)) == sym
+    assert schur_character(g2, (1, 0), (1,)).to_json() == {"fund:G2:1,0": 1}
+    assert schur_character(g2, Weight.fundamental("G", 2, (1, 0)), ()).to_json() == {"fund:G2:0,0": 1}
 
 
 def test_schur_character_sp4_example():
     c2 = build_root_system("C", 2)
-    base = char_of_irrep(c2, Weight.epsilon("C", 2, (1, 0)))
-    char = schur_character(c2, base, (2, 2))
-    assert char.dimension() == 20
-    dec = decompose_character(c2, char)
+    dec = schur_character(c2, Weight.epsilon("C", 2, (1, 0)), (2, 2))
+    assert dec.total(lambda w: dim_irrep(c2, w)) == 20
     labels = {w.to_epsilon().twice: m for w, m in dec.entries.items()}
     assert labels == {(4, 4): 1, (2, 2): 1, (0, 0): 1}
 
 
 def test_schur_character_bounds():
+    # |lambda| is capped at SCHUR_SIZE_BOUND; the base dimension is not: the
+    # symmetric and exterior squares of the 248-dimensional E8 adjoint answer
     g2 = build_root_system("G", 2)
-    base = char_of_irrep(g2, (1, 0))
-    with pytest.raises(ScaleError):
-        schur_character(g2, base, (9,))
+    with pytest.raises(ScaleError, match=r"schur_character supports \|lambda\| <= 8"):
+        schur_character(g2, (1, 0), (9,))
     e8 = build_root_system("E", 8)
-    with pytest.raises(ScaleError):
-        schur_character(e8, char_of_irrep(e8, (0,) * 7 + (1,)), (2,))
+    adjoint = (0,) * 7 + (1,)
+    sym2 = {w.fund_coords(): m for w, m in schur_character(e8, adjoint, (2,)).entries.items()}
+    assert sym2 == {(0,) * 7 + (2,): 1, (1,) + (0,) * 7: 1, (0,) * 8: 1}
+    wedge2 = {w.fund_coords(): m for w, m in schur_character(e8, adjoint, (1, 1)).entries.items()}
+    assert wedge2 == {adjoint: 1, (0,) * 6 + (1, 0): 1}
+    assert [dim_irrep(e8, fc) for fc in sym2] == [27000, 3875, 1]
+
+
+def test_schur_character_checks_its_own_arithmetic(monkeypatch):
+    # a corrupted Brauer-Klimyk table breaks Newton's division by k, a
+    # negated one gives a negative multiplicity, and a wrong dimension fails
+    # the mass check; each is an InconsistencyError, not a wrong answer
+    g2 = build_root_system("G", 2)
+    real = characters_module._adams_tensor.__wrapped__
+
+    def bumped(family, rank, v, i, kappa):
+        return real(family, rank, v, i, kappa) + (((0, 0), 1),)
+
+    def flipped(family, rank, v, i, kappa):
+        return tuple((fc, -m) for fc, m in real(family, rank, v, i, kappa))
+
+    for fake, lam, message in ((bumped, (2,), "step 2 is not divisible by 2"), (flipped, (1,), "negative multiplicity -1 at")):
+        monkeypatch.setattr(characters_module, "_adams_tensor", fake)
+        with pytest.raises(InconsistencyError, match=message):
+            schur_character(g2, (1, 0), lam)
+    monkeypatch.setattr(characters_module, "_adams_tensor", real)
+    monkeypatch.setattr(characters_module, "dim_schur", lambda lam, m: 27)
+    with pytest.raises(InconsistencyError, match=r"schur_character \[2\] of fund:G2:1,0: constituent dimensions sum to 28, the character to 27"):
+        schur_character(g2, (1, 0), (2,))
 
 
 def test_character_tensor_and_json():
@@ -265,7 +301,8 @@ def test_character_tensor_and_json():
     seven = char_of_irrep(g2, (1, 0))
     sq = seven * seven
     assert sq.dimension() == 49
-    assert sq == schur_character(g2, seven, (1, 1)) + schur_character(g2, seven, (2,))
+    assert sq == fill_character(g2, seven, (1, 1)) + fill_character(g2, seven, (2,))
+    assert decompose_character(g2, sq) == schur_character(g2, (1, 0), (1, 1)) + schur_character(g2, (1, 0), (2,))
     data = seven.to_json()
     assert data["fund:G2:1,0"] == 1 and len(data) == 7
 

@@ -378,3 +378,25 @@ def test_every_listed_betti_name_renders(capsys):
         for fmt in ("text", "json"):
             code, out, err = run_cli(capsys, "betti", "--case", name, "--format", fmt)
             assert (code, err) == (0, "") and out.strip(), (name, fmt)
+
+
+@pytest.mark.parametrize(
+    "argv,err",
+    [
+        (("slice", "--case", "E6_3", "--degree", "13"), "error: cauchy_slice E6_3: degree 13 is past SLICE_BOUND 12\n"),
+        (("slice", "--case", "SpC(2)", "--degree", "-1"), "error: cauchy_slice SpC(2): degree -1 is below 0\n"),
+        (("spinor", "--family", "Dfull", "--n", "9"), "error: spinor_complex Dfull: n 9 is past the bound 8\n"),
+        (("spinor", "--family", "B", "--n", "0"), "error: spinor_complex B: n 0 is below 1\n"),
+        (("decompose", "--type", "G2", "--weight", "1,0", "--schur", "9"), "error: schur_character supports |lambda| <= 8\n"),
+    ],
+)
+def test_refusals_name_the_operation_the_input_and_the_bound(capsys, argv, err):
+    assert run_cli(capsys, *argv) == (2, "", err)
+
+
+def test_schur_functor_of_the_e8_adjoint_answers(capsys):
+    # the 248-dimensional base was refused while Schur functors were filled
+    # weight by weight; wedge^2(248) = 248 + 30380
+    code, out, err = run_cli(capsys, "decompose", "--type", "E8", "--weight", "0,0,0,0,0,0,0,1", "--schur", "1,1")
+    assert (code, err) == (0, "")
+    assert out == "fund:E8:0,0,0,0,0,0,0,1: 1\nfund:E8:0,0,0,0,0,0,1,0: 1\n"

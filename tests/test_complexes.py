@@ -1,7 +1,7 @@
 import pytest
 
 from littlewood.bott import SpinLabel, delta_weight_B, delta_weight_D
-from littlewood.characters import Character, Weight, build_root_system, char_of_irrep, dim_irrep, schur_character
+from littlewood.characters import Character, Weight, build_root_system, char_of_irrep, dim_irrep
 from littlewood.complexes import (
     CASE_KINDS,
     _SPIN_MIRRORS,
@@ -18,6 +18,7 @@ from littlewood.complexes import (
 )
 from littlewood.errors import StableRangeError
 from littlewood.partitions import Decomposition, Partition, dim_schur, partitions_of, skew_schur_expand
+from oracles import fill_character
 
 P = Partition
 
@@ -294,7 +295,7 @@ def _spinor_identity_failures(family, n, max_size):
             for term in spinor_complex(family, n):
                 for (mu, label), mult in term.content.entries.items():
                     for nu, c in skew_schur_expand(lam, mu).entries.items():
-                        piece = schur_character(rs, vector, nu) * labels[label]
+                        piece = fill_character(rs, vector, nu) * labels[label]
                         lhs = lhs + piece.scale((-1) ** term.index * mult * c)
             rhs = Character(rs)
             for mirror in _SPIN_MIRRORS[family]:

@@ -1,6 +1,7 @@
 """Property tests of `decompose_character`: it inverts sums of irreducible
 characters, agrees with the subtraction peel it replaced, and refuses what is
-not a character."""
+not a character; and of `schur_character`, against the weight fill it
+replaced, decomposed."""
 
 import itertools
 import os
@@ -23,8 +24,10 @@ from littlewood.characters import (
     schur_character,
     weyl_orbit,
 )
+from littlewood.partitions import partitions_of
 from littlewood.errors import InconsistencyError, NotCharacterError, ScaleError
 from littlewood.partitions import Decomposition
+from oracles import fill_character
 
 RANK2 = ("A", "B", "C", "G")
 
@@ -83,7 +86,7 @@ def characters(draw):
     if draw(st.booleans()):
         char = base * char_of_irrep(rs, draw(weight))
     else:
-        char = schur_character(rs, base, draw(st.sampled_from([(1, 1), (2,), (2, 1), (1, 1, 1), (3,)])))
+        char = fill_character(rs, base, draw(st.sampled_from([(1, 1), (2,), (2, 1), (1, 1, 1), (3,)])))
     if draw(st.booleans()):
         char = char - char_of_irrep(rs, draw(weight))
     return rs, char
@@ -124,7 +127,23 @@ def test_perturbed_orbit_weight_is_not_a_character(family_rank, data):
 
 def test_constituent_dimensions_must_sum_to_the_character(monkeypatch):
     g2 = build_root_system("G", 2)
-    wedge = schur_character(g2, char_of_irrep(g2, (1, 0)), (1, 1))
+    wedge = fill_character(g2, char_of_irrep(g2, (1, 0)), (1, 1))
     monkeypatch.setattr(characters_module, "dim_irrep", lambda rs, fc: 1)
     with pytest.raises(InconsistencyError, match="constituent dimensions sum to 2, the character to 21"):
         decompose_character(g2, wedge)
+
+
+SHAPES = [lam.parts for size in range(5) for lam in partitions_of(size)]
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from(TYPES), st.data())
+def test_adams_kernel_matches_the_weight_fill(family_rank, data):
+    # S_lam(V) by Newton's identity over Adams operations, against the Schur
+    # polynomial filled over the weights of V and decomposed by Weyl's formula
+    rs = build_root_system(*family_rank)
+    top = data.draw(st.sampled_from(_small_weights(rs)))
+    lam = data.draw(st.sampled_from(SHAPES))
+    want = decompose_character(rs, fill_character(rs, char_of_irrep(rs, top), lam))
+    got = schur_character(rs, top, lam)
+    assert got == want and list(got.entries) == list(want.entries)

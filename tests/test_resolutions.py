@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 from math import comb
 
 import pytest
@@ -8,16 +9,17 @@ from littlewood.acceptance import G2_Y2_EXPECTED_TERMS
 from littlewood.complexes import GradedTerm, GroupCase, parse_case
 from littlewood.errors import InconsistencyError
 from littlewood.partitions import Decomposition, Partition, dim_schur
+from oracles import cauchy_euler
 from littlewood.resolutions import (
     AUDITS,
     BettiTable,
     E6_HILBERT_NUMERATOR,
     G2_Y2_BETTI_CHAR2,
     SLICE_BOUND,
-    _euler_characteristic,
     _g2_y1_slice,
     betti_of,
     cauchy_slice,
+    euler_characteristics,
     g2_equivariant_resolution,
     hilbert_numerator,
     koszul_complex,
@@ -335,13 +337,38 @@ def test_euler_characteristic_vanishes_past_the_g2_resolution():
     # The rank-2 resolution ends at internal degree 8; the closed form must
     # give nothing in every later degree the slices reach.
     case = GroupCase("G2")
+    eulers = euler_characteristics(case, lambda j: cauchy_slice(case, j)[0])
+    for j, euler in enumerate(itertools.islice(eulers, SLICE_BOUND + 1)):
+        assert j <= 8 or not euler, j
+
+
+def _fund_slices(case, slice_fn, top):
+    """slice_fn(0..top) labelled (shape parts, fundamental coordinates)."""
     rs = case.root_system()
-    slices = [
-        cauchy_slice(case, d)[0].map_labels(lambda lab: (lab[0], rs.fund_tuple(lab[1])))
-        for d in range(SLICE_BOUND + 1)
-    ]
-    for j in range(9, SLICE_BOUND + 1):
-        assert not _euler_characteristic(case, slices[: j + 1], j), j
+    return [slice_fn(d).map_labels(lambda lab: (lab[0].parts, rs.fund_tuple(lab[1]))) for d in range(top + 1)]
+
+
+@pytest.mark.parametrize(
+    "case,slice_fn,top",
+    [
+        (GroupCase("G2"), None, 9),
+        (GroupCase("G2"), _g2_y1_slice, 9),
+        (parse_case("SpC(2)"), None, 6),
+        (parse_case("SOB(2)"), None, 6),
+        (parse_case("OD(2)"), None, 6),
+        (GroupCase("E6_3", dim_e=1), None, 7),
+        (GroupCase("F4_3", dim_e=1), None, 7),
+    ],
+    ids=["g2-y2", "g2-y1", "SpC(2)", "SOB(2)", "OD(2)", "e6-cone", "f4-cone"],
+)
+def test_euler_characteristics_match_the_dual_cauchy_oracle(case, slice_fn, top):
+    """Newton's identity over Adams operations against the formula it
+    replaced: dual Cauchy, wedge^k(E (x) V) = sum S_sigma E (x) S_sigma' V, with
+    LR coefficients on the E side and S_sigma' V filled weight by weight."""
+    slice_fn = slice_fn or (lambda j: cauchy_slice(case, j)[0])
+    slices = _fund_slices(case, slice_fn, top)
+    for j, euler in enumerate(itertools.islice(euler_characteristics(case, slice_fn), top + 1)):
+        assert euler == cauchy_euler(case, slices[: j + 1], j), (case.name, j)
 
 
 @pytest.mark.parametrize("name,codim", [("G2", 5), ("SpC(3)", 3)])
@@ -507,34 +534,60 @@ def test_audit_terms_live_in_their_case(name):
             assert (w.system.family, w.system.rank) == (rs.family, rs.rank), (name, t.index, w)
 
 
+# The first steps for the cone over the adjoint minimal orbit of E8, as
+# stated: (homological index, internal degree, fundamental coordinates,
+# multiplicity).
+E8_START_TERMS = [
+    (0, 0, (0, 0, 0, 0, 0, 0, 0, 0), 1),
+    (1, 2, (0, 0, 0, 0, 0, 0, 0, 0), 1),
+    (1, 2, (1, 0, 0, 0, 0, 0, 0, 0), 1),
+    (2, 3, (0, 0, 0, 0, 0, 0, 0, 1), 1),
+    (2, 3, (0, 1, 0, 0, 0, 0, 0, 0), 1),
+    (2, 3, (1, 0, 0, 0, 0, 0, 0, 0), 1),
+]
+
+
+def test_e8_start_is_the_stated_cut_peel():
+    got = _plain(AUDITS["e8-start"].terms())
+    assert got == {(i, j, (j,) if j else (), fc): m for i, j, fc, m in E8_START_TERMS}
+    assert AUDITS["e8-start"].cut == max(j for _, j, _, _ in E8_START_TERMS) == 3
+
+
+def _stated_cells(name):
+    """{(i, j, fundamental coordinates): multiplicity} of the cone's stated
+    terms: e6-cone's own, f4-cone's restricted from them, and e8-start's
+    golden above (its registry terms are the peel itself)."""
+    if name == "e8-start":
+        return {(i, j, fc): m for i, j, fc, m in E8_START_TERMS}
+    return {(i, j, fc): m for (i, j, _, fc), m in _plain(AUDITS[name].terms()).items()}
+
+
 @pytest.mark.parametrize(
     "name,kind,dual",
     [
         ("f4-cone", "F4_3", lambda a: a),  # -w0 = 1
         ("e6-cone", "E6_3", lambda a: (a[5], a[1], a[4], a[3], a[2], a[0])),  # -w0 swaps w1, w6 and w3, w5
+        ("e8-start", "E8_7", lambda a: a),  # -w0 = 1
     ],
 )
 def test_cone_is_its_case_with_a_one_dimensional_e(name, kind, dual):
-    """Through internal degree 7, sum_i (-1)^i F_{i,j} of the cone's terms is
-    the Euler characteristic of its case with dim E = 1, computed from that
-    case's coordinate ring, R_d = S_(d)E (x) V_{bracket((d))}.  For E6_3 the
-    bracket map gives V_{d w1}, the dual of the convention of the stated
-    terms, so their weights go through -w0 first.  e8-start is not checked
-    this way: `schur_character` refuses its 248-dimensional V, above
-    SCHUR_DIM_BOUND."""
+    """Through internal degree 7 (3 for e8-start, stated that far), sum_i
+    (-1)^i F_{i,j} of the cone's stated terms is the Euler characteristic of
+    its case with dim E = 1, computed from that case's coordinate ring, R_d =
+    S_(d)E (x) V_{bracket((d))}.  For E6_3 the bracket map gives V_{d w1}, the
+    dual of the convention of the stated terms, so their weights go through
+    -w0 first."""
     case = GroupCase(kind, dim_e=1)
     assert AUDITS[name].case == case
-    rs = case.root_system()
-    terms = AUDITS[name].terms()
-    slices = []
-    for j in range(8):
-        slices.append(cauchy_slice(case, j)[0].map_labels(lambda lab: (lab[0], rs.fund_tuple(lab[1]))))
+    cells = _stated_cells(name)
+    top = AUDITS[name].cut or 7
+    eulers = euler_characteristics(case, lambda j: cauchy_slice(case, j)[0])
+    for j, euler in enumerate(itertools.islice(eulers, top + 1)):
         stated = Decomposition()
-        for t in terms:
-            if t.degree == j:
-                for (lam, w), m in t.content.entries.items():
-                    stated.add((lam, dual(w.fund_coords())), (-1) ** t.index * m)
-        assert _euler_characteristic(case, slices, j) == stated, j
+        for (i, jj, fc), m in cells.items():
+            if jj == j:
+                stated.add(((j,) if j else (), dual(fc)), (-1) ** i * m)
+        assert euler == stated, j
 
 
 def test_betti_json_round_trip():

@@ -37,6 +37,22 @@ def test_unchecked_partition_constructor_stays_in_partitions():
     assert not found, found
 
 
+def test_weight_fill_stays_out_of_the_library():
+    # Schur functors of group representations go through Adams operations
+    # (`characters.adams_series`); the weight-by-weight fill `schur_fill` is a
+    # GL-side routine of partitions.py, and the fill over the weights of a
+    # character is a test oracle (tests/oracles.py).
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path == SRC / "partitions.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            name = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+            if name == "schur_fill" or isinstance(node, ast.alias) and node.name == "schur_fill":
+                found.append(f"{path.name}:{getattr(node, 'lineno', '?')}")
+    assert not found, found
+
+
 def test_benchmark_tracer_targets_resolve():
     # The benchmark's tracer wraps these names from outside the package: a
     # module attribute, or Class.__dict__[method].  A rename would otherwise
