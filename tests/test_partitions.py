@@ -1,6 +1,7 @@
 import pytest
 
 from littlewood import partitions
+from littlewood.characters import build_root_system, char_of_irrep, dim_irrep
 from littlewood.errors import InconsistencyError, ScaleError
 from littlewood.partitions import (
     Decomposition,
@@ -171,8 +172,6 @@ def test_decomposition_algebra():
 def test_decomposition_is_not_iterable():
     # __getitem__ answers 0 for any label, so the sequence protocol would
     # never stop; iterating, listing or testing membership raises instead.
-    from littlewood.characters import build_root_system, char_of_irrep, dim_irrep
-
     dec = Decomposition({P((1,)): 2})
     for use in (iter, list, tuple, lambda d: P((1,)) in d):
         with pytest.raises(TypeError):
