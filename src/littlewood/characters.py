@@ -569,10 +569,6 @@ class Character(Decomposition):
                 if self[self.rs.reflect(i, fc)] != m:
                     return fc, i
 
-    def restrict(self, target_rs: RootSystem, coord_map) -> "Character":
-        """Push the weight multiset through a map on fundamental coordinates."""
-        return Character(target_rs, ((tuple(coord_map(fc)), m) for fc, m in self.entries.items()))
-
     def sorted_items(self):
         return sorted(self.entries.items())
 

@@ -114,8 +114,11 @@ def _named_betti(name: str) -> BettiTable:
     if name == "g2-y2-char2":
         return G2_Y2_BETTI_CHAR2
     if name.startswith("koszul:"):
-        _, form, m = name.split(":")
-        m = int(m)
+        try:
+            _, form, m = name.split(":")
+            m = int(m)
+        except ValueError:  # too few or too many fields, or an m that is no int
+            raise LittlewoodError(f"betti table {name!r} is not of the form koszul:<alternating|symmetric>:<m>") from None
         return betti_of(koszul_complex(form, m), lambda lam: dim_schur(lam, m))
     raise LittlewoodError(f"unknown betti table {name!r}")
 

@@ -11,11 +11,13 @@ arithmetic is exact big-integer arithmetic end to end.
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from math import comb
 
-from .characters import Character, Weight, adams_series, build_root_system, char_of_irrep, decompose_character, dim_irrep
+from .characters import Weight, adams_series, dim_irrep
 from .complexes import GradedTerm, GroupCase, bracket_labels, bracket_weight, branch_gl_to_iso
 from .errors import InconsistencyError, ScaleError
 from .partitions import Decomposition, Partition, dim_schur, enumerate_q, partitions_of
@@ -133,6 +135,8 @@ def hilbert_numerator(table: BettiTable, codim: int) -> HilbertData:
     quotient of the claimed codimension.  A resolution is never shorter than
     its codimension, so a table that is must be cut, and is refused first, as
     is a table known to be cut."""
+    if codim < 0:
+        raise ValueError(f"hilbert: codim {codim} is below 0")
     if table.ambient_dim is None:
         raise ValueError("table needs ambient_dim to fix the Krull dimension")
     if table.max_index < codim:
@@ -185,7 +189,7 @@ def koszul_complex(form: str, m: int) -> list[GradedTerm]:
 # ---------------------------------------------------------------------------
 # coordinate-ring slices
 
-SLICE_BOUND = 12  # the last coordinate-ring degree a slice or a peel reaches
+SLICE_BOUND = 12  # the last coordinate-ring degree a slice reaches; a mirrored peel goes on to s past it
 
 
 def cauchy_slice(case: GroupCase, d: int):
@@ -249,8 +253,8 @@ def euler_characteristics(case: GroupCase, slice_fn):
 
 def peel_resolution(case: GroupCase, slice_fn, codim: int, stop: int | None = None) -> list[GradedTerm]:
     """Peel an equivariant minimal free resolution over Sym(E (x) V) from the
-    coordinate-ring slices R_j = slice_fn(j), labelled (shape, weight) as by
-    `cauchy_slice`; V is the irreducible bracket_weight(case, (1,)).
+    coordinate-ring slices R_j = slice_fn(j), each computed once, labelled
+    (shape, weight) as by `cauchy_slice`; V is bracket_weight(case, (1,)).
 
     Each internal degree j has sum_i (-1)^i F_{i,j} = sum_k (-1)^k R_{j-k} (x)
     wedge^k(E (x) V), from `euler_characteristics`.  With e
@@ -261,15 +265,56 @@ def peel_resolution(case: GroupCase, slice_fn, codim: int, stop: int | None = No
     matches stated Betti totals is consistent with them, not proven minimal.
     The walk stops at the first degree where the length is codim and the
     dimension-level K-polynomial divides by (1-T)^codim; a term past the
-    codimension, or no stop by internal degree SLICE_BOUND, raises
-    InconsistencyError.  With stop, the walk ends after internal degree stop
-    at the latest: a resolution cut there.
+    codimension, or no stop by internal degree SLICE_BOUND (s, mirrored),
+    raises InconsistencyError.  With stop, the walk ends after internal
+    degree stop at the latest: a resolution cut there, and never mirrored.
+
+    The mirror: if h = (sum_j dim R_j T^j)(1-T)^(N - codim), N = dim E dim V,
+    read through SLICE_BOUND, ends before it and is palindromic, the ring
+    (Cohen-Macaulay: rational singularities) is Gorenstein (Stanley), so
+    F_{c-i} = F_i^* (x) F_c with F_c = S_(a^n)E in degree s = codim + deg h,
+    n = dim E, a = s/n.  Degrees j <= s/2 are peeled; each later one is
+    (-1)^codim times the dual of degree s - j, S_lam E (x) V_w going to
+    S_(a - lam_n, ..., a - lam_1)E (x) V_{-w0 w}.  A mirrored degree through
+    SLICE_BOUND whose dimension is not the slices', a degree s/2 that is not
+    its own mirror, an s that n does not divide, or a shape outside the n x a
+    box raises InconsistencyError.
     """
     rs = case.root_system()
     dim_of = label_dimension(case)
+    slice_at = functools.cache(slice_fn)
+    n, n_vars, s = case.dim_e, case.dim_e * case.dim_v, None
+    if stop is None:
+        h = dims = [slice_at(d).total(dim_of) for d in range(SLICE_BOUND + 1)]
+        for _ in range(n_vars - codim):  # times (1-T), through SLICE_BOUND
+            h = [a - b for a, b in zip(h, [0, *h])]
+        deg = max((d for d, x in enumerate(h) if x), default=SLICE_BOUND)
+        if deg < SLICE_BOUND and h[: deg + 1] == h[deg::-1]:
+            s = codim + deg
+            if s % n:
+                raise InconsistencyError(f"peel {case.name}: the mirror's top degree s = {s} is not a multiple of dim E = {n}")
+            a, ring_kpoly = s // n, [sum((-1) ** k * comb(n_vars, k) * dims[j - k] for k in range(j + 1)) for j in range(SLICE_BOUND + 1)]
+
+    def mirror(euler: Decomposition, j: int) -> Decomposition:
+        out = Decomposition()
+        for (parts, fc), m in euler.entries.items():
+            if parts and parts[0] > a:
+                raise InconsistencyError(f"peel {case.name}: internal degree {j} mirrors shape {parts}, outside F_c = S_({a}^{n})E")
+            dual = tuple(a - p for p in reversed(parts + (0,) * (n - len(parts))) if p != a)
+            out.add((dual, rs.dominant_conjugate(tuple(-c for c in fc))), -m if codim % 2 else m)
+        return out
+
     cells: dict[tuple[int, int], Decomposition] = {}
-    kpoly, end = [], 0
-    for j, euler in zip(range(SLICE_BOUND + 1), euler_characteristics(case, slice_fn)):
+    kpoly, end, eulers, peeled = [], 0, euler_characteristics(case, slice_at), []
+    for j in range(SLICE_BOUND + 1 if s is None else s + 1):
+        if s is None or 2 * j <= s:
+            peeled.append(euler := next(eulers))
+            if 2 * j == s and mirror(euler, j) != euler:
+                raise InconsistencyError(f"peel {case.name}: internal degree {j} = s/2 is not (-1)^{codim} times its own dual")
+        else:
+            euler = mirror(peeled[s - j], j)
+            if j <= SLICE_BOUND and euler.total(dim_of) != ring_kpoly[j]:
+                raise InconsistencyError(f"peel {case.name}: mirrored internal degree {j} has dimension {euler.total(dim_of)}, the slices give {ring_kpoly[j]}")
         last = end
         for sign, parity in ((1, 0), (-1, 1)):
             part = Decomposition({label: sign * m for label, m in euler.entries.items() if sign * m > 0})
@@ -292,7 +337,7 @@ def peel_resolution(case: GroupCase, slice_fn, codim: int, stop: int | None = No
     else:
         raise InconsistencyError(
             f"peel {case.name}: resolution has length {end}, not the codimension {codim} with a K-polynomial "
-            f"divisible by (1-T)^{codim}, when the walk stops at internal degree {SLICE_BOUND}, the slice bound"
+            f"divisible by (1-T)^{codim}, when the walk stops at internal degree {j}, the slice bound or s"
         )
     return [
         GradedTerm(i, j, content.map_labels(lambda lab: (Partition(lab[0]), rs.weight(lab[1]))))
@@ -303,8 +348,12 @@ def peel_resolution(case: GroupCase, slice_fn, codim: int, stop: int | None = No
 def g2_equivariant_resolution() -> list[GradedTerm]:
     """The equivariant minimal free resolution of the rank-2 variety (of
     codimension 5), peeled from its coordinate ring, with weight labels."""
-    case = GroupCase("G2")
-    return peel_resolution(case, lambda j: cauchy_slice(case, j)[0], 5)
+    return peel_resolution(_G2, _cauchy(_G2), 5)
+
+
+def _cauchy(case: GroupCase):
+    """The case's coordinate ring, slice by slice, as `peel_resolution` reads it."""
+    return lambda j: cauchy_slice(case, j)[0]
 
 
 def label_dimension(case: GroupCase):
@@ -315,67 +364,18 @@ def label_dimension(case: GroupCase):
 
 
 # ---------------------------------------------------------------------------
-# dimension audits: resolutions derived or stated, against stated Betti totals
+# dimension audits: peeled resolutions against stated Betti totals
 
 
 def _g2_y1_slice(j: int) -> Decomposition:
     """The rank-1 variety's coordinate ring in degree j, Sym^j E (x) V_(j,0):
     the one-row part of the rank-2 slice."""
-    dec = cauchy_slice(GroupCase("G2"), j)[0]
+    dec = cauchy_slice(_G2, j)[0]
     return Decomposition({label: m for label, m in dec.entries.items() if len(label[0]) <= 1})
 
 
-def _stated(case: GroupCase, rows):
-    """The terms of a stated resolution of a cone, a case with dim E = 1, from
-    rows (homological index, internal degree j, fundamental coordinates,
-    multiplicity), labelled ((j), weight): S_(j)E is the degree-j line."""
-
-    def terms() -> list[GradedTerm]:
-        rs = case.root_system()
-        cells: dict[tuple[int, int], Decomposition] = {}
-        for i, j, fc, mult in rows:
-            cells.setdefault((i, j), Decomposition()).add((Partition((j,)), rs.weight(fc)), mult)
-        return [GradedTerm(i, j, content) for (i, j), content in sorted(cells.items())]
-
-    return terms
-
-
-E6_CONE_TERMS = [  # the cone over the minimal orbit of the 27-dimensional representation
-    (0, 0, (0, 0, 0, 0, 0, 0), 1),
-    (1, 2, (1, 0, 0, 0, 0, 0), 1),
-    (2, 3, (0, 1, 0, 0, 0, 0), 1),
-    (3, 5, (0, 0, 0, 0, 1, 0), 1),
-    (4, 6, (1, 0, 0, 0, 0, 1), 1),
-    (5, 7, (2, 0, 0, 0, 0, 0), 1),
-    (5, 8, (0, 0, 0, 0, 0, 2), 1),
-    (6, 9, (1, 0, 0, 0, 0, 1), 1),
-    (7, 10, (0, 0, 1, 0, 0, 0), 1),
-    (8, 12, (0, 1, 0, 0, 0, 0), 1),
-    (9, 13, (0, 0, 0, 0, 0, 1), 1),
-    (10, 15, (0, 0, 0, 0, 0, 0), 1),
-]
-
 E6_BETTI_TOTALS = [1, 27, 78, 351, 650, 702, 650, 351, 78, 27, 1]
 E6_HILBERT_NUMERATOR = [1, 10, 28, 28, 10, 1]
-
-def _f4_cone_terms() -> list[GradedTerm]:
-    """The cone over the minimal orbit of the 26-dimensional representation of
-    F4, a hyperplane section of the E6 cone: the 27 restricts to 26 + 1 under
-    the folding F4 < E6, a -> (a2, a4, a3 + a5, a1 + a6) on fundamental
-    coordinates, so each term is the E6 cone's term restricted to F4."""
-    e6, f4 = build_root_system("E", 6), build_root_system("F", 4)
-
-    def fold(a):
-        return (a[1], a[3], a[2] + a[4], a[0] + a[5])
-
-    out = []
-    for term in AUDITS["e6-cone"].terms():
-        restricted = Character(f4)
-        for (_, w), mult in term.content.entries.items():
-            restricted += char_of_irrep(e6, w).restrict(f4, fold).scale(mult)
-        content = decompose_character(f4, restricted).map_labels(lambda w: (Partition((term.degree,)), w))
-        out.append(GradedTerm(term.index, term.degree, content))
-    return out
 
 
 @dataclass
@@ -436,20 +436,20 @@ def run_audit(name: str) -> AuditReport:
     return AuditReport(name, rows, betti, terms)
 
 
-# The one registry of named resolutions.  g2-y2 and g2-y1 are peeled from
-# their coordinate rings (codimensions 5 and 7), e8-start too but cut after
-# internal degree 3 (the E8 cone has dimension 58, codimension 190), and
-# f4-cone is e6-cone restricted to F4; e6-cone is stated.  The cones are their
-# cases with dim E = 1.
+# The one registry of named resolutions, each peeled from its coordinate ring:
+# g2-y2 and g2-y1 (codimensions 5 and 7); the E6 and F4 cones (codimension 10,
+# h = [1, 10, 28, 28, 10, 1], peeled through degree 7 and mirrored to 15); and
+# e8-start, cut after internal degree 3 (the E8 cone has dimension 58,
+# codimension 190).  The cones are their cases with dim E = 1.
 _G2 = GroupCase("G2")
-_E6_CONE, _E8_CONE = GroupCase("E6_3", dim_e=1), GroupCase("E8_7", dim_e=1)
+_F4_CONE, _E6_CONE, _E8_CONE = (GroupCase(kind, dim_e=1) for kind in ("F4_3", "E6_3", "E8_7"))
 AUDITS = {
     # called by its module name, so a wrapper installed there sees the call
     "g2-y2": AuditSpec(_G2, lambda: g2_equivariant_resolution(), [1, 10, 16, 16, 10, 1]),
     "g2-y1": AuditSpec(_G2, lambda: peel_resolution(_G2, _g2_y1_slice, 7), [1, 24, 84, 126, 119, 77, 27, 4]),
-    "f4-cone": AuditSpec(GroupCase("F4_3", dim_e=1), _f4_cone_terms, E6_BETTI_TOTALS),
-    "e6-cone": AuditSpec(_E6_CONE, _stated(_E6_CONE, E6_CONE_TERMS), E6_BETTI_TOTALS),
-    "e8-start": AuditSpec(_E8_CONE, lambda: peel_resolution(_E8_CONE, lambda j: cauchy_slice(_E8_CONE, j)[0], 190, stop=AUDITS["e8-start"].cut), [1, 3876, 151373], cut=3),
+    "f4-cone": AuditSpec(_F4_CONE, lambda: peel_resolution(_F4_CONE, _cauchy(_F4_CONE), 10), E6_BETTI_TOTALS),
+    "e6-cone": AuditSpec(_E6_CONE, lambda: peel_resolution(_E6_CONE, _cauchy(_E6_CONE), 10), E6_BETTI_TOTALS),
+    "e8-start": AuditSpec(_E8_CONE, lambda: peel_resolution(_E8_CONE, _cauchy(_E8_CONE), 190, stop=AUDITS["e8-start"].cut), [1, 3876, 151373], cut=3),
 }
 
 # Reference only: the characteristic-2 Betti table of the rank-2 variety, as

@@ -3,6 +3,8 @@
 The weight-fill routes here are the ones the library replaced by Adams
 operations (`characters.adams_series`); they expand every Schur functor
 weight by weight, so they are slow but independent of the kernel they check.
+The folding restriction from E6 to F4 is the route by which the library once
+derived the F4 cone's resolution from the E6 cone's; it now checks the peel.
 """
 
 from functools import cache
@@ -68,3 +70,15 @@ def cauchy_euler(case, slices: list, j: int) -> Decomposition:
                         for kappa, v in v_side.entries.items():
                             out.add((tau.parts, kappa), c * v)
     return out
+
+
+def restrict(char: Character, target_rs, coord_map) -> Character:
+    """Push the weight multiset of a character through a map on fundamental
+    coordinates."""
+    return Character(target_rs, ((tuple(coord_map(fc)), m) for fc, m in char.entries.items()))
+
+
+def fold(a: tuple) -> tuple:
+    """The folding F4 < E6 on fundamental coordinates, a -> (a2, a4, a3 + a5,
+    a1 + a6): the 27 restricts to 26 + 1."""
+    return (a[1], a[3], a[2] + a[4], a[0] + a[5])

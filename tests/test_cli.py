@@ -297,6 +297,25 @@ def test_koszul_negative_m_exits_2(capsys, argv):
     assert code == 2 and out == "" and "alternating" in err and "is negative" in err
 
 
+@pytest.mark.parametrize("name", ["koszul:alternating", "koszul:alternating:x", "koszul:alternating:3:1"])
+def test_malformed_koszul_name_is_refused_with_its_form(capsys, name):
+    # too few fields, an m that is no integer, too many fields
+    for command in (("betti", "--case", name), ("hilbert", "--case", name, "--codim", "1")):
+        for fmt in ("text", "json"):
+            assert run_cli(capsys, *command, "--format", fmt) == (
+                2, "", f"error: betti table {name!r} is not of the form koszul:<alternating|symmetric>:<m>\n"
+            )
+
+
+@pytest.mark.parametrize("name", ["g2-y2", "e8-start", "g2-y2-char2"])
+def test_hilbert_refuses_a_negative_codimension(capsys, name):
+    # refused before any property of the table, the cut of e8-start included
+    for fmt in ("text", "json"):
+        assert run_cli(capsys, "hilbert", "--case", name, "--codim", "-1", "--format", fmt) == (
+            2, "", "error: hilbert: codim -1 is below 0\n"
+        )
+
+
 # Weights enter as text, with half-integers as n/2, and leave through one
 # formatter; each case is (argv, exit code, text stdout, JSON stdout, stderr).
 WEIGHT_EDGE_GOLDENS = [

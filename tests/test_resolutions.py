@@ -9,7 +9,8 @@ from littlewood.acceptance import G2_Y2_EXPECTED_TERMS
 from littlewood.complexes import GradedTerm, GroupCase, parse_case
 from littlewood.errors import InconsistencyError
 from littlewood.partitions import Decomposition, Partition, dim_schur
-from oracles import cauchy_euler
+from littlewood import resolutions
+from oracles import cauchy_euler, fold, restrict
 from littlewood.resolutions import (
     AUDITS,
     BettiTable,
@@ -103,6 +104,13 @@ def test_hilbert_refuses_a_cut_table_or_one_with_no_ambient_dimension_before_div
     with pytest.raises(ValueError, match="needs ambient_dim"):
         hilbert_numerator(BettiTable(table.entries), 1)
     assert run_audit("e8-start").betti.cut == 3 and run_audit("e6-cone").betti.cut is None
+
+
+def test_hilbert_refuses_a_negative_codimension():
+    # dividing by (1-T)^-1 would run no step and blame the numerator instead
+    table = betti_of(koszul_complex("alternating", 2), lambda lam: dim_schur(lam, 2), ambient_dim=3)
+    with pytest.raises(ValueError, match="hilbert: codim -1 is below 0"):
+        hilbert_numerator(table, -1)
 
 
 def test_cauchy_slice_degree_one_is_matrix_space():
@@ -333,6 +341,99 @@ def test_peel_resolution_guards_the_codimension():
         peel_resolution(case, slice_fn, 6)
 
 
+@pytest.mark.parametrize(
+    "name,peeled,sliced",
+    [
+        ("g2-y2", 5, 13),  # h = 1 + 5T + 5T^2 + T^3, s = 8: degrees 5-8 mirrored
+        ("e6-cone", 8, 13),  # h = 1 + 10T + 28T^2 + 28T^3 + 10T^4 + T^5, s = 15
+        ("g2-y1", 10, 13),  # h = 1 + 7T + 4T^2 is not palindromic: peeled to 9
+        ("e8-start", 4, 4),  # cut after degree 3: no h-vector, no slice past 3
+    ],
+)
+def test_a_peel_mirrors_exactly_when_its_h_vector_is_palindromic(monkeypatch, name, peeled, sliced):
+    """The number of degrees drawn from `euler_characteristics`, and the
+    slices computed, each once: through SLICE_BOUND for the h-vector of an
+    uncut peel, only through the cut for a cut one."""
+    drawn, calls = [], {}
+    real_euler, real_slice = resolutions.euler_characteristics, resolutions.cauchy_slice
+
+    def counted_euler(case, slice_fn):
+        for j, euler in enumerate(real_euler(case, slice_fn)):
+            drawn.append(j)
+            yield euler
+
+    def counted_slice(case, d):
+        calls[d] = calls.get(d, 0) + 1
+        return real_slice(case, d)
+
+    monkeypatch.setattr(resolutions, "euler_characteristics", counted_euler)
+    monkeypatch.setattr(resolutions, "cauchy_slice", counted_slice)
+    AUDITS[name].terms()
+    assert drawn == list(range(peeled)) and calls == dict.fromkeys(range(sliced), 1)
+
+
+def test_mirror_refuses_a_degree_whose_dimension_the_slices_do_not_give(monkeypatch):
+    # one more S_(2)E in degree 2 mirrors to -S_(4,2)E in degree 6, 3 short of the slices
+    real = resolutions.euler_characteristics
+
+    def one_more(case, slice_fn):
+        for j, euler in enumerate(real(case, slice_fn)):
+            yield euler + Decomposition({((2,), (0, 0)): 1}) if j == 2 else euler
+
+    monkeypatch.setattr(resolutions, "euler_characteristics", one_more)
+    with pytest.raises(InconsistencyError, match="peel G2: mirrored internal degree 6 has dimension 7, the slices give 10"):
+        g2_equivariant_resolution()
+
+
+def test_mirror_refuses_a_middle_degree_that_is_not_its_own_dual():
+    """A degree-4 slice that trades S_(2,2)E (x) (7 + 14) for S_(3,1)E (x) 7
+    keeps every dimension, so h still mirrors at s = 8, but the middle
+    degree 4 is no longer (-1)^5 times its own dual, which is 0."""
+    case, g2 = GroupCase("G2"), build_root_system("G", 2)
+    traded = Decomposition({(P((3, 1)), g2.weight((1, 0))): 1, (P((2, 2)), g2.weight((1, 0))): -1, (P((2, 2)), g2.weight((0, 1))): -1})
+    assert traded.total(label_dimension(case)) == 0
+
+    def slices(j):
+        return cauchy_slice(case, j)[0] + traded if j == 4 else cauchy_slice(case, j)[0]
+
+    with pytest.raises(InconsistencyError, match=r"peel G2: internal degree 4 = s/2 is not \(-1\)\^5 times its own dual"):
+        peel_resolution(case, slices, 5)
+
+
+def test_mirror_refuses_a_shape_outside_the_box_of_the_top_term():
+    """SOB(3) mirrors at s = 12 with F_6 = S_(4,4,4)E; a degree-6 slice that
+    trades S_(4,2)E + S_(3,2,1)E for S_(5,1)E keeps every dimension, but
+    (5,1) is wider than the box."""
+    case = parse_case("SOB(3)")
+    trivial = case.root_system().weight((0, 0, 0))
+    traded = Decomposition({(P((5, 1)), trivial): 1, (P((4, 2)), trivial): -1, (P((3, 2, 1)), trivial): -1})
+    assert traded.total(label_dimension(case)) == 0
+
+    def slices(j):
+        return cauchy_slice(case, j)[0] + traded if j == 6 else cauchy_slice(case, j)[0]
+
+    with pytest.raises(InconsistencyError, match=r"peel SOB\(3\): internal degree 6 mirrors shape \(5, 1\), outside F_c = S_\(4\^3\)E"):
+        peel_resolution(case, slices, 6)
+
+
+def test_mirror_refuses_a_top_degree_that_dim_e_does_not_divide():
+    """Slices with a shape one box short of their degree, which no coordinate
+    ring has: R_j = S_(j)E + S_(j-1)E with dim E = 2 has Hilbert series
+    (1 + T)/(1 - T)^2, so at codimension 12 of the 14 variables h = 1 + T,
+    palindromic, and s = 13 is odd."""
+    case = GroupCase("G2")
+    trivial = case.root_system().weight((0, 0))
+
+    def slices(j):
+        ring = Decomposition({(P((j,)), trivial): 1})
+        if j:
+            ring.add((P((j - 1,)), trivial), 1)
+        return ring
+
+    with pytest.raises(InconsistencyError, match="peel G2: the mirror's top degree s = 13 is not a multiple of dim E = 2"):
+        peel_resolution(case, slices, 12)
+
+
 def test_euler_characteristic_vanishes_past_the_g2_resolution():
     # The rank-2 resolution ends at internal degree 8; the closed form must
     # give nothing in every later degree the slices reach.
@@ -457,20 +558,58 @@ def test_f4_cone_audit_and_hilbert():
         assert dim_irrep(f4, fc) == from_series, d
 
 
+# The resolution of the cone over the minimal orbit of the 27-dimensional
+# representation, as stated: (homological index, internal degree, fundamental
+# coordinates, multiplicity).  The stated weights are the duals, through -w0,
+# of the bracket convention the peel labels by.
+E6_CONE_TERMS = [
+    (0, 0, (0, 0, 0, 0, 0, 0), 1),
+    (1, 2, (1, 0, 0, 0, 0, 0), 1),
+    (2, 3, (0, 1, 0, 0, 0, 0), 1),
+    (3, 5, (0, 0, 0, 0, 1, 0), 1),
+    (4, 6, (1, 0, 0, 0, 0, 1), 1),
+    (5, 7, (2, 0, 0, 0, 0, 0), 1),
+    (5, 8, (0, 0, 0, 0, 0, 2), 1),
+    (6, 9, (1, 0, 0, 0, 0, 1), 1),
+    (7, 10, (0, 0, 1, 0, 0, 0), 1),
+    (8, 12, (0, 1, 0, 0, 0, 0), 1),
+    (9, 13, (0, 0, 0, 0, 0, 1), 1),
+    (10, 15, (0, 0, 0, 0, 0, 0), 1),
+]
+
+
+def test_e6_cone_is_the_stated_table_through_minus_w0():
+    """Peeled through internal degree 7 and mirrored to 15, the cone's
+    resolution is the stated one term for term, every weight through -w0
+    (which swaps w1, w6 and w3, w5)."""
+
+    def minus_w0(a):
+        return (a[5], a[1], a[4], a[3], a[2], a[0])
+
+    got = _plain(AUDITS["e6-cone"].terms())
+    assert got == {(i, j, (j,) if j else (), minus_w0(fc)): m for i, j, fc, m in E6_CONE_TERMS}
+
+
 def test_f4_cone_terms_match_e6_branching():
     """The 26-variable cone is a hyperplane section of the 27-variable one, so
     each resolution term is the branching of the corresponding term through
-    the folding embedding of the rank-4 group: the 27 restricts to 26 + 1."""
+    the folding embedding of the rank-4 group: the 27 restricts to 26 + 1.
+    The peeled f4-cone is the stated E6 table restricted to F4 (-w0 = 1 on
+    F4, so the weight convention does not matter)."""
     e6 = build_root_system("E", 6)
     f4 = build_root_system("F", 4)
 
-    def fold(a):
-        return (a[1], a[3], a[2] + a[4], a[0] + a[5])
+    def branch(fc):
+        return decompose_character(f4, restrict(char_of_irrep(e6, fc), f4, fold))
 
-    dec = decompose_character(f4, char_of_irrep(e6, (1, 0, 0, 0, 0, 0)).restrict(f4, fold))
-    assert {w.fund_coords(): m for w, m in dec.entries.items()} == {(0, 0, 0, 1): 1, (0, 0, 0, 0): 1}
+    assert {w.fund_coords(): m for w, m in branch((1, 0, 0, 0, 0, 0)).entries.items()} == {(0, 0, 0, 1): 1, (0, 0, 0, 0): 1}
+    restricted = Decomposition()
+    for i, j, fc, m in E6_CONE_TERMS:
+        for w, k in branch(fc).entries.items():
+            restricted.add((i, j, (j,) if j else (), w.fund_coords()), m * k)
     got = _plain(AUDITS["f4-cone"].terms())
-    assert got == {(i, j, P((j,)).parts, fc): m for (i, j, fc), m in F4_CONE_TERMS.items()} and len(got) == 30
+    assert got == restricted.entries and len(got) == 30
+    assert got == {(i, j, P((j,)).parts, fc): m for (i, j, fc), m in F4_CONE_TERMS.items()}
     for i, j in ((4, 6), (6, 9)):
         assert got[(i, j, (j,), (0, 0, 1, 0))] == 1 and dim_irrep(f4, (0, 0, 1, 0)) == 273
 
@@ -555,11 +694,11 @@ def test_e8_start_is_the_stated_cut_peel():
 
 def _stated_cells(name):
     """{(i, j, fundamental coordinates): multiplicity} of the cone's stated
-    terms: e6-cone's own, f4-cone's restricted from them, and e8-start's
-    golden above (its registry terms are the peel itself)."""
-    if name == "e8-start":
-        return {(i, j, fc): m for i, j, fc, m in E8_START_TERMS}
-    return {(i, j, fc): m for (i, j, _, fc), m in _plain(AUDITS[name].terms()).items()}
+    terms, read from the goldens above: the registry's terms are the peel
+    itself."""
+    if name == "f4-cone":
+        return F4_CONE_TERMS
+    return {(i, j, fc): m for i, j, fc, m in {"e6-cone": E6_CONE_TERMS, "e8-start": E8_START_TERMS}[name]}
 
 
 @pytest.mark.parametrize(
