@@ -29,7 +29,7 @@ from functools import cache
 from types import MappingProxyType
 
 from .errors import InconsistencyError, NotCharacterError, ScaleError
-from .partitions import Decomposition, Partition, border_strips, dim_schur
+from .partitions import Decomposition, Partition, border_strips, dim_schur, newton_series
 
 DIM_BOUND_ENV = "LITTLEWOOD_DIM_BOUND"
 DEFAULT_DIM_BOUND = 10**6
@@ -638,26 +638,23 @@ def _adams_tensor(family: str, rank: int, v: tuple, i: int, kappa: tuple) -> tup
 def adams_series(rs: RootSystem, v: tuple, start: dict, rows: int, sign: int, inside=None):
     """Yield X_0 = start, X_1, ...: X_k = start (x) Lambda^k(E (x) V) for sign
     -1, Sym^k for +1, V = V_v, keyed (E-shape parts with at most rows rows,
-    dominant fc).  Newton's identity, k X_k = sum_{i=1..k} sign^(i-1) p_i(E)
-    psi^i(V) X_{k-i}: p_i moves beads (`border_strips`), psi^i(V) is Brauer-
-    Klimyk over i times the weights of V, and the division by k must be
-    exact.  With inside, only its shapes are kept: exact when it holds every
+    dominant fc).  Newton's identity (`newton_series`), k X_k =
+    sum_{i=1..k} sign^(i-1) p_i(E) psi^i(V) X_{k-i}: p_i moves beads
+    (`border_strips`), psi^i(V) is Brauer-Klimyk over i times the weights of
+    V, and the division by k must be exact.  With inside, only its shapes are kept: exact when it holds every
     shape inside its members, as a border strip only grows a shape."""
-    done = [start]
-    for k in itertools.count(1):
-        yield done[-1]
-        acc = {}
-        for i in range(1, k + 1):
-            c = -1 if sign < 0 and i % 2 == 0 else 1
-            for (parts, kappa), m in done[k - i].items():
-                tensor = _adams_tensor(rs.family, rs.rank, v, i, kappa)
-                for mu, s in border_strips(parts, i, rows):
-                    if inside is None or mu in inside:
-                        for lam, t in tensor:
-                            acc[mu, lam] = acc.get((mu, lam), 0) + c * s * m * t
-        if any(x % k for x in acc.values()):
-            raise InconsistencyError(f"adams_series of {rs.weight(v)} in {rs}: step {k} is not divisible by {k}")
-        done.append({key: x // k for key, x in acc.items() if x})
+
+    def psi(i, x):
+        out = {}
+        for (parts, kappa), m in x.items():
+            tensor = _adams_tensor(rs.family, rs.rank, v, i, kappa)
+            for mu, s in border_strips(parts, i, rows):
+                if inside is None or mu in inside:
+                    for lam, t in tensor:
+                        out[mu, lam] = out.get((mu, lam), 0) + s * m * t
+        return out
+
+    return newton_series(start, psi, sign, f"adams_series of {rs.weight(v)} in {rs}")
 
 
 def schur_character(rs: RootSystem, weight, lam) -> Decomposition:

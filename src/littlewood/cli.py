@@ -59,15 +59,23 @@ from .resolutions import (
 
 
 def parse_partition(text: str) -> Partition:
-    text = text.strip()
-    if text in ("", "-"):
+    if text.strip() in ("", "-"):
         return Partition()
-    return Partition(tuple(int(x) for x in text.split(",")))
+    try:
+        parts = tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise LittlewoodError(
+            f"parse_partition: {text!r} is not a partition; expected comma-separated integers, or - for the empty one"
+        ) from None
+    return Partition(parts)
 
 
 def parse_type(text: str):
-    text = text.strip()
-    return text[0].upper(), int(text[1:])
+    name = text.strip()
+    try:
+        return name[0].upper(), int(name[1:])
+    except (IndexError, ValueError):  # empty, or no int after the family letter
+        raise LittlewoodError(f"parse_type: {text!r} is not a type; expected a family letter then a rank, e.g. G2") from None
 
 
 def parse_half(text: str) -> int:
@@ -95,8 +103,13 @@ def parse_weight(text: str, family: str, rank: int) -> Weight:
 
 
 def weight_from_key(text: str) -> Weight:
-    kind, name, coords = text.split(":")
-    family, rank = name[0], int(name[1:])
+    try:
+        kind, name, coords = text.split(":")
+        family, rank = parse_type(name)
+    except (ValueError, LittlewoodError):  # not three fields, or no type in the middle one
+        raise LittlewoodError(
+            f"weight_from_key: {text!r} is not a weight key; expected <fund|eps>:<type>:<coordinates>, e.g. fund:G2:1,0"
+        ) from None
     return parse_weight(f"{kind}:{coords}", family, rank)
 
 
@@ -167,6 +180,13 @@ def _cmd_decompose(args):
     rs = build_root_system(family, rank)
     if args.input:
         data = json.loads(sys.stdin.read() if args.input == "-" else open(args.input).read())
+        if not isinstance(data, dict):
+            raise LittlewoodError(
+                f"decompose --input {args.input}: the document is not a character; expected a JSON object of weight keys to integer multiplicities"
+            )
+        for key, mult in data.items():
+            if not isinstance(mult, int):
+                raise LittlewoodError(f"decompose --input {args.input}: {mult!r} at {key!r} is not a multiplicity; expected an integer")
         dec = decompose_character(rs, Character(rs, ((weight_from_key(key).fund_coords(), mult) for key, mult in data.items())))
     elif args.weight is None:
         raise LittlewoodError("decompose needs --weight (plus optional --schur) or --input")

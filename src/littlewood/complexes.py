@@ -102,7 +102,11 @@ def parse_case(text: str) -> GroupCase:
     text = text.strip()
     if "(" in text:
         kind, rest = text.split("(", 1)
-        return GroupCase(kind, int(rest.rstrip(")")))
+        try:
+            n = int(rest.rstrip(")"))
+        except ValueError:
+            raise ValueError(f"parse_case: {text!r} is not a case; expected a kind, or a classical kind with its rank, e.g. SpC(3)") from None
+        return GroupCase(kind, n)
     return GroupCase(text)
 
 
@@ -182,8 +186,11 @@ def littlewood_complex(family: str, lam) -> list[GradedTerm]:
 
 def _parse_target(target):
     if isinstance(target, str):
-        kind, m = target.replace("(", ":").rstrip(")").split(":")
-        target = (kind.capitalize() if kind.lower() == "sp" else kind.upper(), int(m))
+        try:
+            kind, m = target.replace("(", ":").rstrip(")").split(":")
+            target = (kind.capitalize() if kind.lower() == "sp" else kind.upper(), int(m))
+        except ValueError:  # not two fields, or no int after the kind
+            raise ValueError(f"branch_gl_to_iso: {target!r} is not a target; expected Sp:<m> or O:<m>, e.g. O:5 or Sp(4)") from None
     kind, m = target
     if kind == "Sp":
         if m % 2 != 0 or m < 2:

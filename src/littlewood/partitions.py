@@ -4,12 +4,11 @@ Everything is exact integer arithmetic on plain tuples.  Partition is a thin
 immutable wrapper that normalizes away trailing zeros, so equal partitions
 compare and hash equally.
 
-Semistandard fillings are enumerated in one place, `schur_fill`, by the
-horizontal-strip recursion: the cells holding one entry form a horizontal
-strip, so the fillings grow one letter at a time through the shapes between
-inner and outer.  The plethysm oracle uses it; Schur functors of group
-representations take Adams operations instead, whose GL side is the
-Murnaghan-Nakayama bead move of `border_strips`.
+Symmetric functions of a representation are built by Newton's identity over
+Adams operations, in one place, `newton_series`.  On the GL side a power sum
+p_r acts on Schur functions by the Murnaghan-Nakayama bead move of
+`border_strips`; the plethysm oracle here and the Schur functors of group
+representations (`characters.adams_series`) both run on it.
 
 Littlewood-Richardson coefficients count lattice-word fillings, a different
 object, in `_lr`: one walk per skew shape lam/mu gives every c^lam_{mu nu}
@@ -18,15 +17,14 @@ of and `skew_schur_expand` reads whole.
 
 The Q-sets index the Schur constituents of exterior powers of wedge^2 E
 (minus variant) and Sym^2 E (plus variant); the plethysm routine recomputes
-those constituents from scratch by monomial expansion and acts as the
-independent oracle for the recursive membership rule.
+those constituents from scratch by Newton's identity, never reading the
+membership rule, and acts as its independent oracle.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import operator
 from functools import cache
 from types import MappingProxyType
 
@@ -349,7 +347,7 @@ def skew_schur_expand(outer, inner) -> Decomposition:
 
 
 # ---------------------------------------------------------------------------
-# dimensions and semistandard tableaux
+# power sums and dimensions
 
 
 @cache
@@ -386,89 +384,39 @@ def dim_schur(lam, m: int) -> int:
     return num // den
 
 
-def schur_fill(outer, letters, zero: tuple, inner=(), dominant=False) -> dict:
-    """{sum of the letters used: count} over the semistandard fillings of
-    outer/inner, entry i standing for letters[i] (vectors of one length,
-    zero being that length's zero vector).
-
-    Strip recursion: the cells holding entry i form a horizontal strip, so
-    one table per shape mu (inner <= mu <= outer) holds the sums over the
-    fillings of mu/inner by the entries seen so far.  Each new letter lets
-    every shape nu take the table of each predecessor mu (nu/mu a non-empty
-    horizontal strip) shifted by |nu/mu| copies of the letter.  Larger shapes
-    are updated first, so they read their predecessors' tables from before
-    this letter: the 0/1-knapsack trick, for any shape.
-
-    With dominant set, and nonnegative letters, only the weakly decreasing
-    sums are kept, and a partial sum is dropped as soon as it cannot end so:
-    a leading coordinate that no later letter touches is final, and must be
-    at least every coordinate after it.  After the last letter every
-    coordinate is final, and outer is the one shape updated then.
-    """
-    outer, inner = Partition(outer), Partition(inner)
-    if not outer.contains(inner):
-        return {}
-    outer = outer.parts
-    inner = inner.parts + (0,) * (len(outer) - len(inner))
-    shapes = [()]
-    for lo, hi in zip(inner, outer):
-        shapes = [mu + (p,) for mu in shapes for p in range(lo, min(hi, mu[-1] if mu else hi) + 1)]
-    shapes.sort(key=sum, reverse=True)
-    strips = []
-    for nu in shapes:
-        # mu interlaces nu: nu[r+1] <= mu[r] <= nu[r], and mu contains inner.
-        ranges = [range(max(lo, below), top + 1) for lo, top, below in zip(inner, nu, nu[1:] + (0,))]
-        strips.append([(mu, sum(nu) - sum(mu)) for mu in itertools.product(*ranges) if mu != nu])
-    tables = {mu: {} for mu in shapes}
-    tables[inner] = {zero: 1}
-    if dominant:  # coordinate -> the last letter that touches it
-        last = {c: t for t, letter in enumerate(letters, 1) for c, x in enumerate(letter) if x}
-    for done, letter in enumerate(letters, 1):
-        if dominant:  # the leading coordinates that no later letter touches
-            final = next((c for c in range(len(zero)) if last.get(c, 0) > done), len(zero))
-        # Each letter still to come fills at most one cell of a column, so a
-        # shape that can still grow into outer contains outer less that many
-        # top rows; the other shapes are not updated.
-        rest = outer[len(letters) - done:]
-        shifts = [zero]
-        for _ in range(max(outer, default=0)):
-            shifts.append(tuple(map(operator.add, shifts[-1], letter)))
-        for nu, preds in zip(shapes, strips):
-            if any(p < q for p, q in zip(nu, rest)):
-                continue
-            dst = tables[nu]
-            for mu, d in preds:
-                src = tables[mu]
-                if not src:
-                    continue
-                shift = shifts[d]
-                for vec, c in src.items():
-                    key = tuple(map(operator.add, vec, shift))
-                    dst[key] = dst.get(key, 0) + c
-            if dominant and final:
-                tables[nu] = {k: c for k, c in dst.items() if _can_end_dominant(k, final)}
-    return tables[outer]
-
-
-def _can_end_dominant(vec: tuple, final: int) -> bool:
-    """vec[0] >= ... >= vec[final - 1] >= every later coordinate."""
-    return all(map(operator.ge, vec[:final - 1], vec[1:final])) and vec[final - 1] >= max(vec[final:], default=0)
-
-
 # ---------------------------------------------------------------------------
-# plethysm oracle
+# Newton's identity and the plethysm oracle
+
+
+def newton_series(start: dict, psi, sign: int, where: str):
+    """Yield X_0 = start, X_1, ... with k X_k = sum_{i=1..k} sign^(i-1)
+    psi(i, X_{k-i}): Newton's identity, so when psi(i, X) is X times the i-th
+    Adams operation of W, X_k is X_0 times Lambda^k W (sign -1) or Sym^k W
+    (sign +1).  Each X is a {key: int} dict without zeros; psi returns one
+    that may hold zeros.  The division by k must be exact, or `where` names
+    the failing series."""
+    done = [start]
+    for k in itertools.count(1):
+        yield done[-1]
+        acc = {}
+        for i in range(1, k + 1):
+            c = -1 if sign < 0 and i % 2 == 0 else 1
+            for key, x in psi(i, done[k - i]).items():
+                acc[key] = acc.get(key, 0) + c * x
+        if any(x % k for x in acc.values()):
+            raise InconsistencyError(f"{where}: step {k} is not divisible by {k}")
+        done.append({key: x // k for key, x in acc.items() if x})
 
 
 def plethysm_wedge_power(k: int, form: str, dim_e: int) -> Decomposition:
     """Schur decomposition of the k-th exterior power of wedge^2 E (alternating)
-    or of Sym^2 E (symmetric), by exact monomial expansion in dim_e variables
-    followed by repeated subtraction of the lexicographically highest term's
-    Schur polynomial.  Both expansions are strip recursions (`schur_fill`)
-    that keep the dominant monomials only, which is all the loop reads: the
-    column (1^k) filled with the degree-2 monomials, and the leading shape
-    filled with the dim_e variables (its Kostka numbers).  The loop must end
-    at the zero polynomial, and the constituents must have the dimension of
-    the k-th exterior power, C(N, k) for the N degree-2 monomials.
+    or of Sym^2 E (symmetric), dim E = dim_e, by `newton_series` on the Schur
+    functions of at most dim_e rows.  The i-th Adams operation of e_2 or h_2
+    is the plethysm (p_i^2 -+ p_2i) / 2 (Macdonald, Symmetric Functions and
+    Hall Polynomials, I.8), each p_r the bead moves of `border_strips`; the
+    halves must be exact, the multiplicities nonnegative, and the
+    constituents must have the dimension of the k-th exterior power, C(N, k)
+    for N = dim wedge^2 E or dim Sym^2 E.
     """
     if form not in FORMS:
         raise ValueError(f"form must be one of {FORMS}")
@@ -477,34 +425,29 @@ def plethysm_wedge_power(k: int, form: str, dim_e: int) -> Decomposition:
             side, bound = ("past", hi) if value > hi else ("below", lo)
             raise ScaleError(f"plethysm_wedge_power: {name} {value} is {side} the bound {bound}")
 
-    basis = []
-    for i in range(dim_e):
-        start = i + 1 if form == "alternating" else i
-        for j in range(start, dim_e):
-            mono = [0] * dim_e
-            mono[i] += 1
-            mono[j] += 1
-            basis.append(tuple(mono))
+    where = f"plethysm_wedge_power: k {k}, {form}, dimE {dim_e}"
+    c = -1 if form == "alternating" else 1
 
-    zero = (0,) * dim_e
-    units = [tuple(int(i == j) for j in range(dim_e)) for i in range(dim_e)]
-    poly = schur_fill((1,) * k, basis, zero, dominant=True)
+    def psi(i, x):
+        twice = {}
+        for parts, m in x.items():
+            for mu, s in border_strips(parts, i, dim_e):
+                for nu, t in border_strips(mu, i, dim_e):
+                    twice[nu] = twice.get(nu, 0) + s * t * m
+            for nu, t in border_strips(parts, 2 * i, dim_e):
+                twice[nu] = twice.get(nu, 0) + c * t * m
+        odd = next((nu for nu, y in twice.items() if y % 2), None)
+        if odd is not None:
+            raise InconsistencyError(f"{where}: psi^{i} has the odd coefficient {twice[odd]} at {Partition._of(odd)} before halving")
+        return {nu: y // 2 for nu, y in twice.items()}
 
     out = Decomposition()
-    while poly:
-        top = max(poly)
-        coeff = poly[top]
-        if coeff < 0:
-            raise InconsistencyError(f"plethysm_wedge_power: subtraction loop hit a negative leading term {top}:{coeff}")
-        lam = Partition(top)
-        out.add(lam, coeff)
-        for expo, c in schur_fill(lam, units, zero, dominant=True).items():
-            newc = poly.get(expo, 0) - coeff * c
-            if newc:
-                poly[expo] = newc
-            else:
-                poly.pop(expo, None)
-    dim, want = out.total(lambda lam: dim_schur(lam, dim_e)), math.comb(len(basis), k)
+    for parts, m in next(itertools.islice(newton_series({(): 1}, psi, -1, where), k, None)).items():
+        if m < 0:
+            raise InconsistencyError(f"{where}: negative multiplicity {m} at {Partition._of(parts)}")
+        out.add(Partition._of(parts), m)
+    n = dim_e * (dim_e + c) // 2
+    dim, want = out.total(lambda lam: dim_schur(lam, dim_e)), math.comb(n, k)
     if dim != want:
-        raise InconsistencyError(f"plethysm_wedge_power: k {k}, {form}, dimE {dim_e}: dimension {dim}, not C({len(basis)}, {k}) = {want}")
+        raise InconsistencyError(f"{where}: dimension {dim}, not C({n}, {k}) = {want}")
     return out

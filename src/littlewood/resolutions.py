@@ -162,7 +162,7 @@ def hilbert_numerator(table: BettiTable, codim: int) -> HilbertData:
 def _koszul_top(form: str, m: int) -> int:
     """The number of quadrics, the last homological degree."""
     if form not in ("alternating", "symmetric"):
-        raise ValueError("form must be alternating or symmetric")
+        raise ValueError(f"koszul {form}: form must be alternating or symmetric")
     if m < 0:
         raise ValueError(f"koszul {form}: m {m} is negative")
     return m * (m - 1) // 2 if form == "alternating" else m * (m + 1) // 2

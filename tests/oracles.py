@@ -1,23 +1,78 @@
 """Reference oracles shared by the test modules.
 
 The weight-fill routes here are the ones the library replaced by Adams
-operations (`characters.adams_series`); they expand every Schur functor
-weight by weight, so they are slow but independent of the kernel they check.
+operations (`characters.adams_series`, `partitions.newton_series`); they
+expand every Schur functor weight by weight through `schur_fill`, so they are
+slow but independent of the kernel they check.
 The folding restriction from E6 to F4 is the route by which the library once
 derived the F4 cone's resolution from the E6 cone's; it now checks the peel.
 """
 
+import itertools
+import operator
 from functools import cache
 
 from littlewood.characters import Character, char_of_irrep
 from littlewood.complexes import bracket_weight
-from littlewood.partitions import Decomposition, Partition, lr_coefficient, partitions_of, schur_fill
+from littlewood.partitions import Decomposition, Partition, lr_coefficient, partitions_of
+
+
+def schur_fill(outer, letters, zero: tuple, inner=()) -> dict:
+    """{sum of the letters used: count} over the semistandard fillings of
+    outer/inner, entry i standing for letters[i] (vectors of one length,
+    zero being that length's zero vector).
+
+    Strip recursion: the cells holding entry i form a horizontal strip, so
+    one table per shape mu (inner <= mu <= outer) holds the sums over the
+    fillings of mu/inner by the entries seen so far.  Each new letter lets
+    every shape nu take the table of each predecessor mu (nu/mu a non-empty
+    horizontal strip) shifted by |nu/mu| copies of the letter.  Larger shapes
+    are updated first, so they read their predecessors' tables from before
+    this letter: the 0/1-knapsack trick, for any shape.
+    """
+    outer, inner = Partition(outer), Partition(inner)
+    if not outer.contains(inner):
+        return {}
+    outer = outer.parts
+    inner = inner.parts + (0,) * (len(outer) - len(inner))
+    shapes = [()]
+    for lo, hi in zip(inner, outer):
+        shapes = [mu + (p,) for mu in shapes for p in range(lo, min(hi, mu[-1] if mu else hi) + 1)]
+    shapes.sort(key=sum, reverse=True)
+    strips = []
+    for nu in shapes:
+        # mu interlaces nu: nu[r+1] <= mu[r] <= nu[r], and mu contains inner.
+        ranges = [range(max(lo, below), top + 1) for lo, top, below in zip(inner, nu, nu[1:] + (0,))]
+        strips.append([(mu, sum(nu) - sum(mu)) for mu in itertools.product(*ranges) if mu != nu])
+    tables = {mu: {} for mu in shapes}
+    tables[inner] = {zero: 1}
+    for done, letter in enumerate(letters, 1):
+        # Each letter still to come fills at most one cell of a column, so a
+        # shape that can still grow into outer contains outer less that many
+        # top rows; the other shapes are not updated.
+        rest = outer[len(letters) - done:]
+        shifts = [zero]
+        for _ in range(max(outer, default=0)):
+            shifts.append(tuple(map(operator.add, shifts[-1], letter)))
+        for nu, preds in zip(shapes, strips):
+            if any(p < q for p, q in zip(nu, rest)):
+                continue
+            dst = tables[nu]
+            for mu, d in preds:
+                src = tables[mu]
+                if not src:
+                    continue
+                shift = shifts[d]
+                for vec, c in src.items():
+                    key = tuple(map(operator.add, vec, shift))
+                    dst[key] = dst.get(key, 0) + c
+    return tables[outer]
 
 
 def count_skew_ssyt(outer, inner, m: int) -> int:
     """Number of semistandard fillings of outer/inner with entries <= m.
 
-    Counted by the horizontal-strip recursion of `schur_fill`, independently
+    Counted by the horizontal-strip recursion `schur_fill`, independently
     of the lattice-word walk of the LR route it checks.
     """
     return sum(schur_fill(outer, [(1,)] * m, (0,), inner).values())

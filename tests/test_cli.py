@@ -297,6 +297,12 @@ def test_koszul_negative_m_exits_2(capsys, argv):
     assert code == 2 and out == "" and "alternating" in err and "is negative" in err
 
 
+def test_unknown_koszul_form_is_refused_with_the_form(capsys):
+    for command in (("betti", "--case", "koszul:foo:3"), ("hilbert", "--case", "koszul:foo:3", "--codim", "1")):
+        for fmt in ("text", "json"):
+            assert run_cli(capsys, *command, "--format", fmt) == (2, "", "error: koszul foo: form must be alternating or symmetric\n")
+
+
 @pytest.mark.parametrize("name", ["koszul:alternating", "koszul:alternating:x", "koszul:alternating:3:1"])
 def test_malformed_koszul_name_is_refused_with_its_form(capsys, name):
     # too few fields, an m that is no integer, too many fields
@@ -407,6 +413,18 @@ def test_every_listed_betti_name_renders(capsys):
         (("spinor", "--family", "Dfull", "--n", "9"), "error: spinor_complex Dfull: n 9 is past the bound 8\n"),
         (("spinor", "--family", "B", "--n", "0"), "error: spinor_complex B: n 0 is below 1\n"),
         (("decompose", "--type", "G2", "--weight", "1,0", "--schur", "9"), "error: schur_character supports |lambda| <= 8\n"),
+        (("dim", "--type", "G", "--weight", "1,0"), "error: parse_type: 'G' is not a type; expected a family letter then a rank, e.g. G2\n"),
+        (("dim", "--type", "2G", "--weight", "1,0"), "error: parse_type: '2G' is not a type; expected a family letter then a rank, e.g. G2\n"),
+        (("branch", "--lambda", "2", "--target", "foo"), "error: branch_gl_to_iso: 'foo' is not a target; expected Sp:<m> or O:<m>, e.g. O:5 or Sp(4)\n"),
+        (("branch", "--lambda", "2", "--target", "sp:x"), "error: branch_gl_to_iso: 'sp:x' is not a target; expected Sp:<m> or O:<m>, e.g. O:5 or Sp(4)\n"),
+        (
+            ("slice", "--case", "SpC(x)", "--degree", "1"),
+            "error: parse_case: 'SpC(x)' is not a case; expected a kind, or a classical kind with its rank, e.g. SpC(3)\n",
+        ),
+        (
+            ("lr", "--lambda", "1,x", "--mu", "1", "--nu", "x"),
+            "error: parse_partition: '1,x' is not a partition; expected comma-separated integers, or - for the empty one\n",
+        ),
     ],
 )
 def test_refusals_name_the_operation_the_input_and_the_bound(capsys, argv, err):
@@ -419,3 +437,32 @@ def test_schur_functor_of_the_e8_adjoint_answers(capsys):
     code, out, err = run_cli(capsys, "decompose", "--type", "E8", "--weight", "0,0,0,0,0,0,0,1", "--schur", "1,1")
     assert (code, err) == (0, "")
     assert out == "fund:E8:0,0,0,0,0,0,0,1: 1\nfund:E8:0,0,0,0,0,0,1,0: 1\n"
+
+
+@pytest.mark.parametrize(
+    "type_,content,err",
+    [
+        ("", None, "parse_type: '' is not a type; expected a family letter then a rank, e.g. G2"),
+        (
+            "G2",
+            '{"fund::1": 1}',
+            "weight_from_key: 'fund::1' is not a weight key; expected <fund|eps>:<type>:<coordinates>, e.g. fund:G2:1,0",
+        ),
+        (
+            "G2",
+            "[1, 2]",
+            "decompose --input {path}: the document is not a character; expected a JSON object of weight keys to integer multiplicities",
+        ),
+        ("G2", '{"fund:G2:1,0": "x"}', "decompose --input {path}: 'x' at 'fund:G2:1,0' is not a multiplicity; expected an integer"),
+    ],
+    ids=["empty-type", "key-without-type", "json-list", "string-multiplicity"],
+)
+def test_malformed_type_and_character_input_exit_2_not_with_a_traceback(capsys, tmp_path, type_, content, err):
+    # exit 1 is a verification failure; these were IndexError, AttributeError and TypeError
+    if content is None:
+        argv = ("dim", "--type", type_, "--weight", "1")
+    else:
+        path = tmp_path / "f.json"
+        path.write_text(content)
+        argv = ("decompose", "--type", type_, "--input", str(path))
+    assert run_cli(capsys, *argv) == (2, "", f"error: {err.format(path=argv[-1])}\n")

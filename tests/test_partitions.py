@@ -13,10 +13,9 @@ from littlewood.partitions import (
     lr_coefficient,
     partitions_of,
     plethysm_wedge_power,
-    schur_fill,
     skew_schur_expand,
 )
-from oracles import count_skew_ssyt
+from oracles import count_skew_ssyt, schur_fill
 
 P = Partition
 
@@ -200,8 +199,8 @@ def test_plethysm_scale_errors():
 
 
 def _full_expansion_plethysm(k, form, dim_e):
-    """The oracle before its dominant-only fills: expand every monomial of the
-    column and of each leading shape, and peel the lex-highest term."""
+    """The monomial route: expand the column (1^k) filled with the degree-2
+    monomials, and peel the Schur polynomial of the lex-highest term."""
     basis = [tuple(int(c == i) + int(c == j) for c in range(dim_e))
              for i in range(dim_e) for j in range(i + (form == "alternating"), dim_e)]
     zero = (0,) * dim_e
@@ -231,13 +230,34 @@ def test_plethysm_dimension_must_match(monkeypatch):
         plethysm_wedge_power(2, "alternating", 4)
 
 
+@pytest.mark.parametrize(
+    "fake,k,message",
+    [
+        # p_r = max(r, 2): psi^1 = 1 and psi^2 = 0, so 2 X_2 = 1
+        (lambda parts, r, rows: ((parts, max(r, 2)),), 2, "step 2 is not divisible by 2"),
+        # p_r = r: p_1^2 - p_2 = -1
+        (lambda parts, r, rows: ((parts, r),), 1, r"psi\^1 has the odd coefficient -1 at \[\] before halving"),
+        # p_r = 0 for odd r and 2 for even r: psi^1 = (0 - 2) / 2
+        (lambda parts, r, rows: ((parts, 2),) if r % 2 == 0 else (), 1, r"negative multiplicity -1 at \[\]"),
+    ],
+    ids=["newton-step", "odd-numerator", "negative-multiplicity"],
+)
+def test_plethysm_checks_its_own_arithmetic(monkeypatch, fake, k, message):
+    monkeypatch.setattr(partitions, "border_strips", fake)
+    with pytest.raises(InconsistencyError, match=f"plethysm_wedge_power: k {k}, alternating, dimE 4: {message}"):
+        plethysm_wedge_power(k, "alternating", 4)
+
+
 def test_q_sets_match_plethysm_at_dim_8():
-    # multiplicity-one support agreement, the oracle check at full width
+    # multiplicity-one support agreement over every input the oracle accepts:
+    # the Q-set members with at most dim E rows
     for variant, form in (("minus", "alternating"), ("plus", "symmetric")):
-        for d in range(0, 9, 2):
-            dec = plethysm_wedge_power(d // 2, form, 8)
-            assert sorted(dec.support(), key=lambda p: p.parts) == enumerate_q(variant, d)
-            assert all(m == 1 for m in dec.entries.values())
+        for k in range(7):
+            members = enumerate_q(variant, 2 * k)
+            for dim_e in range(1, 9):
+                dec = plethysm_wedge_power(k, form, dim_e)
+                assert sorted(dec.support(), key=lambda p: p.parts) == [p for p in members if len(p) <= dim_e]
+                assert all(m == 1 for m in dec.entries.values())
 
 
 def test_dim_schur_hook_content():

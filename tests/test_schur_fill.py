@@ -1,4 +1,5 @@
-"""Property tests of the horizontal-strip recursion `schur_fill`."""
+"""Property tests of the horizontal-strip recursion `schur_fill`, the weight
+fill of the test oracles."""
 
 import pytest
 
@@ -6,7 +7,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from littlewood.partitions import dim_schur, schur_fill
+from littlewood.partitions import dim_schur
+from oracles import schur_fill
 
 
 @st.composite
@@ -45,16 +47,3 @@ def test_skew_schur_polynomial_is_symmetric(case, data):
     poly = schur_fill(lam, units(m), (0,) * m, inner)
     assert {tuple(vec[i] for i in perm): c for vec, c in poly.items()} == poly
 
-
-def degree_two(m):
-    return [tuple(int(k == i) + int(k == j) for k in range(m)) for i in range(m) for j in range(i, m)]
-
-
-@settings(deadline=None)
-@given(shape_and_width(), st.booleans())
-def test_dominant_fill_is_the_dominant_part_of_the_full_fill(case, monomials):
-    lam, inner, m = case
-    letters = degree_two(m) if monomials else units(m)
-    full = schur_fill(lam, letters, (0,) * m, inner)
-    dominant = {vec: c for vec, c in full.items() if all(a >= b for a, b in zip(vec, vec[1:]))}
-    assert schur_fill(lam, letters, (0,) * m, inner, dominant=True) == dominant

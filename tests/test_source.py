@@ -38,17 +38,14 @@ def test_unchecked_partition_constructor_stays_in_partitions():
 
 
 def test_weight_fill_stays_out_of_the_library():
-    # Schur functors of group representations go through Adams operations
-    # (`characters.adams_series`); the weight-by-weight fill `schur_fill` is a
-    # GL-side routine of partitions.py, and the fill over the weights of a
-    # character is a test oracle (tests/oracles.py).
+    # Schur functors of group representations and the plethysm oracle go
+    # through Newton's identity over Adams operations (`partitions.newton_series`);
+    # the weight-by-weight fill `schur_fill` is a test oracle (tests/oracles.py).
     found = []
     for path in sorted(SRC.rglob("*.py")):
-        if path == SRC / "partitions.py":
-            continue
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            name = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
-            if name == "schur_fill" or isinstance(node, ast.alias) and node.name == "schur_fill":
+            # a use (Name, Attribute), an import (alias) or a definition (FunctionDef)
+            if "schur_fill" in (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None)):
                 found.append(f"{path.name}:{getattr(node, 'lineno', '?')}")
     assert not found, found
 
