@@ -28,17 +28,19 @@ from fractions import Fraction
 from functools import cache
 from types import MappingProxyType
 
-from .errors import InconsistencyError, NotCharacterError, ScaleError
+from .errors import InconsistencyError, NotCharacterError, check_bound
 from .partitions import Decomposition, Partition, border_strips, dim_schur, newton_series
 
 DIM_BOUND_ENV = "LITTLEWOOD_DIM_BOUND"
-DEFAULT_DIM_BOUND = 10**6
 
 SCHUR_SIZE_BOUND = 8
 
 
 def dim_bound() -> int:
-    return int(os.environ.get(DIM_BOUND_ENV, DEFAULT_DIM_BOUND))
+    try:
+        return int(os.environ.get(DIM_BOUND_ENV, 10**6))
+    except ValueError:
+        raise ValueError(f"dim_bound: {DIM_BOUND_ENV} {os.environ[DIM_BOUND_ENV]!r} is not an integer") from None
 
 
 @dataclass(frozen=True)
@@ -486,12 +488,7 @@ def weyl_orbit(rs: RootSystem, fc: tuple):
 
 def weight_multiplicities(rs: RootSystem, weight, bound=None) -> "Character":
     fc = rs.fund_tuple(weight)
-    if any(c < 0 for c in fc):
-        raise ValueError(f"weight {fc} is not dominant for {rs}")
-    dim = dim_irrep(rs, fc)
-    limit = dim_bound() if bound is None else bound
-    if dim > limit:
-        raise ScaleError(f"dim {dim} exceeds the configured bound {limit}")
+    check_bound("weight_multiplicities", rs.weight(fc), "dim", dim := dim_irrep(rs, fc), *((dim_bound(), DIM_BOUND_ENV) if bound is None else (bound,)))
     char = Character(rs)
     mass = 0
     for mu, m in _dominant_mults(rs.family, rs.rank, fc).items():
@@ -507,16 +504,18 @@ def weight_multiplicities(rs: RootSystem, weight, bound=None) -> "Character":
 
 
 @cache
-def _irrep_character(family: str, rank: int, fc: tuple, bound: int) -> "Character":
+def _irrep_character(family: str, rank: int, fc: tuple) -> "Character":
     """The memoised character, shared by every caller: its entries are a
     read-only view, so a caller's `add` raises instead of corrupting it."""
-    char = weight_multiplicities(build_root_system(family, rank), fc, bound=bound)
+    char = weight_multiplicities(build_root_system(family, rank), fc)
     char.entries = MappingProxyType(char.entries)
     return char
 
 
 def char_of_irrep(rs: RootSystem, weight) -> "Character":
-    return _irrep_character(rs.family, rs.rank, rs.fund_tuple(weight), dim_bound())
+    fc = rs.fund_tuple(weight)
+    check_bound("char_of_irrep", rs.weight(fc), "dim", dim_irrep(rs, fc), dim_bound(), DIM_BOUND_ENV)  # before the memo: a lowered bound still refuses
+    return _irrep_character(rs.family, rs.rank, fc)
 
 
 # ---------------------------------------------------------------------------
@@ -599,14 +598,11 @@ def brauer_klimyk(rs: RootSystem, weights, top: tuple) -> dict:
 def _constituents(rs: RootSystem, mults: dict, dim: int, where: str, negative=InconsistencyError) -> Decomposition:
     """{dominant fc: multiplicity} as checked constituents whose dimensions sum
     to dim, highest first by the integer height fc . h (`height_vector`), then lex."""
-    limit = dim_bound()
     out = Decomposition()
     for fc in sorted(mults, key=lambda fc: (sum(map(operator.mul, fc, rs.height_vector)), fc), reverse=True):
         m = mults[fc]
         if m < 0:
             raise negative(f"negative multiplicity {m} at {fc} in {rs}")
-        if dim_irrep(rs, fc) > limit:
-            raise ScaleError(f"dim {dim_irrep(rs, fc)} exceeds the configured bound {limit}")
         out.add(rs.weight(fc), m)
     mass = sum(m * dim_irrep(rs, fc) for fc, m in mults.items())
     if mass != dim:
@@ -662,10 +658,10 @@ def schur_character(rs: RootSystem, weight, lam) -> Decomposition:
     weight, listed as by `decompose_character`: by Cauchy, the S_lam E part
     of Sym^|lam|(E (x) V), the Adams series kept to the shapes inside lam."""
     v, lam = rs.fund_tuple(weight), Partition(lam)
+    subject = f"{lam} of {rs.weight(v)}"
+    check_bound("schur_character", subject, "size", lam.size, SCHUR_SIZE_BOUND, "SCHUR_SIZE_BOUND")
     dim_v = char_of_irrep(rs, v).dimension()
-    if lam.size > SCHUR_SIZE_BOUND:
-        raise ScaleError(f"schur_character supports |lambda| <= {SCHUR_SIZE_BOUND}")
     inside = {tuple(filter(None, mu)) for mu in itertools.product(*(range(p + 1) for p in lam)) if all(map(operator.ge, mu, mu[1:]))}
     top = next(itertools.islice(adams_series(rs, v, {((), (0,) * rs.rank): 1}, len(lam), 1, inside), lam.size, None))
     mults = {fc: m for (mu, fc), m in top.items() if mu == lam.parts}
-    return _constituents(rs, mults, dim_schur(lam, dim_v), f"schur_character {lam} of {rs.weight(v)}")
+    return _constituents(rs, mults, dim_schur(lam, dim_v), f"schur_character {subject}")

@@ -37,6 +37,7 @@ from .complexes import (
 from .errors import LittlewoodError
 from .partitions import (
     Partition,
+    check_q_size,
     enumerate_q,
     in_q,
     lr_coefficient,
@@ -62,12 +63,11 @@ def parse_partition(text: str) -> Partition:
     if text.strip() in ("", "-"):
         return Partition()
     try:
-        parts = tuple(int(x) for x in text.split(","))
-    except ValueError:
+        return Partition(int(x) for x in text.split(","))
+    except ValueError:  # a part that is no int, a part above the one before it, or a negative part
         raise LittlewoodError(
-            f"parse_partition: {text!r} is not a partition; expected comma-separated integers, or - for the empty one"
+            f"parse_partition: {text!r} is not a partition; expected weakly decreasing comma-separated integers >= 0, or - for the empty one"
         ) from None
-    return Partition(parts)
 
 
 def parse_type(text: str):
@@ -179,7 +179,10 @@ def _cmd_decompose(args):
     family, rank = parse_type(args.type)
     rs = build_root_system(family, rank)
     if args.input:
-        data = json.loads(sys.stdin.read() if args.input == "-" else open(args.input).read())
+        try:
+            data = json.loads(sys.stdin.read() if args.input == "-" else open(args.input).read())
+        except json.JSONDecodeError as exc:
+            raise LittlewoodError(f"decompose --input {args.input}: not JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from None
         if not isinstance(data, dict):
             raise LittlewoodError(
                 f"decompose --input {args.input}: the document is not a character; expected a JSON object of weight keys to integer multiplicities"
@@ -221,8 +224,7 @@ def _cmd_qset(args):
     if args.size is None:
         raise LittlewoodError("qset needs --size or --check")
     if args.oracle:
-        if args.size % 2:
-            raise ValueError("Q-sets contain only even sizes")
+        check_q_size(args.size)
         # The longest minus member is the hook (size/2, 1^(size/2)); the
         # longest plus member is its transpose.
         rows = args.size // 2 + (args.variant == "minus" and args.size > 0)

@@ -19,11 +19,10 @@ from .characters import (
     RootSystem,
     Weight,
     build_root_system,
-    dim_bound,
     dim_irrep,
     schur_character,
 )
-from .errors import InconsistencyError, ScaleError, StableRangeError
+from .errors import InconsistencyError, StableRangeError, check_bound
 from .partitions import (
     Decomposition,
     Partition,
@@ -324,8 +323,7 @@ def spinor_complex(family: str, n: int) -> list[GradedTerm]:
     the spin label the parity rule dictates."""
     if family not in SPINOR_FAMILIES:
         raise ValueError(f"family must be one of {SPINOR_FAMILIES}")
-    if not 1 <= n <= 8:
-        raise ScaleError(f"spinor_complex {family}: n {n} is {'below 1' if n < 1 else 'past the bound 8'}")
+    check_bound("spinor_complex", family, "n", n, 8, lower=1)
     by_cell: dict[tuple, Decomposition] = {}
     for size in range(n * n + 1):
         for lam in partitions_of(size, max_length=n, max_part=n):
@@ -371,20 +369,16 @@ def verify_spinor_identity(family: str, n: int, lam) -> Report:
     """Dimension-level Euler check of the spinor complex against the spin-
     shifted irreducible(s): alternating sums of skew Schur dimensions times
     the spin dimension must equal dim V_{lam+delta}."""
-    if family not in SPINOR_FAMILIES:
-        raise ValueError(f"family must be one of {SPINOR_FAMILIES}")
     lam = Partition(lam)
     if len(lam) > n:
         raise ValueError(f"need at most {n} rows, got {len(lam)}")
+    terms = spinor_complex(family, n)  # checks the family, and n against its bound, first
     label_dims, dim_v, rs = _spin_dims(family, n)
     lhs = 0
-    for term in spinor_complex(family, n):
+    for term in terms:
         for (mu, label), mult in term.content.entries.items():
             if lam.contains(mu):
                 skew_dim = sum(c * dim_schur(nu, dim_v) for nu, c in skew_schur_expand(lam, mu).entries.items())
                 lhs += (-1) ** term.index * mult * skew_dim * label_dims[label]
     rhs = sum(dim_irrep(rs, _spin_shifted_weight(rs, lam, mirror)) for mirror in _SPIN_MIRRORS[family])
-    limit = dim_bound()
-    if rhs > limit:
-        raise ScaleError(f"dimension {rhs} exceeds the configured bound {limit}")
     return Report(passed=lhs == rhs, case=f"{family} n={n} lambda={lam}", lhs=lhs, rhs=rhs)

@@ -28,7 +28,7 @@ import math
 from functools import cache
 from types import MappingProxyType
 
-from .errors import InconsistencyError, ScaleError
+from .errors import InconsistencyError, check_bound
 
 Q_VARIANTS = ("minus", "plus")
 FORMS = ("alternating", "symmetric")
@@ -261,16 +261,19 @@ def in_q(lam, variant: str) -> bool:
     return True
 
 
+def check_q_size(size: int) -> None:
+    if size % 2 or size < 0:
+        raise ValueError(f"Q-sets contain only even sizes; size {size} is {'odd' if size % 2 else 'negative'}")
+
+
 def enumerate_q(variant: str, size: int) -> list[Partition]:
     """All partitions of the given even size in the Q-set, lexicographic.
     The plus members are the transposes of the minus ones, so both variants
     filter the partitions of size by the minus rule alone."""
-    if size % 2 != 0 or size < 0:
-        raise ValueError("Q-sets contain only even sizes")
-    if size > Q_SIZE_BOUND:
-        raise ScaleError(f"enumerate_q: size {size} is past the bound {Q_SIZE_BOUND}")
+    check_q_size(size)
     if variant not in Q_VARIANTS:
         raise ValueError(f"variant must be one of {Q_VARIANTS}")
+    check_bound("enumerate_q", variant, "size", size, Q_SIZE_BOUND, "Q_SIZE_BOUND")
     minus = [p for p in partitions_of(size) if in_q(p, "minus")]
     return minus if variant == "minus" else sorted(p.transpose() for p in minus)
 
@@ -420,10 +423,8 @@ def plethysm_wedge_power(k: int, form: str, dim_e: int) -> Decomposition:
     """
     if form not in FORMS:
         raise ValueError(f"form must be one of {FORMS}")
-    for name, value, lo, hi in (("dimE", dim_e, 1, 8), ("k", k, 0, 6)):
-        if not lo <= value <= hi:
-            side, bound = ("past", hi) if value > hi else ("below", lo)
-            raise ScaleError(f"plethysm_wedge_power: {name} {value} is {side} the bound {bound}")
+    check_bound("plethysm_wedge_power", form, "dimE", dim_e, 8, lower=1)
+    check_bound("plethysm_wedge_power", form, "k", k, 6, lower=0)
 
     where = f"plethysm_wedge_power: k {k}, {form}, dimE {dim_e}"
     c = -1 if form == "alternating" else 1

@@ -19,7 +19,7 @@ from math import comb
 
 from .characters import Weight, adams_series, dim_irrep
 from .complexes import GradedTerm, GroupCase, bracket_labels, bracket_weight, branch_gl_to_iso
-from .errors import InconsistencyError, ScaleError
+from .errors import InconsistencyError, check_bound
 from .partitions import Decomposition, Partition, dim_schur, enumerate_q, partitions_of
 
 
@@ -204,8 +204,7 @@ def cauchy_slice(case: GroupCase, d: int):
     Every label is one irreducible of the connected group, so an even
     orthogonal shape with n rows carries both mirrors (see `bracket_labels`).
     """
-    if not 0 <= d <= SLICE_BOUND:
-        raise ScaleError(f"cauchy_slice {case.name}: degree {d} is {'below 0' if d < 0 else f'past SLICE_BOUND {SLICE_BOUND}'}")
+    check_bound("cauchy_slice", case.name, "degree", d, SLICE_BOUND, "SLICE_BOUND", lower=0)
     out = Decomposition()
     for lam in partitions_of(d, max_length=case.dim_e):
         if case.kind == "F4_6":

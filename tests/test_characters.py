@@ -164,7 +164,7 @@ def test_weight_multiplicities_g2():
 
 def test_weight_multiplicities_bound():
     e6 = build_root_system("E", 6)
-    with pytest.raises(ScaleError):
+    with pytest.raises(ScaleError, match="^weight_multiplicities fund:E6:1,0,0,0,0,0: dim 27 is past the bound 10$"):
         weight_multiplicities(e6, (1, 0, 0, 0, 0, 0), bound=10)
 
 
@@ -258,14 +258,19 @@ def test_schur_character_sp4_example():
     assert labels == {(4, 4): 1, (2, 2): 1, (0, 0): 1}
 
 
-def test_schur_character_bounds():
-    # |lambda| is capped at SCHUR_SIZE_BOUND; the base dimension is not: the
-    # symmetric and exterior squares of the 248-dimensional E8 adjoint answer
+def test_schur_character_bounds(monkeypatch):
+    # |lambda| is capped at SCHUR_SIZE_BOUND, before V's character is built;
+    # the base dimension is not: the symmetric and exterior squares of the
+    # 248-dimensional E8 adjoint answer
     g2 = build_root_system("G", 2)
-    with pytest.raises(ScaleError, match=r"schur_character supports \|lambda\| <= 8"):
+    with pytest.raises(ScaleError, match=r"^schur_character \[9\] of fund:G2:1,0: size 9 is past SCHUR_SIZE_BOUND 8$"):
         schur_character(g2, (1, 0), (9,))
     e8 = build_root_system("E", 8)
     adjoint = (0,) * 7 + (1,)
+    with monkeypatch.context() as m:
+        m.setattr(characters_module, "char_of_irrep", None)  # building V's character would raise TypeError
+        with pytest.raises(ScaleError, match="size 9 is past SCHUR_SIZE_BOUND 8"):
+            schur_character(e8, adjoint, (3, 3, 3))
     sym2 = {w.fund_coords(): m for w, m in schur_character(e8, adjoint, (2,)).entries.items()}
     assert sym2 == {(0,) * 7 + (2,): 1, (1,) + (0,) * 7: 1, (0,) * 8: 1}
     wedge2 = {w.fund_coords(): m for w, m in schur_character(e8, adjoint, (1, 1)).entries.items()}
@@ -313,10 +318,24 @@ def test_dim_bound_env_var(monkeypatch):
     monkeypatch.setenv("LITTLEWOOD_DIM_BOUND", "50")
     assert dim_bound() == 50
     g2 = build_root_system("G", 2)
-    with pytest.raises(ScaleError):
-        weight_multiplicities(g2, (2, 1))  # 189-dimensional
+    with pytest.raises(ScaleError, match="^weight_multiplicities fund:G2:2,1: dim 189 is past LITTLEWOOD_DIM_BOUND 50$"):
+        weight_multiplicities(g2, (2, 1))
     monkeypatch.delenv("LITTLEWOOD_DIM_BOUND")
     assert weight_multiplicities(g2, (2, 1)).dimension() == 189
+    monkeypatch.setenv("LITTLEWOOD_DIM_BOUND", "1e6")
+    with pytest.raises(ValueError, match="^dim_bound: LITTLEWOOD_DIM_BOUND '1e6' is not an integer$"):
+        dim_bound()
+
+
+def test_memoised_character_still_refused_under_a_lowered_bound(monkeypatch):
+    # the bound is checked before the memo lookup, not folded into its key
+    g2 = build_root_system("G", 2)
+    monkeypatch.delenv("LITTLEWOOD_DIM_BOUND", raising=False)
+    assert char_of_irrep(g2, (2, 1)).dimension() == 189
+    monkeypatch.setenv("LITTLEWOOD_DIM_BOUND", "100")
+    with pytest.raises(ScaleError, match="^char_of_irrep fund:G2:2,1: dim 189 is past LITTLEWOOD_DIM_BOUND 100$"):
+        char_of_irrep(g2, (2, 1))
+    assert char_of_irrep(g2, (1, 0)).dimension() == 7
 
 
 def test_memoised_character_is_read_only():

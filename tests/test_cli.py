@@ -163,9 +163,11 @@ def test_qset_check_mode(capsys):
 
 
 def test_qset_odd_size_refused_on_both_paths(capsys):
+    # one check, naming the size, before the listing and before the oracle
     for extra in ((), ("--oracle",)):
-        code, out, err = run_cli(capsys, "qset", "--variant", "minus", "--size", "7", *extra)
-        assert code == 2 and out == "" and "even sizes" in err, extra
+        for size, why in (("7", "odd"), ("-2", "negative")):
+            got = run_cli(capsys, "qset", "--variant", "minus", "--size", size, *extra)
+            assert got == (2, "", f"error: Q-sets contain only even sizes; size {size} is {why}\n"), extra
 
 
 def test_qset_size_past_the_bound_exits_2(capsys, monkeypatch):
@@ -185,7 +187,7 @@ def test_qset_size_past_the_bound_exits_2(capsys, monkeypatch):
         cli.run(["qset", "--variant", "minus", "--size", str(bound)])
     code, out, err = run_cli(capsys, "qset", "--variant", "minus", "--size", str(bound + 2))
     assert code == 2 and out == ""
-    assert err == f"error: enumerate_q: size {bound + 2} is past the bound {bound}\n"
+    assert err == f"error: enumerate_q minus: size {bound + 2} is past Q_SIZE_BOUND {bound}\n"
 
 
 @pytest.mark.parametrize(
@@ -412,7 +414,7 @@ def test_every_listed_betti_name_renders(capsys):
         (("slice", "--case", "SpC(2)", "--degree", "-1"), "error: cauchy_slice SpC(2): degree -1 is below 0\n"),
         (("spinor", "--family", "Dfull", "--n", "9"), "error: spinor_complex Dfull: n 9 is past the bound 8\n"),
         (("spinor", "--family", "B", "--n", "0"), "error: spinor_complex B: n 0 is below 1\n"),
-        (("decompose", "--type", "G2", "--weight", "1,0", "--schur", "9"), "error: schur_character supports |lambda| <= 8\n"),
+        (("decompose", "--type", "G2", "--weight", "1,0", "--schur", "9"), "error: schur_character [9] of fund:G2:1,0: size 9 is past SCHUR_SIZE_BOUND 8\n"),
         (("dim", "--type", "G", "--weight", "1,0"), "error: parse_type: 'G' is not a type; expected a family letter then a rank, e.g. G2\n"),
         (("dim", "--type", "2G", "--weight", "1,0"), "error: parse_type: '2G' is not a type; expected a family letter then a rank, e.g. G2\n"),
         (("branch", "--lambda", "2", "--target", "foo"), "error: branch_gl_to_iso: 'foo' is not a target; expected Sp:<m> or O:<m>, e.g. O:5 or Sp(4)\n"),
@@ -423,12 +425,43 @@ def test_every_listed_betti_name_renders(capsys):
         ),
         (
             ("lr", "--lambda", "1,x", "--mu", "1", "--nu", "x"),
-            "error: parse_partition: '1,x' is not a partition; expected comma-separated integers, or - for the empty one\n",
+            "error: parse_partition: '1,x' is not a partition; expected weakly decreasing comma-separated integers >= 0, or - for the empty one\n",
         ),
+        (
+            ("lr", "--lambda", "1,3", "--mu", "1", "--nu", "1"),
+            "error: parse_partition: '1,3' is not a partition; expected weakly decreasing comma-separated integers >= 0, or - for the empty one\n",
+        ),
+        (
+            ("mults", "--type", "E8", "--weight", "0,0,0,0,0,0,1,1"),
+            "error: weight_multiplicities fund:E8:0,0,0,0,0,0,1,1: dim 4096000 is past LITTLEWOOD_DIM_BOUND 1000000\n",
+        ),
+        (("mults", "--type", "G2", "--weight", "2,1", "--bound", "100"), "error: weight_multiplicities fund:G2:2,1: dim 189 is past the bound 100\n"),
+        (("decompose", "--type", "E8", "--weight", "1,1,0,0,0,0,0,0"), "error: char_of_irrep fund:E8:1,1,0,0,0,0,0,0: dim 301694976 is past LITTLEWOOD_DIM_BOUND 1000000\n"),
+        (("pleth", "--k", "7", "--form", "alternating", "--dim-e", "4"), "error: plethysm_wedge_power alternating: k 7 is past the bound 6\n"),
+        (("qset", "--variant", "plus", "--size", "14", "--oracle", "--dim-e", "8"), "error: plethysm_wedge_power symmetric: k 7 is past the bound 6\n"),
+        (("verify-spinor", "--family", "B", "--n", "9", "--lambda", "1"), "error: spinor_complex B: n 9 is past the bound 8\n"),
     ],
 )
-def test_refusals_name_the_operation_the_input_and_the_bound(capsys, argv, err):
+def test_refusals_name_the_operation_the_input_and_the_bound(capsys, monkeypatch, argv, err):
+    monkeypatch.delenv("LITTLEWOOD_DIM_BOUND", raising=False)
     assert run_cli(capsys, *argv) == (2, "", err)
+
+
+def test_dim_bound_that_is_not_an_integer_is_named(capsys, monkeypatch):
+    monkeypatch.setenv("LITTLEWOOD_DIM_BOUND", "abc")
+    got = run_cli(capsys, "mults", "--type", "G2", "--weight", "1,0")
+    assert got == (2, "", "error: dim_bound: LITTLEWOOD_DIM_BOUND 'abc' is not an integer\n")
+
+
+def test_answers_the_dimension_bound_used_to_refuse_after_the_work(capsys, monkeypatch):
+    # the bound limits weight expansion, not a constituent nobody expands
+    # (dim V_{3 omega_8} = 1763125) nor a dimension already computed
+    monkeypatch.delenv("LITTLEWOOD_DIM_BOUND", raising=False)
+    code, out, err = run_cli(capsys, "decompose", "--type", "E8", "--weight", "0,0,0,0,0,0,0,1", "--schur", "3")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [f"fund:E8:{w}: 1" for w in ("0,0,0,0,0,0,0,1", "0,0,0,0,0,0,0,3", "0,0,0,0,0,0,1,0", "1,0,0,0,0,0,0,1")]
+    monkeypatch.setenv("LITTLEWOOD_DIM_BOUND", "50")
+    assert run_cli(capsys, "verify-spinor", "--family", "B", "--n", "3", "--lambda", "2,1") == (0, "pass: B n=3 lambda=[2,1] (512 = 512)\n", "")
 
 
 def test_schur_functor_of_the_e8_adjoint_answers(capsys):
@@ -454,8 +487,9 @@ def test_schur_functor_of_the_e8_adjoint_answers(capsys):
             "decompose --input {path}: the document is not a character; expected a JSON object of weight keys to integer multiplicities",
         ),
         ("G2", '{"fund:G2:1,0": "x"}', "decompose --input {path}: 'x' at 'fund:G2:1,0' is not a multiplicity; expected an integer"),
+        ("G2", "{bad", "decompose --input {path}: not JSON at line 1 column 2: Expecting property name enclosed in double quotes"),
     ],
-    ids=["empty-type", "key-without-type", "json-list", "string-multiplicity"],
+    ids=["empty-type", "key-without-type", "json-list", "string-multiplicity", "not-json"],
 )
 def test_malformed_type_and_character_input_exit_2_not_with_a_traceback(capsys, tmp_path, type_, content, err):
     # exit 1 is a verification failure; these were IndexError, AttributeError and TypeError

@@ -188,11 +188,11 @@ def test_plethysm_examples():
 
 
 def test_plethysm_scale_errors():
-    with pytest.raises(ScaleError, match="plethysm_wedge_power: k 7 is past the bound 6"):
+    with pytest.raises(ScaleError, match="^plethysm_wedge_power alternating: k 7 is past the bound 6$"):
         plethysm_wedge_power(7, "alternating", 4)
-    with pytest.raises(ScaleError, match="plethysm_wedge_power: dimE 9 is past the bound 8"):
-        plethysm_wedge_power(2, "alternating", 9)
-    with pytest.raises(ScaleError, match="plethysm_wedge_power: dimE 0 is below the bound 1"):
+    with pytest.raises(ScaleError, match="^plethysm_wedge_power symmetric: dimE 9 is past the bound 8$"):
+        plethysm_wedge_power(2, "symmetric", 9)
+    with pytest.raises(ScaleError, match="^plethysm_wedge_power alternating: dimE 0 is below 1$"):
         plethysm_wedge_power(2, "alternating", 0)
     with pytest.raises(ValueError):
         plethysm_wedge_power(2, "skew", 4)

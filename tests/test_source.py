@@ -23,6 +23,24 @@ def test_no_assert_in_package():
     assert not found, found
 
 
+def test_scale_error_comes_from_the_one_guard():
+    # Every refusal past a bound goes through errors.check_bound, so it has
+    # one message shape; a ScaleError built anywhere else would bypass it.
+    found = set()
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        owner = {}
+        for fn in ast.walk(tree):  # breadth first, so the outermost function owns a node
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(fn):
+                    owner.setdefault(node, fn.name)
+        for node in ast.walk(tree):
+            made = node.func if isinstance(node, ast.Call) else node.exc if isinstance(node, ast.Raise) else None
+            if "ScaleError" in (getattr(made, "id", None), getattr(made, "attr", None)):
+                found.add(f"{path.name}:{owner.get(node, '<module>')}")
+    assert found == {"errors.py:check_bound"}, found
+
+
 def test_unchecked_partition_constructor_stays_in_partitions():
     # Partition._of skips the checks; only partitions.py builds its tuples
     # decreasing, positive and zero-free by construction.
