@@ -12,7 +12,7 @@ import time
 from dataclasses import dataclass
 from functools import partial
 
-from .bott import SpinLabel, b_spinor_twist_weight, bott, d_spinor_twist_weight, spin_cohomology_B, spin_cohomology_D
+from .bott import SpinLabel, bott, spin_cohomology_B, spin_cohomology_D, spin_weight
 from .characters import build_root_system, dim_irrep
 from .complexes import parse_case, spinor_complex, verify_littlewood_identity, verify_spinor_identity
 from .errors import LittlewoodError
@@ -163,37 +163,26 @@ def _crit_qset_oracle():
 
 
 def _crit_spin_vs_bott():
+    # the twist is spin_weight of -lam reversed, mirrored on the minus
+    # component; a nonzero H^i is spin_weight of 0, mirrored for Delta-
     mism = []
     checked = 0
-    for n in range(2, 7):
-        rs = build_root_system("D", n)
-        fund_plus = (0,) * (n - 1) + (1,)
-        fund_minus = (0,) * (n - 2) + (1, 0)
-        for size in range(n * n + 1):
-            for lam in partitions_of(size, max_length=n, max_part=n):
-                for comp in ("plus", "minus"):
-                    closed = spin_cohomology_D(n, lam, comp)
-                    walked = bott(rs, d_spinor_twist_weight(n, lam, comp))
-                    checked += 1
-                    ok = closed.vanishes == walked.vanishes
-                    if ok and not closed.vanishes:
-                        expect_fc = fund_plus if closed.label == SpinLabel.DELTA_PLUS else fund_minus
-                        ok = walked.degree == closed.degree and walked.weight.fund_coords() == expect_fc
-                    if not ok:
-                        mism.append(("D", n, lam.parts, comp))
-    for n in range(1, 7):
-        rs = build_root_system("B", n)
-        delta_fc = (0,) * (n - 1) + (1,)
-        for size in range(0, 11):
-            for lam in partitions_of(size, max_length=n, max_part=n):
-                closed = spin_cohomology_B(n, lam)
-                walked = bott(rs, b_spinor_twist_weight(n, lam))
-                checked += 1
-                ok = closed.vanishes == walked.vanishes
-                if ok and not closed.vanishes:
-                    ok = walked.degree == closed.degree and walked.weight.fund_coords() == delta_fc
-                if not ok:
-                    mism.append(("B", n, lam.parts, None))
+    for fam, ranks, comps in (("D", range(2, 7), ("plus", "minus")), ("B", range(1, 7), (None,))):
+        for n in ranks:
+            rs = build_root_system(fam, n)
+            expect = {label: spin_weight(fam, n, (0,) * n, label is SpinLabel.DELTA_MINUS).fund_coords() for label in SpinLabel}
+            for size in range(n * n + 1 if fam == "D" else 11):
+                for lam in partitions_of(size, max_length=n, max_part=n):
+                    twist = [-lam[n - 1 - i] for i in range(n)]
+                    for comp in comps:
+                        closed = spin_cohomology_D(n, lam, comp) if comp else spin_cohomology_B(n, lam)
+                        walked = bott(rs, spin_weight(fam, n, twist, comp == "minus"))
+                        checked += 1
+                        ok = closed.vanishes == walked.vanishes
+                        if ok and not closed.vanishes:
+                            ok = walked.degree == closed.degree and walked.weight.fund_coords() == expect[closed.label]
+                        if not ok:
+                            mism.append((fam, n, lam.parts, comp))
     return not mism, {"mismatches": []}, {"checked": checked, "mismatches": mism}
 
 

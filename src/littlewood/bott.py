@@ -76,25 +76,17 @@ def bott(rs: RootSystem, weight: Weight, epsilon_shortcut: bool = True) -> BottO
 # that feed the generic algorithm for cross-validation
 
 
-def d_spinor_twist_weight(n: int, lam, component: str) -> Weight:
-    """The D_n weight (-lam reversed) + delta_plus in epsilon coordinates, with
-    the last coordinate sign-flipped for the minus component (the two maximal
-    isotropic families are exchanged by the outer involution, which negates the
-    last epsilon coordinate; the flip carries the bundle on one component to
-    the bundle on the other)."""
-    lam = Partition(lam)
-    if component not in ("plus", "minus"):
-        raise ValueError("component must be plus or minus")
-    twice = [-2 * lam[n - 1 - i] + 1 for i in range(n)]
-    if component == "minus":
-        twice[-1] = 2 * lam[0] - 1
-    return Weight(CoordSystem("epsilon", "D", n), twice)
-
-
-def b_spinor_twist_weight(n: int, lam) -> Weight:
-    """The B_n weight (-lam reversed) + delta in epsilon coordinates."""
-    lam = Partition(lam)
-    return Weight(CoordSystem("epsilon", "B", n), [-2 * lam[n - 1 - i] + 1 for i in range(n)])
+def spin_weight(family: str, n: int, parts, mirror: bool = False) -> Weight:
+    """The B_n or D_n weight parts + delta in epsilon coordinates, twice each
+    coordinate 2p + 1, the last one negated if mirrored (the outer involution
+    of D_n).  Parts -lam reversed give the twist of the spinor bundle (mirrored
+    for the minus component: the involution exchanges the two maximal isotropic
+    families), parts lam the spin-shifted irreducible, parts 0 a spin
+    representation; reads past the end of a partition are 0."""
+    twice = [2 * parts[i] + 1 for i in range(n)]
+    if mirror:
+        twice[-1] = -twice[-1]
+    return Weight(CoordSystem("epsilon", family, n), twice)
 
 
 def spin_cohomology_D(n: int, lam, component: str) -> SpinOutcome:
@@ -119,6 +111,15 @@ def half_spin_label(component: str, rank: int) -> SpinLabel:
     return SpinLabel.DELTA_PLUS if (rank % 2 == 0) == (component == "plus") else SpinLabel.DELTA_MINUS
 
 
+def spin_mirrors(family: str, label: SpinLabel) -> tuple[bool, ...]:
+    """The label rule: the mirrors of spin_weight a label spans.  Delta+ is
+    unmirrored, Delta- mirrored, and Delta is both mirrors for D (the sum of
+    the half-spin representations) but unmirrored for B."""
+    if label is SpinLabel.DELTA:
+        return (False,) if family == "B" else (False, True)
+    return (label is SpinLabel.DELTA_MINUS,)
+
+
 def spin_cohomology_B(n: int, lam) -> SpinOutcome:
     """Odd orthogonal analogue: nonzero exactly for shapes in the plus Q-set,
     in degree |lam|/2, and the cohomology is the full spin representation.
@@ -134,11 +135,3 @@ def spin_cohomology_B(n: int, lam) -> SpinOutcome:
         return SpinOutcome(vanishes=True)
     return SpinOutcome(vanishes=False, degree=lam.size // 2, label=SpinLabel.DELTA)
 
-
-def delta_weight_B(n: int) -> Weight:
-    return Weight(CoordSystem("epsilon", "B", n), (1,) * n)
-
-
-def delta_weight_D(n: int, component: str) -> Weight:
-    sign = 1 if component == "plus" else -1
-    return Weight(CoordSystem("epsilon", "D", n), (1,) * (n - 1) + (sign,))

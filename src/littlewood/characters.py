@@ -165,7 +165,8 @@ def _fund_to_eps(family: str, rank: int, ms) -> tuple:
 # ---------------------------------------------------------------------------
 # root system construction
 
-_RANK_RANGES = {"A": (1, 8), "B": (1, 8), "C": (1, 8), "D": (2, 8), "E": (6, 8), "F": (4, 4), "G": (2, 2)}
+RANK_BOUND = 8  # the families A-D have every rank from their first; they are built up to this one
+_RANK_RANGES = {"A": (1, RANK_BOUND), "B": (1, RANK_BOUND), "C": (1, RANK_BOUND), "D": (2, RANK_BOUND), "E": (6, 8), "F": (4, 4), "G": (2, 2)}
 
 _EXPECTED_POSITIVE = {
     "A": lambda n: n * (n + 1) // 2,
@@ -247,9 +248,13 @@ class RootSystem:
     """Immutable root-system data for one simple type; cached singleton."""
 
     def __init__(self, family: str, rank: int):
-        lo, hi = _RANK_RANGES.get(family, (0, -1))
-        if not lo <= rank <= hi:
+        if family not in _RANK_RANGES:
             raise ValueError(f"unsupported type {family}{rank}")
+        lo, hi = _RANK_RANGES[family]
+        if rank < lo or rank > hi and family in "EFG":  # a rank the family does not have
+            ranks = f"ranks {lo} and up" if family in "ABCD" else f"ranks {lo} to {hi}" if lo < hi else f"rank {lo}"
+            raise ValueError(f"unsupported type {family}{rank}: {family} takes {ranks}")
+        check_bound("build_root_system", family, "rank", rank, RANK_BOUND, "RANK_BOUND")
         self.family = family
         self.rank = rank
         self.cartan, self.d = _cartan_and_d(family, rank)

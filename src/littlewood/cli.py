@@ -180,7 +180,11 @@ def _cmd_decompose(args):
     rs = build_root_system(family, rank)
     if args.input:
         try:
-            data = json.loads(sys.stdin.read() if args.input == "-" else open(args.input).read())
+            if args.input == "-":
+                data = json.loads(sys.stdin.read())
+            else:
+                with open(args.input) as f:
+                    data = json.loads(f.read())
         except json.JSONDecodeError as exc:
             raise LittlewoodError(f"decompose --input {args.input}: not JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from None
         if not isinstance(data, dict):

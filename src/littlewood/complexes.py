@@ -13,9 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bott import SpinLabel, delta_weight_B, delta_weight_D, half_spin_label
+from .bott import SpinLabel, half_spin_label, spin_mirrors, spin_weight
 from .characters import (
-    CoordSystem,
     RootSystem,
     Weight,
     build_root_system,
@@ -333,36 +332,9 @@ def spinor_complex(family: str, n: int) -> list[GradedTerm]:
     return [GradedTerm(i, j, content) for (i, j), content in sorted(by_cell.items())]
 
 
-def _spin_dims(family: str, n: int):
-    """Spin label dimensions and the ambient vector dimension per family."""
-    if family == "B":
-        rs = build_root_system("B", n)
-        delta = dim_irrep(rs, delta_weight_B(n))
-        return {SpinLabel.DELTA: delta}, 2 * n + 1, rs
-    rs = build_root_system("D", n)
-    plus = dim_irrep(rs, delta_weight_D(n, "plus"))
-    minus = dim_irrep(rs, delta_weight_D(n, "minus"))
-    dims = {
-        SpinLabel.DELTA: plus + minus,
-        SpinLabel.DELTA_PLUS: plus,
-        SpinLabel.DELTA_MINUS: minus,
-    }
-    return dims, 2 * n, rs
-
-
-# The spin-shifted irreducibles each family's Euler characteristic equals, as
-# mirror flags: mirrored, the last epsilon coordinate of lam + delta is negated
-# (the highest weight of the image of the full-length module under the outer
-# involution).
-_SPIN_MIRRORS = {"B": [False], "Dplus": [False], "Dminus": [True], "Dfull": [False, True]}
-
-
-def _spin_shifted_weight(rs: RootSystem, lam: Partition, mirror: bool) -> Weight:
-    """lam + delta in epsilon coordinates, the last one negated if mirrored."""
-    twice = [2 * lam[i] + 1 for i in range(rs.rank)]
-    if mirror:
-        twice[-1] = -twice[-1]
-    return Weight(CoordSystem("epsilon", rs.family, rs.rank), twice)
+def _spin_dim(rs: RootSystem, label: SpinLabel, parts) -> int:
+    """dim of the irreducible(s) parts + delta over the mirrors the label spans."""
+    return sum(dim_irrep(rs, spin_weight(rs.family, rs.rank, parts, mirror)) for mirror in spin_mirrors(rs.family, label))
 
 
 def verify_spinor_identity(family: str, n: int, lam) -> Report:
@@ -372,13 +344,16 @@ def verify_spinor_identity(family: str, n: int, lam) -> Report:
     lam = Partition(lam)
     if len(lam) > n:
         raise ValueError(f"need at most {n} rows, got {len(lam)}")
+    if family != "B" and family in SPINOR_FAMILIES:
+        check_bound("verify_spinor_identity", family, "n", n, None, lower=2)
     terms = spinor_complex(family, n)  # checks the family, and n against its bound, first
-    label_dims, dim_v, rs = _spin_dims(family, n)
+    rs, dim_v = build_root_system(family[0], n), 2 * n + (family == "B")
+    label_dims = {label: _spin_dim(rs, label, (0,) * n) for label in {label for term in terms for _, label in term.content.entries}}
     lhs = 0
     for term in terms:
         for (mu, label), mult in term.content.entries.items():
             if lam.contains(mu):
                 skew_dim = sum(c * dim_schur(nu, dim_v) for nu, c in skew_schur_expand(lam, mu).entries.items())
                 lhs += (-1) ** term.index * mult * skew_dim * label_dims[label]
-    rhs = sum(dim_irrep(rs, _spin_shifted_weight(rs, lam, mirror)) for mirror in _SPIN_MIRRORS[family])
+    rhs = _spin_dim(rs, _spin_label(family, 0), lam)  # the family's own label, that of the empty shape
     return Report(passed=lhs == rhs, case=f"{family} n={n} lambda={lam}", lhs=lhs, rhs=rhs)

@@ -9,10 +9,11 @@ class ScaleError(LittlewoodError):
     """An input exceeds the configured desk-scale bounds."""
 
 
-def check_bound(operation: str, subject, quantity: str, value: int, bound: int, name: str = "the bound", lower=None) -> None:
-    """The package's one ScaleError, raised before the work it bounds: `<operation> <subject>: <quantity> N is past <name> M` or `... is below <lower>`."""
-    if value > bound or lower is not None and value < lower:
-        side = f"past {name} {bound}" if value > bound else f"below {lower}"
+def check_bound(operation: str, subject, quantity: str, value: int, bound: int | None, name: str = "the bound", lower=None) -> None:
+    """The package's one ScaleError, raised before the work it bounds: `<operation> <subject>: <quantity> N is past <name> M` or `... is below <lower>`; a bound of None sets no upper limit."""
+    below = lower is not None and value < lower
+    if below or bound is not None and value > bound:
+        side = f"below {lower}" if below else f"past {name} {bound}"
         raise ScaleError(f"{operation} {subject}: {quantity} {value} is {side}")
 
 

@@ -7,11 +7,10 @@ from littlewood.bott import (
     BottOutcome,
     SpinLabel,
     _on_wall,
-    b_spinor_twist_weight,
     bott,
-    d_spinor_twist_weight,
     spin_cohomology_B,
     spin_cohomology_D,
+    spin_weight,
 )
 from littlewood.characters import Weight, build_root_system
 from littlewood.partitions import partitions_of
@@ -151,7 +150,7 @@ def test_spin_closed_forms_match_bott_small():
         for lam in boxed(n):
             for comp in ("plus", "minus"):
                 closed = spin_cohomology_D(n, lam, comp)
-                walked = bott(rs, d_spinor_twist_weight(n, lam, comp))
+                walked = bott(rs, spin_weight("D", n, [-lam[n - 1 - i] for i in range(n)], comp == "minus"))
                 assert closed.vanishes == walked.vanishes
                 if not closed.vanishes:
                     assert walked.degree == closed.degree
@@ -159,7 +158,7 @@ def test_spin_closed_forms_match_bott_small():
         rs = build_root_system("B", n)
         for lam in boxed(n):
             closed = spin_cohomology_B(n, lam)
-            walked = bott(rs, b_spinor_twist_weight(n, lam))
+            walked = bott(rs, spin_weight("B", n, [-lam[n - 1 - i] for i in range(n)]))
             assert closed.vanishes == walked.vanishes
             if not closed.vanishes:
                 assert walked.degree == closed.degree

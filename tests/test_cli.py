@@ -216,14 +216,23 @@ def test_branch_oracle_refuses_even_orthogonal_outside_the_stable_range(capsys):
     assert code == 2 and out == "" and "[1,1,1] has 3" in err
 
 
-def test_python_dash_m_entry_point():
+def run_python(*argv):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run(
-        [sys.executable, "-m", "littlewood", "dim", "--type", "G2", "--weight", "1,0"],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env, timeout=60)
+
+
+def test_python_dash_m_entry_point():
+    done = run_python("-m", "littlewood", "dim", "--type", "G2", "--weight", "1,0")
     assert done.returncode == 0 and done.stdout == "7\n"
+
+
+def test_decompose_closes_its_input_file(tmp_path):
+    path = tmp_path / "f.json"
+    path.write_text('{"fund:G2:0,0": 1}')
+    done = run_python("-X", "dev", "-W", "error::ResourceWarning", "-m", "littlewood", "decompose", "--type", "G2", "--input", str(path))
+    assert done.returncode == 0 and "ResourceWarning" not in done.stderr, done.stderr
+    assert done.stdout == "fund:G2:0,0: 1\n"
 
 
 # Golden output of the two derived audits, frozen from when their terms were
@@ -440,11 +449,22 @@ def test_every_listed_betti_name_renders(capsys):
         (("pleth", "--k", "7", "--form", "alternating", "--dim-e", "4"), "error: plethysm_wedge_power alternating: k 7 is past the bound 6\n"),
         (("qset", "--variant", "plus", "--size", "14", "--oracle", "--dim-e", "8"), "error: plethysm_wedge_power symmetric: k 7 is past the bound 6\n"),
         (("verify-spinor", "--family", "B", "--n", "9", "--lambda", "1"), "error: spinor_complex B: n 9 is past the bound 8\n"),
+        (("verify-spinor", "--family", "Dfull", "--n", "1", "--lambda", "1"), "error: verify_spinor_identity Dfull: n 1 is below 2\n"),
+        (("verify-spinor", "--family", "Dplus", "--n", "1", "--lambda", "-"), "error: verify_spinor_identity Dplus: n 1 is below 2\n"),
+        (("dim", "--type", "A9", "--weight", "1,0,0,0,0,0,0,0,0"), "error: build_root_system A: rank 9 is past RANK_BOUND 8\n"),
+        (("dim", "--type", "D1", "--weight", "1"), "error: unsupported type D1: D takes ranks 2 and up\n"),
+        (("dim", "--type", "E5", "--weight", "1,0,0,0,0"), "error: unsupported type E5: E takes ranks 6 to 8\n"),
+        (("dim", "--type", "F3", "--weight", "1,0,0"), "error: unsupported type F3: F takes rank 4\n"),
     ],
 )
 def test_refusals_name_the_operation_the_input_and_the_bound(capsys, monkeypatch, argv, err):
     monkeypatch.delenv("LITTLEWOOD_DIM_BOUND", raising=False)
     assert run_cli(capsys, *argv) == (2, "", err)
+
+
+def test_spinor_complex_of_rank_one_answers(capsys):
+    # only the identity check, which needs the root system D_n, refuses n = 1
+    assert run_cli(capsys, "spinor", "--family", "Dplus", "--n", "1") == (0, "F_0(-0): {[]|Delta+:1}\nF_1(-1): {[1]|Delta-:1}\n", "")
 
 
 def test_dim_bound_that_is_not_an_integer_is_named(capsys, monkeypatch):

@@ -1,12 +1,11 @@
 import pytest
 
-from littlewood.bott import SpinLabel, delta_weight_B, delta_weight_D
+from littlewood.bott import SpinLabel, spin_mirrors, spin_weight
 from littlewood.characters import Character, Weight, build_root_system, char_of_irrep, dim_irrep
 from littlewood.complexes import (
     CASE_KINDS,
-    _SPIN_MIRRORS,
-    _spin_shifted_weight,
     GroupCase,
+    _spin_dim,
     bracket_labels,
     bracket_weight,
     branch_gl_to_iso,
@@ -274,33 +273,37 @@ def test_full_spinor_identity_is_the_sum_of_the_half_spin_ones():
                 assert full.lhs == plus.lhs + minus.lhs and full.rhs == plus.rhs + minus.rhs, (n, lam)
 
 
+# The mirrors of spin_weight(lam) each family's Euler characteristic equals,
+# written out so the test checks the library's label rule, not reads it.
+SPIN_MIRRORS = {"B": (False,), "Dplus": (False,), "Dminus": (True,), "Dfull": (False, True)}
+
+
+def _spin_character(rs, parts, mirrors):
+    return sum((char_of_irrep(rs, spin_weight(rs.family, rs.rank, parts, m)) for m in mirrors), Character(rs))
+
+
 def _spinor_identity_failures(family, n, max_size):
     """The shapes lam with at most n rows and |lam| <= max_size whose spinor
     identity fails on characters: sum_i (-1)^i sum_mu c^lam_{mu nu}
-    chi(S_nu V) chi(label) against the sum of chi(V_{lam+delta}) over the
-    family's mirrors (`_SPIN_MIRRORS`).  Mirror irreducibles have equal
-    dimensions, so only characters tell Delta+ from Delta-."""
+    chi(S_nu V) chi(label), each label's character built by the library's
+    label rule, against the sum of chi(V_{lam+delta}) over the family's
+    mirrors in SPIN_MIRRORS.  Mirror irreducibles have equal dimensions, so
+    only characters tell Delta+ from Delta-."""
     fam = family[0]
     rs = build_root_system(fam, n)
     vector = char_of_irrep(rs, Weight.epsilon(fam, n, (1,) + (0,) * (n - 1)))
-    if fam == "B":
-        labels = {SpinLabel.DELTA: char_of_irrep(rs, delta_weight_B(n))}
-    else:
-        plus, minus = (char_of_irrep(rs, delta_weight_D(n, c)) for c in ("plus", "minus"))
-        labels = {SpinLabel.DELTA_PLUS: plus, SpinLabel.DELTA_MINUS: minus, SpinLabel.DELTA: plus + minus}
+    terms = spinor_complex(family, n)
+    labels = {label: _spin_character(rs, (0,) * n, spin_mirrors(fam, label)) for t in terms for _, label in t.content.entries}
     failures = []
     for size in range(max_size + 1):
         for lam in partitions_of(size, max_length=n):
             lhs = Character(rs)
-            for term in spinor_complex(family, n):
+            for term in terms:
                 for (mu, label), mult in term.content.entries.items():
                     for nu, c in skew_schur_expand(lam, mu).entries.items():
                         piece = fill_character(rs, vector, nu) * labels[label]
                         lhs = lhs + piece.scale((-1) ** term.index * mult * c)
-            rhs = Character(rs)
-            for mirror in _SPIN_MIRRORS[family]:
-                rhs = rhs + char_of_irrep(rs, _spin_shifted_weight(rs, lam, mirror))
-            if lhs != rhs:
+            if lhs != _spin_character(rs, lam, SPIN_MIRRORS[family]):
                 failures.append(lam)
     return failures
 
@@ -308,7 +311,19 @@ def _spinor_identity_failures(family, n, max_size):
 @pytest.mark.parametrize("family", ["B", "Dplus", "Dminus", "Dfull"])
 def test_spinor_identity_holds_on_characters(family):
     for n in (1, 2, 3) if family == "B" else (2, 3):
+        ((_, label),) = spinor_complex(family, n)[0].content.entries  # the family's own label, the right-hand side's
+        assert spin_mirrors(family[0], label) == SPIN_MIRRORS[family], (family, n)
         assert _spinor_identity_failures(family, n, 4) == [], (family, n)
+
+
+def test_spin_label_dimensions_match_the_closed_forms():
+    # dim Delta+ = dim Delta- = 2^(n-1), and dim Delta = 2^n
+    for n in range(1, 9):
+        assert _spin_dim(build_root_system("B", n), SpinLabel.DELTA, (0,) * n) == 2**n
+    for n in range(2, 9):
+        rs = build_root_system("D", n)
+        dims = {label: _spin_dim(rs, label, (0,) * n) for label in SpinLabel}
+        assert dims == {SpinLabel.DELTA: 2**n, SpinLabel.DELTA_PLUS: 2 ** (n - 1), SpinLabel.DELTA_MINUS: 2 ** (n - 1)}, n
 
 
 def test_od_full_length_bracket_is_a_pair():

@@ -41,6 +41,19 @@ def test_scale_error_comes_from_the_one_guard():
     assert found == {"errors.py:check_bound"}, found
 
 
+def test_every_open_is_a_with_item():
+    # A file opened outside a `with` stays open until it is collected, which
+    # `python -X dev` reports as a ResourceWarning.
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        items = {id(item.context_expr) for node in ast.walk(tree) if isinstance(node, (ast.With, ast.AsyncWith)) for item in node.items}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and "open" in (getattr(node.func, "id", None), getattr(node.func, "attr", None)) and id(node) not in items:
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
+
+
 def test_unchecked_partition_constructor_stays_in_partitions():
     # Partition._of skips the checks; only partitions.py builds its tuples
     # decreasing, positive and zero-free by construction.
