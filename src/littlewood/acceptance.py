@@ -99,17 +99,22 @@ def _terms_as_plain(terms):
     return out
 
 
+def _terms_json(terms):
+    """(i, degree) -> {(E-shape, weight): mult} as JSON: keys "i,degree" and "[shape]|[weight]"."""
+    return {f"{i},{j}": {f"{list(l)}|{list(w)}": m for (l, w), m in cell.items()} for (i, j), cell in terms.items()}
+
+
 def _crit_g2_y2():
     report = run_audit("g2-y2")
     computed_terms = _terms_as_plain(report.terms)
     table = report.betti
     computed = {
-        "terms": {f"{i},{j}": {f"{list(l)}|{list(w)}": m for (l, w), m in cell.items()} for (i, j), cell in computed_terms.items()},
+        "terms": _terms_json(computed_terms),
         "totals": table.totals(),
         "layout": table.render(),
     }
     expected = {
-        "terms": {f"{i},{j}": {f"{list(l)}|{list(w)}": m for (l, w), m in cell.items()} for (i, j), cell in G2_Y2_EXPECTED_TERMS.items()},
+        "terms": _terms_json(G2_Y2_EXPECTED_TERMS),
         "totals": AUDITS["g2-y2"].expected_totals,
         "layout": G2_Y2_BETTI_TEXT,
     }
@@ -171,7 +176,7 @@ def _crit_spin_vs_bott():
         for n in ranks:
             rs = build_root_system(fam, n)
             expect = {label: spin_weight(fam, n, (0,) * n, label is SpinLabel.DELTA_MINUS).fund_coords() for label in SpinLabel}
-            for size in range(n * n + 1 if fam == "D" else 11):
+            for size in range(n * n + 1):
                 for lam in partitions_of(size, max_length=n, max_part=n):
                     twist = [-lam[n - 1 - i] for i in range(n)]
                     for comp in comps:
@@ -190,6 +195,11 @@ SPINOR_EXPECTED = {
     2: {0: [()], 1: [(1,)], 2: [(2, 1)], 3: [(2, 2)]},
     3: {0: [()], 1: [(1,)], 2: [(2, 1)], 3: [(2, 2), (3, 1, 1)], 4: [(3, 2, 1)], 5: [(3, 3, 2)], 6: [(3, 3, 3)]},
 }
+
+
+def _shapes_json(by_n):
+    """n -> i -> shapes as JSON, with string keys."""
+    return {str(n): {str(i): [list(p) for p in v] for i, v in e.items()} for n, e in by_n.items()}
 
 
 def _crit_spinor_complexes():
@@ -218,9 +228,8 @@ def _crit_spinor_complexes():
                     checked += 1
                     if not rep.passed:
                         problems.append((family, n, lam.parts))
-    expected_json = {str(n): {str(i): [list(p) for p in v] for i, v in e.items()} for n, e in SPINOR_EXPECTED.items()}
-    computed_json = {str(n): {str(i): [list(p) for p in v] for i, v in e.items()} for n, e in computed.items()}
-    return not problems, expected_json, {"terms": computed_json, "identities_checked": checked, "problems": problems}
+    report = {"terms": _shapes_json(computed), "identities_checked": checked, "problems": problems}
+    return not problems, _shapes_json(SPINOR_EXPECTED), report
 
 
 def _crit_dims():

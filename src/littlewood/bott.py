@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .characters import CoordSystem, RootSystem, Weight, _fund_to_eps
+from .errors import check_bound
 from .partitions import Partition, in_q
 
 
@@ -98,6 +99,7 @@ def spin_cohomology_D(n: int, lam, component: str) -> SpinOutcome:
     if component not in ("plus", "minus"):
         raise ValueError("component must be plus or minus")
     lam = Partition(lam)
+    check_bound("spin_cohomology_D", f"{component} {lam}", "n", n, None, lower=1)
     if len(lam) > n or lam[0] > n:
         raise ValueError(f"shape {lam} does not fit in the {n}x{n} box")
     if lam.transpose() != lam:
@@ -129,6 +131,7 @@ def spin_cohomology_B(n: int, lam) -> SpinOutcome:
     box the Q-set rule genuinely diverges from the cohomology (already for
     n = 1 and a single row of length 3)."""
     lam = Partition(lam)
+    check_bound("spin_cohomology_B", lam, "n", n, None, lower=1)
     if len(lam) > n or lam[0] > n:
         raise ValueError(f"shape {lam} does not fit in the {n}x{n} box")
     if not in_q(lam, "plus"):

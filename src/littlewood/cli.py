@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 from .acceptance import criterion_ids, run_all, run_criterion
 from .bott import bott, spin_cohomology_B, spin_cohomology_D
@@ -113,14 +114,6 @@ def weight_from_key(text: str) -> Weight:
     return parse_weight(f"{kind}:{coords}", family, rank)
 
 
-def _emit(args, payload, text_lines) -> None:
-    if args.format == "json":
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        for line in text_lines:
-            print(line)
-
-
 def _named_betti(name: str) -> BettiTable:
     if name in AUDITS:
         return run_audit(name).betti
@@ -140,51 +133,69 @@ def _named_betti(name: str) -> BettiTable:
 # subcommand handlers; each returns (exit_code, payload, text_lines)
 
 
+def _decomposition(build):
+    """The handler that prints the decomposition build(args)."""
+    def handler(args):
+        dec = build(args)
+        return 0, dec.to_json(), [repr(dec)]
+    return handler
+
+
+def _term_list(letter, build):
+    """The handler that prints one `<letter>_i(-d): content` line per term of build(args)."""
+    def handler(args):
+        terms = build(args)
+        return 0, [t.to_json() for t in terms], [f"{letter}_{t.index}(-{t.degree}): {t.content!r}" for t in terms]
+    return handler
+
+
+def _verdict(passed, payload, lines):
+    return (0 if passed else 1), payload, lines
+
+
+def _type_weight(type_text, weight_text):
+    """The root system of a type, and a weight on it (None without weight text)."""
+    family, rank = parse_type(type_text)
+    rs = build_root_system(family, rank)
+    return rs, None if weight_text is None else parse_weight(weight_text, family, rank)
+
+
 def _cmd_bott(args):
     if args.spin:
-        lam = parse_partition(args.lam if args.lam is not None else "")
+        lam = parse_partition(args.lam or "")
+        if args.n is None:
+            raise LittlewoodError(f"bott --spin {args.spin} needs --n, the rank")
         if args.spin == "B":
             out = spin_cohomology_B(args.n, lam)
         else:
             out = spin_cohomology_D(args.n, lam, args.spin.removeprefix("D"))
-        line = "vanishes" if out.vanishes else f"degree {out.degree}: {out.label}"
-        return 0, out.to_json(), [line]
-    if not args.type or not args.weight:
+    elif not args.type or not args.weight:
         raise LittlewoodError("bott needs --type/--weight, or --spin with --n/--lambda")
-    family, rank = parse_type(args.type)
-    rs = build_root_system(family, rank)
-    out = bott(rs, parse_weight(args.weight, family, rank))
-    if out.vanishes:
-        return 0, out.to_json(), ["vanishes"]
-    return 0, out.to_json(), [f"degree {out.degree}: {out.weight}"]
+    else:
+        out = bott(*_type_weight(args.type, args.weight))
+    piece = out.label if args.spin else out.weight
+    return 0, out.to_json(), ["vanishes" if out.vanishes else f"degree {out.degree}: {piece}"]
 
 
 def _cmd_dim(args):
-    family, rank = parse_type(args.type)
-    rs = build_root_system(family, rank)
-    d = dim_irrep(rs, parse_weight(args.weight, family, rank))
+    d = dim_irrep(*_type_weight(args.type, args.weight))
     return 0, {"dim": d}, [str(d)]
 
 
 def _cmd_mults(args):
-    family, rank = parse_type(args.type)
-    rs = build_root_system(family, rank)
-    char = weight_multiplicities(rs, parse_weight(args.weight, family, rank), bound=args.bound)
+    rs, weight = _type_weight(args.type, args.weight)
+    char = weight_multiplicities(rs, weight, bound=args.bound)
     lines = [f"{rs.weight(fc)}: {m}" for fc, m in char.sorted_items()]
     lines.append(f"total {char.dimension()}")
     return 0, char.to_json(), lines
 
 
 def _cmd_decompose(args):
-    family, rank = parse_type(args.type)
-    rs = build_root_system(family, rank)
+    rs, weight = _type_weight(args.type, None if args.input else args.weight)
     if args.input:
+        text = sys.stdin.read() if args.input == "-" else Path(args.input).read_text()
         try:
-            if args.input == "-":
-                data = json.loads(sys.stdin.read())
-            else:
-                with open(args.input) as f:
-                    data = json.loads(f.read())
+            data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise LittlewoodError(f"decompose --input {args.input}: not JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from None
         if not isinstance(data, dict):
@@ -195,23 +206,18 @@ def _cmd_decompose(args):
             if not isinstance(mult, int):
                 raise LittlewoodError(f"decompose --input {args.input}: {mult!r} at {key!r} is not a multiplicity; expected an integer")
         dec = decompose_character(rs, Character(rs, ((weight_from_key(key).fund_coords(), mult) for key, mult in data.items())))
-    elif args.weight is None:
+    elif weight is None:
         raise LittlewoodError("decompose needs --weight (plus optional --schur) or --input")
     elif args.schur:
-        dec = schur_character(rs, parse_weight(args.weight, family, rank), parse_partition(args.schur))
+        dec = schur_character(rs, weight, parse_partition(args.schur))
     else:
-        dec = decompose_character(rs, char_of_irrep(rs, parse_weight(args.weight, family, rank)))
+        dec = decompose_character(rs, char_of_irrep(rs, weight))
     return 0, dec.to_json(), [f"{w}: {m}" for w, m in dec.sorted_items()]
 
 
 def _cmd_lr(args):
     c = lr_coefficient(parse_partition(args.lam), parse_partition(args.mu), parse_partition(args.nu))
     return 0, {"coefficient": c}, [str(c)]
-
-
-def _cmd_skew(args):
-    dec = skew_schur_expand(parse_partition(args.outer), parse_partition(args.inner))
-    return 0, dec.to_json(), [repr(dec)]
 
 
 def _cmd_qset(args):
@@ -245,38 +251,15 @@ def _cmd_qset(args):
     return 0, [p.to_json() for p in members], [str(p) for p in members]
 
 
-def _cmd_pleth(args):
-    dec = plethysm_wedge_power(args.k, args.form, args.dim_e)
-    return 0, dec.to_json(), [repr(dec)]
-
-
-def _cmd_branch(args):
-    dec = branch_gl_to_iso(parse_partition(args.lam), args.target, oracle=args.oracle)
-    return 0, dec.to_json(), [repr(dec)]
-
-
-def _cmd_lwood(args):
-    terms = littlewood_complex(args.family, parse_partition(args.lam))
-    lines = [f"C_{t.index}(-{t.degree}): {t.content!r}" for t in terms]
-    return 0, [t.to_json() for t in terms], lines
-
-
 def _cmd_verify_lwood(args):
     report = verify_littlewood_identity(args.family, parse_partition(args.lam), args.n, oracle=args.oracle)
-    line = f"{'pass' if report.passed else 'FAIL'}: {report.case}"
-    return (0 if report.passed else 1), report.to_json(), [line]
-
-
-def _cmd_spinor(args):
-    terms = spinor_complex(args.family, args.n)
-    lines = [f"F_{t.index}(-{t.degree}): {t.content!r}" for t in terms]
-    return 0, [t.to_json() for t in terms], lines
+    return _verdict(report.passed, report.to_json(), [f"{'pass' if report.passed else 'FAIL'}: {report.case}"])
 
 
 def _cmd_verify_spinor(args):
     report = verify_spinor_identity(args.family, args.n, parse_partition(args.lam))
     line = f"{'pass' if report.passed else 'FAIL'}: {report.case} ({report.lhs} = {report.rhs})"
-    return (0 if report.passed else 1), report.to_json(), [line]
+    return _verdict(report.passed, report.to_json(), [line])
 
 
 def _cmd_bracket(args):
@@ -284,21 +267,9 @@ def _cmd_bracket(args):
     return 0, w.to_json(), [str(w)]
 
 
-def _cmd_koszul(args):
-    dec = koszul_terms(args.form, args.m, args.i)
-    return 0, dec.to_json(), [repr(dec)]
-
-
 def _cmd_slice(args):
     dec, total = cauchy_slice(parse_case(args.case), args.degree)
-    payload = {"content": dec.to_json(), "dimension": total}
-    return 0, payload, [repr(dec), f"dimension {total}"]
-
-
-def _cmd_g2_resolution(args):
-    terms = g2_equivariant_resolution()
-    lines = [f"F_{t.index}(-{t.degree}): {t.content!r}" for t in terms]
-    return 0, [t.to_json() for t in terms], lines
+    return 0, {"content": dec.to_json(), "dimension": total}, [repr(dec), f"dimension {total}"]
 
 
 def _cmd_betti(args):
@@ -320,7 +291,7 @@ def _cmd_audit(args):
     report = run_audit(args.case)
     lines = [f"F_{r.index}: {r.computed} (expected {r.expected}: {'ok' if r.passed else 'MISMATCH'})" for r in report.rows]
     lines.append("pass" if report.passed else "FAIL")
-    return (0 if report.passed else 1), report.to_json(), lines
+    return _verdict(report.passed, report.to_json(), lines)
 
 
 def _cmd_suite(args):
@@ -328,158 +299,123 @@ def _cmd_suite(args):
     lines = [r.line() for r in results]
     ok = all(r.passed for r in results)
     lines.append("all criteria pass" if ok else "FAILURES present")
-    return (0 if ok else 1), [r.to_json() for r in results], lines
+    return _verdict(ok, [r.to_json() for r in results], lines)
+
+
+_cmd_skew = _decomposition(lambda args: skew_schur_expand(parse_partition(args.outer), parse_partition(args.inner)))
+_cmd_pleth = _decomposition(lambda args: plethysm_wedge_power(args.k, args.form, args.dim_e))
+_cmd_branch = _decomposition(lambda args: branch_gl_to_iso(parse_partition(args.lam), args.target, oracle=args.oracle))
+_cmd_koszul = _decomposition(lambda args: koszul_terms(args.form, args.m, args.i))
+_cmd_lwood = _term_list("C", lambda args: littlewood_complex(args.family, parse_partition(args.lam)))
+_cmd_spinor = _term_list("F", lambda args: spinor_complex(args.family, args.n))
+_cmd_g2_resolution = _term_list("F", lambda args: g2_equivariant_resolution())
+
+
+# ---------------------------------------------------------------------------
+# the subcommand table: (name, handler, help, arguments), each argument a flag
+# and its add_argument keywords; every subcommand also takes --format
+
+_TYPE = ("--type", {"help": "root system, e.g. G2, B3, E6"})
+_WEIGHT = ("--weight", {"help": "coords, e.g. 1,0 or eps:3/2,1/2"})
+_TYPE_WEIGHT = [(flag, {**kwargs, "required": True}) for flag, kwargs in (_TYPE, _WEIGHT)]
+_LAMBDA = ("--lambda", {"dest": "lam", "required": True})
+_FORM = ("--form", {"choices": ("alternating", "symmetric"), "required": True})
+_N = ("--n", {"type": int, "required": True})
+_LITTLEWOOD_FAMILY = ("--family", {"choices": ("B", "C", "D"), "required": True})
+_SPINOR_FAMILY = ("--family", {"choices": ("B", "Dplus", "Dminus", "Dfull"), "required": True})
+# A cut resolution is refused at every codimension, so hilbert does not offer it.
+_WHOLE = sorted(name for name, spec in AUDITS.items() if spec.cut is None)
+
+SUBCOMMANDS = (
+    ("bott", _cmd_bott, "cohomology of an equivariant line bundle", [
+        _TYPE,
+        _WEIGHT,
+        ("--spin", {"choices": ("B", "Dplus", "Dminus"), "help": "closed-form spinor-twist cohomology instead of a walk"}),
+        ("--n", {"type": int, "help": "rank for --spin"}),
+        ("--lambda", {"dest": "lam", "help": "shape for --spin"})]),
+    ("dim", _cmd_dim, "Weyl dimension of an irreducible", _TYPE_WEIGHT),
+    ("mults", _cmd_mults, "weight multiplicities of an irreducible", [
+        *_TYPE_WEIGHT,
+        ("--bound", {"type": int, "default": None, "help": "dimension guard override"})]),
+    ("decompose", _cmd_decompose, "decompose a character into irreducibles", [
+        ("--type", {"required": True}),
+        ("--weight", {"help": "highest weight of the base character"}),
+        ("--schur", {"help": "apply this Schur functor to the base first"}),
+        ("--input", {"help": "JSON character file, or - for stdin"})]),
+    ("lr", _cmd_lr, "Littlewood-Richardson coefficient", [
+        _LAMBDA,
+        ("--mu", {"required": True}),
+        ("--nu", {"required": True})]),
+    ("skew", _cmd_skew, "skew Schur expansion", [
+        ("--outer", {"required": True}),
+        ("--inner", {"required": True})]),
+    ("qset", _cmd_qset, "partitions of a given size in a Q-set", [
+        ("--variant", {"choices": ("minus", "plus"), "required": True}),
+        ("--size", {"type": int, "default": None}),
+        ("--check", {"default": None, "help": "report membership, transpose, and rank of one shape"}),
+        ("--oracle", {"action": "store_true", "help": "recompute through the plethysm oracle"}),
+        ("--dim-e", {"type": int, "default": 6})]),
+    ("pleth", _cmd_pleth, "Schur expansion of an exterior power of a quadric space", [
+        ("--k", {"type": int, "required": True}),
+        _FORM,
+        ("--dim-e", {"type": int, "required": True})]),
+    ("branch", _cmd_branch, "restrict a GL Schur functor to an isometry group", [
+        _LAMBDA,
+        ("--target", {"required": True, "help": "sp:2n or o:m"}),
+        ("--oracle", {"action": "store_true", "help": "use the character oracle"})]),
+    ("lwood", _cmd_lwood, "terms of a Littlewood complex", [
+        _LITTLEWOOD_FAMILY,
+        _LAMBDA]),
+    ("verify-lwood", _cmd_verify_lwood, "Euler identity of a Littlewood complex", [
+        _LITTLEWOOD_FAMILY,
+        _LAMBDA,
+        _N,
+        ("--oracle", {"action": "store_true"})]),
+    ("spinor", _cmd_spinor, "terms of a spinor complex", [
+        _SPINOR_FAMILY,
+        _N]),
+    ("verify-spinor", _cmd_verify_spinor, "dimension Euler identity of a spinor complex", [
+        _SPINOR_FAMILY,
+        _N,
+        _LAMBDA]),
+    ("bracket", _cmd_bracket, "bracket weight of a shape", [
+        ("--case", {"required": True, "help": "G2, F4_3, E6_5, SpC(3), OD(4), ..."}),
+        _LAMBDA]),
+    ("koszul", _cmd_koszul, "Schur constituents of a Koszul term", [
+        _FORM,
+        ("--m", {"type": int, "required": True}),
+        ("--i", {"type": int, "required": True})]),
+    ("slice", _cmd_slice, "coordinate-ring degree slice with exact dimension", [
+        ("--case", {"required": True}),
+        ("--degree", {"type": int, "required": True})]),
+    ("g2-resolution", _cmd_g2_resolution, "reconstructed equivariant resolution terms", []),
+    ("betti", _cmd_betti, "render a graded Betti table", [
+        ("--case", {"required": True, "help": f"one of {', '.join(sorted(AUDITS))}, g2-y2-char2, koszul:<form>:<m>"})]),
+    ("hilbert", _cmd_hilbert, "Hilbert-series numerator of a named Betti table, divided by (1-T)^codim", [
+        ("--case", {"required": True, "help": f"one of {', '.join(_WHOLE)}, g2-y2-char2"}),
+        ("--codim", {"type": int, "required": True})]),
+    ("audit", _cmd_audit, "Betti totals of a named resolution against the stated ones", [
+        ("--case", {"choices": sorted(AUDITS), "required": True})]),
+    ("suite", _cmd_suite, "run acceptance criteria", [
+        ("--name", {"choices": criterion_ids(), "default": None})]),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="littlewood", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, help_, conf):
+    for name, fn, help_, arguments in SUBCOMMANDS:
         p = sub.add_parser(name, help=help_)
         p.add_argument("--format", choices=("text", "json"), default="text")
-        conf(p)
+        for flag, kwargs in arguments:
+            p.add_argument(flag, **kwargs)
         p.set_defaults(fn=fn)
-
-    def with_type_weight(p):
-        p.add_argument("--type", required=True, help="root system, e.g. G2, B3, E6")
-        p.add_argument("--weight", required=True, help="coords, e.g. 1,0 or eps:3/2,1/2")
-
-    def conf_bott(p):
-        p.add_argument("--type", help="root system, e.g. G2, B3, E6")
-        p.add_argument("--weight", help="coords, e.g. 1,0 or eps:3/2,1/2")
-        p.add_argument("--spin", choices=("B", "Dplus", "Dminus"), help="closed-form spinor-twist cohomology instead of a walk")
-        p.add_argument("--n", type=int, help="rank for --spin")
-        p.add_argument("--lambda", dest="lam", help="shape for --spin")
-
-    add("bott", _cmd_bott, "cohomology of an equivariant line bundle", conf_bott)
-    add("dim", _cmd_dim, "Weyl dimension of an irreducible", with_type_weight)
-
-    def conf_mults(p):
-        with_type_weight(p)
-        p.add_argument("--bound", type=int, default=None, help="dimension guard override")
-
-    add("mults", _cmd_mults, "weight multiplicities of an irreducible", conf_mults)
-
-    def conf_decompose(p):
-        p.add_argument("--type", required=True)
-        p.add_argument("--weight", help="highest weight of the base character")
-        p.add_argument("--schur", help="apply this Schur functor to the base first")
-        p.add_argument("--input", help="JSON character file, or - for stdin")
-
-    add("decompose", _cmd_decompose, "decompose a character into irreducibles", conf_decompose)
-
-    def conf_lr(p):
-        p.add_argument("--lambda", dest="lam", required=True)
-        p.add_argument("--mu", required=True)
-        p.add_argument("--nu", required=True)
-
-    add("lr", _cmd_lr, "Littlewood-Richardson coefficient", conf_lr)
-
-    def conf_skew(p):
-        p.add_argument("--outer", required=True)
-        p.add_argument("--inner", required=True)
-
-    add("skew", _cmd_skew, "skew Schur expansion", conf_skew)
-
-    def conf_qset(p):
-        p.add_argument("--variant", choices=("minus", "plus"), required=True)
-        p.add_argument("--size", type=int, default=None)
-        p.add_argument("--check", default=None, help="report membership, transpose, and rank of one shape")
-        p.add_argument("--oracle", action="store_true", help="recompute through the plethysm oracle")
-        p.add_argument("--dim-e", type=int, default=6)
-
-    add("qset", _cmd_qset, "partitions of a given size in a Q-set", conf_qset)
-
-    def conf_pleth(p):
-        p.add_argument("--k", type=int, required=True)
-        p.add_argument("--form", choices=("alternating", "symmetric"), required=True)
-        p.add_argument("--dim-e", type=int, required=True)
-
-    add("pleth", _cmd_pleth, "Schur expansion of an exterior power of a quadric space", conf_pleth)
-
-    def conf_branch(p):
-        p.add_argument("--lambda", dest="lam", required=True)
-        p.add_argument("--target", required=True, help="sp:2n or o:m")
-        p.add_argument("--oracle", action="store_true", help="use the character oracle")
-
-    add("branch", _cmd_branch, "restrict a GL Schur functor to an isometry group", conf_branch)
-
-    def conf_lwood(p):
-        p.add_argument("--family", choices=("B", "C", "D"), required=True)
-        p.add_argument("--lambda", dest="lam", required=True)
-
-    add("lwood", _cmd_lwood, "terms of a Littlewood complex", conf_lwood)
-
-    def conf_verify_lwood(p):
-        conf_lwood(p)
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--oracle", action="store_true")
-
-    add("verify-lwood", _cmd_verify_lwood, "Euler identity of a Littlewood complex", conf_verify_lwood)
-
-    def conf_spinor(p):
-        p.add_argument("--family", choices=("B", "Dplus", "Dminus", "Dfull"), required=True)
-        p.add_argument("--n", type=int, required=True)
-
-    add("spinor", _cmd_spinor, "terms of a spinor complex", conf_spinor)
-
-    def conf_verify_spinor(p):
-        conf_spinor(p)
-        p.add_argument("--lambda", dest="lam", required=True)
-
-    add("verify-spinor", _cmd_verify_spinor, "dimension Euler identity of a spinor complex", conf_verify_spinor)
-
-    def conf_bracket(p):
-        p.add_argument("--case", required=True, help="G2, F4_3, E6_5, SpC(3), OD(4), ...")
-        p.add_argument("--lambda", dest="lam", required=True)
-
-    add("bracket", _cmd_bracket, "bracket weight of a shape", conf_bracket)
-
-    def conf_koszul(p):
-        p.add_argument("--form", choices=("alternating", "symmetric"), required=True)
-        p.add_argument("--m", type=int, required=True)
-        p.add_argument("--i", type=int, required=True)
-
-    add("koszul", _cmd_koszul, "Schur constituents of a Koszul term", conf_koszul)
-
-    def conf_slice(p):
-        p.add_argument("--case", required=True)
-        p.add_argument("--degree", type=int, required=True)
-
-    add("slice", _cmd_slice, "coordinate-ring degree slice with exact dimension", conf_slice)
-
-    add("g2-resolution", _cmd_g2_resolution, "reconstructed equivariant resolution terms", lambda p: None)
-
-    def conf_betti(p):
-        p.add_argument("--case", required=True, help=f"one of {', '.join(sorted(AUDITS))}, g2-y2-char2, koszul:<form>:<m>")
-
-    add("betti", _cmd_betti, "render a graded Betti table", conf_betti)
-
-    def conf_hilbert(p):
-        # A cut resolution is refused at every codimension, so it is not offered.
-        whole = sorted(name for name, spec in AUDITS.items() if spec.cut is None)
-        p.add_argument("--case", required=True, help=f"one of {', '.join(whole)}, g2-y2-char2")
-        p.add_argument("--codim", type=int, required=True)
-
-    add("hilbert", _cmd_hilbert, "Hilbert-series numerator of a named Betti table, divided by (1-T)^codim", conf_hilbert)
-
-    def conf_audit(p):
-        p.add_argument("--case", choices=sorted(AUDITS), required=True)
-
-    add("audit", _cmd_audit, "Betti totals of a named resolution against the stated ones", conf_audit)
-
-    def conf_suite(p):
-        p.add_argument("--name", choices=criterion_ids(), default=None)
-
-    add("suite", _cmd_suite, "run acceptance criteria", conf_suite)
     return parser
 
 
 def run(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
@@ -487,7 +423,11 @@ def run(argv) -> int:
     except (LittlewoodError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(args, payload, lines)
+    if args.format == "json":
+        print(json.dumps(payload, sort_keys=True))
+    else:
+        for line in lines:
+            print(line)
     return code
 
 

@@ -13,6 +13,7 @@ from littlewood.bott import (
     spin_weight,
 )
 from littlewood.characters import Weight, build_root_system
+from littlewood.errors import ScaleError
 from littlewood.partitions import partitions_of
 
 
@@ -142,6 +143,15 @@ def test_spin_cohomology_b_examples():
     assert (out.degree, out.label) == (0, SpinLabel.DELTA)
     with pytest.raises(ValueError):
         spin_cohomology_B(2, (3,))
+
+
+@pytest.mark.parametrize("n", [0, -2])
+def test_spin_closed_forms_refuse_a_rank_below_one(n):
+    # refused as spinor_complex refuses it; n = 0 used to answer "degree 0" for the empty shape
+    with pytest.raises(ScaleError, match=rf"^spin_cohomology_B \[\]: n {n} is below 1$"):
+        spin_cohomology_B(n, ())
+    with pytest.raises(ScaleError, match=rf"^spin_cohomology_D minus \[1\]: n {n} is below 1$"):
+        spin_cohomology_D(n, (1,), "minus")
 
 
 def test_spin_closed_forms_match_bott_small():

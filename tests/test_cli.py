@@ -455,11 +455,34 @@ def test_every_listed_betti_name_renders(capsys):
         (("dim", "--type", "D1", "--weight", "1"), "error: unsupported type D1: D takes ranks 2 and up\n"),
         (("dim", "--type", "E5", "--weight", "1,0,0,0,0"), "error: unsupported type E5: E takes ranks 6 to 8\n"),
         (("dim", "--type", "F3", "--weight", "1,0,0"), "error: unsupported type F3: F takes rank 4\n"),
+        (("bott", "--spin", "B", "--n", "-2", "--lambda", "1"), "error: spin_cohomology_B [1]: n -2 is below 1\n"),
+        (("bott", "--spin", "B", "--n", "0"), "error: spin_cohomology_B []: n 0 is below 1\n"),
+        (("bott", "--spin", "Dplus", "--n", "0"), "error: spin_cohomology_D plus []: n 0 is below 1\n"),
+        (("bott", "--spin", "Dminus", "--n", "-2", "--lambda", "1"), "error: spin_cohomology_D minus [1]: n -2 is below 1\n"),
     ],
 )
 def test_refusals_name_the_operation_the_input_and_the_bound(capsys, monkeypatch, argv, err):
     monkeypatch.delenv("LITTLEWOOD_DIM_BOUND", raising=False)
     assert run_cli(capsys, *argv) == (2, "", err)
+
+
+@pytest.mark.parametrize(
+    "argv,err",
+    [
+        (("bott", "--spin", "B"), "bott --spin B needs --n, the rank"),
+        (("bott", "--spin", "Dplus", "--lambda", "1"), "bott --spin Dplus needs --n, the rank"),
+        (("bott",), "bott needs --type/--weight, or --spin with --n/--lambda"),
+        (("bott", "--type", "G2"), "bott needs --type/--weight, or --spin with --n/--lambda"),
+        (("decompose", "--type", "G2"), "decompose needs --weight (plus optional --schur) or --input"),
+        (("decompose", "--type", "G2", "--schur", "2"), "decompose needs --weight (plus optional --schur) or --input"),
+        (("qset", "--variant", "minus"), "qset needs --size or --check"),
+        (("qset", "--variant", "plus", "--oracle"), "qset needs --size or --check"),
+    ],
+)
+def test_a_mode_without_its_required_option_exits_2_with_one_error_line(capsys, argv, err):
+    # argparse cannot require these: which option a mode needs depends on the mode
+    for fmt in ("text", "json"):
+        assert run_cli(capsys, *argv, "--format", fmt) == (2, "", f"error: {err}\n")
 
 
 def test_spinor_complex_of_rank_one_answers(capsys):

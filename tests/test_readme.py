@@ -1,5 +1,6 @@
 """Every command of the README's CLI block runs, and its output comments hold."""
 
+import argparse
 import re
 import shlex
 from pathlib import Path
@@ -9,7 +10,13 @@ import pytest
 from littlewood import cli
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-CLI_BLOCK = README.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+
+
+def _block(heading):
+    return README.split(f"\n## {heading}\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+
+
+CLI_BLOCK = _block("CLI")
 LINES = [line for line in CLI_BLOCK.splitlines() if line.startswith("littlewood ")]
 
 # A comment made of digits, partition brackets and polynomial signs is the
@@ -46,3 +53,11 @@ def test_readme_command(capsys, argv, comment):
         assert out.splitlines()[0] == comment
     for weight in WEIGHT.findall(comment):
         assert re.search(rf"{re.escape(weight)}(?![\d,])", out), weight
+
+
+def test_every_subcommand_has_a_readme_line():
+    # a subcommand added to cli.SUBCOMMANDS needs a `littlewood <cmd>` line
+    # in the CLI or the acceptance block, so the docs keep up with the table
+    shown = {line.split()[1] for line in (CLI_BLOCK + _block("Acceptance suite")).splitlines() if line.startswith("littlewood ")}
+    subparsers = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert sorted(set(subparsers.choices) - shown) == []
