@@ -12,9 +12,9 @@ import time
 from dataclasses import dataclass
 from functools import partial
 
-from .bott import SpinLabel, bott, spin_cohomology_B, spin_cohomology_D, spin_weight
+from .bott import SPIN_FAMILIES, SpinLabel, bott, spin_cohomology, spin_label, spin_mirrors, spin_weight
 from .characters import build_root_system, dim_irrep
-from .complexes import parse_case, spinor_complex, verify_littlewood_identity, verify_spinor_identity
+from .complexes import LITTLEWOOD_FAMILIES, classical, parse_case, spinor_complex, verify_littlewood_identity, verify_spinor_identity
 from .errors import LittlewoodError
 from .partitions import enumerate_q, partitions_of, plethysm_wedge_power
 from .resolutions import AUDITS, E6_HILBERT_NUMERATOR, hilbert_numerator, koszul_terms, quadric_space_dim, run_audit
@@ -140,10 +140,8 @@ def _crit_e6():
 def _crit_littlewood_sweep():
     checked = 0
     failures = []
-    for family in ("B", "C", "D"):
-        for n in range(1, 5):
-            if family == "D" and n < 2:
-                continue
+    for family in LITTLEWOOD_FAMILIES:
+        for n in range(classical(family).least_rank, 5):
             for size in range(0, 7):
                 for lam in partitions_of(size, max_length=n):
                     rep = verify_littlewood_identity(family, lam, n)
@@ -168,26 +166,26 @@ def _crit_qset_oracle():
 
 
 def _crit_spin_vs_bott():
-    # the twist is spin_weight of -lam reversed, mirrored on the minus
-    # component; a nonzero H^i is spin_weight of 0, mirrored for Delta-
+    # the twist is spin_weight of -lam reversed, mirrored as the family's own
+    # label (Dminus); a nonzero H^i is spin_weight of 0, mirrored for Delta-
     mism = []
     checked = 0
-    for fam, ranks, comps in (("D", range(2, 7), ("plus", "minus")), ("B", range(1, 7), (None,))):
-        for n in ranks:
+    for family in SPIN_FAMILIES:
+        fam = family[0]
+        (mirror,) = spin_mirrors(fam, spin_label(family, 0))
+        for n in range(classical(fam).least_rank, 7):
             rs = build_root_system(fam, n)
             expect = {label: spin_weight(fam, n, (0,) * n, label is SpinLabel.DELTA_MINUS).fund_coords() for label in SpinLabel}
             for size in range(n * n + 1):
                 for lam in partitions_of(size, max_length=n, max_part=n):
-                    twist = [-lam[n - 1 - i] for i in range(n)]
-                    for comp in comps:
-                        closed = spin_cohomology_D(n, lam, comp) if comp else spin_cohomology_B(n, lam)
-                        walked = bott(rs, spin_weight(fam, n, twist, comp == "minus"))
-                        checked += 1
-                        ok = closed.vanishes == walked.vanishes
-                        if ok and not closed.vanishes:
-                            ok = walked.degree == closed.degree and walked.weight.fund_coords() == expect[closed.label]
-                        if not ok:
-                            mism.append((fam, n, lam.parts, comp))
+                    closed = spin_cohomology(family, n, lam)
+                    walked = bott(rs, spin_weight(fam, n, [-lam[n - 1 - i] for i in range(n)], mirror))
+                    checked += 1
+                    ok = closed.vanishes == walked.vanishes
+                    if ok and not closed.vanishes:
+                        ok = walked.degree == closed.degree and walked.weight.fund_coords() == expect[closed.label]
+                    if not ok:
+                        mism.append((family, n, lam.parts))
     return not mism, {"mismatches": []}, {"checked": checked, "mismatches": mism}
 
 
@@ -219,9 +217,7 @@ def _crit_spinor_complexes():
             problems.append((n, "terms"))
     checked = 0
     for family in ("B", "Dfull"):
-        for n in (1, 2, 3):
-            if family == "Dfull" and n < 2:
-                continue
+        for n in range(classical(family[0]).least_rank, 4):
             for size in range(0, 5):
                 for lam in partitions_of(size, max_length=n):
                     rep = verify_spinor_identity(family, n, lam)

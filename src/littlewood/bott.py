@@ -90,29 +90,6 @@ def spin_weight(family: str, n: int, parts, mirror: bool = False) -> Weight:
     return Weight(CoordSystem("epsilon", family, n), twice)
 
 
-def spin_cohomology_D(n: int, lam, component: str) -> SpinOutcome:
-    """Cohomology of the lam-Schur functor of the tautological bundle twisted
-    by the spinor line bundle on a component of the maximal orthogonal
-    Grassmannian of a 2n-dimensional space: nonzero exactly for self-transpose
-    shapes, in degree (|lam| - rank(lam))/2, with the half-spin label set by
-    the parity of the diagonal."""
-    if component not in ("plus", "minus"):
-        raise ValueError("component must be plus or minus")
-    lam = Partition(lam)
-    check_bound("spin_cohomology_D", f"{component} {lam}", "n", n, None, lower=1)
-    if len(lam) > n or lam[0] > n:
-        raise ValueError(f"shape {lam} does not fit in the {n}x{n} box")
-    if lam.transpose() != lam:
-        return SpinOutcome(vanishes=True)
-    return SpinOutcome(vanishes=False, degree=(lam.size - lam.rank) // 2, label=half_spin_label(component, lam.rank))
-
-
-def half_spin_label(component: str, rank: int) -> SpinLabel:
-    """The parity rule: a self-transpose shape with an even diagonal keeps the
-    component's half-spin label, an odd diagonal swaps it."""
-    return SpinLabel.DELTA_PLUS if (rank % 2 == 0) == (component == "plus") else SpinLabel.DELTA_MINUS
-
-
 def spin_mirrors(family: str, label: SpinLabel) -> tuple[bool, ...]:
     """The label rule: the mirrors of spin_weight a label spans.  Delta+ is
     unmirrored, Delta- mirrored, and Delta is both mirrors for D (the sum of
@@ -122,19 +99,37 @@ def spin_mirrors(family: str, label: SpinLabel) -> tuple[bool, ...]:
     return (label is SpinLabel.DELTA_MINUS,)
 
 
-def spin_cohomology_B(n: int, lam) -> SpinOutcome:
-    """Odd orthogonal analogue: nonzero exactly for shapes in the plus Q-set,
-    in degree |lam|/2, and the cohomology is the full spin representation.
+SPIN_FAMILIES = ("B", "Dplus", "Dminus")  # the families of spin_cohomology
+SPINOR_FAMILIES = (*SPIN_FAMILIES, "Dfull")  # Dfull, both half-spin labels, only for a spinor complex
 
-    Valid on the n-box only: these are the shapes fed to the twisted bundle by
-    the exterior algebra of E (x) R with dim E = rank R = n, and outside the
-    box the Q-set rule genuinely diverges from the cohomology (already for
-    n = 1 and a single row of length 3)."""
+
+def spin_label(family: str, diag: int) -> SpinLabel:
+    """Delta for B and Dfull; for Dplus and Dminus the parity rule on a self-transpose
+    shape: an even diagonal keeps the family's half-spin label, an odd one swaps it."""
+    if family in ("B", "Dfull"):
+        return SpinLabel.DELTA
+    return SpinLabel.DELTA_PLUS if (diag % 2 == 0) == (family == "Dplus") else SpinLabel.DELTA_MINUS
+
+
+def spin_cohomology(family: str, n: int, lam) -> SpinOutcome:
+    """Cohomology of the lam-Schur functor of the tautological bundle twisted
+    by the spinor line bundle on the maximal orthogonal Grassmannian of C^(2n+1)
+    (B), or on a component of that of C^2n (Dplus, Dminus).  For D it is nonzero
+    exactly on self-transpose shapes, in degree (|lam| - rank(lam))/2, labelled
+    by spin_label; for B exactly on the plus Q-set, in degree |lam|/2, and it is
+    the full spin representation.  Valid on the n-box only, the shapes the
+    exterior algebra of E (x) R feeds the bundle when dim E = rank R = n: outside
+    it the B rule genuinely diverges (already for n = 1 and one row of 3)."""
+    if family not in SPIN_FAMILIES:
+        raise ValueError(f"spin_cohomology: family {family!r} is not one of {', '.join(SPIN_FAMILIES)}")
     lam = Partition(lam)
-    check_bound("spin_cohomology_B", lam, "n", n, None, lower=1)
+    check_bound("spin_cohomology", f"{family} {lam}", "n", n, None, lower=1)
     if len(lam) > n or lam[0] > n:
-        raise ValueError(f"shape {lam} does not fit in the {n}x{n} box")
-    if not in_q(lam, "plus"):
+        raise ValueError(f"spin_cohomology {family} {lam}: the shape does not fit in the {n}x{n} box")
+    if family == "B":
+        nonzero, degree = in_q(lam, "plus"), lam.size // 2
+    else:
+        nonzero, degree = lam.transpose() == lam, (lam.size - lam.rank) // 2
+    if not nonzero:
         return SpinOutcome(vanishes=True)
-    return SpinOutcome(vanishes=False, degree=lam.size // 2, label=SpinLabel.DELTA)
-
+    return SpinOutcome(vanishes=False, degree=degree, label=spin_label(family, lam.rank))

@@ -238,7 +238,6 @@ def _invert(matrix) -> tuple:
 
 @dataclass(frozen=True)
 class _Root:
-    root_coords: tuple  # coefficients on the simple roots
     fund_coords: tuple  # pairings with the simple coroots
     coroot_coords: tuple  # coefficients of the coroot on the simple coroots
     d: int  # half the squared length
@@ -311,7 +310,7 @@ class RootSystem:
                 if num % d_alpha != 0:
                     raise InconsistencyError(f"non-integral coroot for {rc} in {self}")
                 co.append(num // d_alpha)
-            roots.append(_Root(rc, fc, tuple(co), d_alpha))
+            roots.append(_Root(fc, tuple(co), d_alpha))
         return tuple(roots)
 
     # -- identity ----------------------------------------------------------

@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .acceptance import criterion_ids, run_all, run_criterion
-from .bott import bott, spin_cohomology_B, spin_cohomology_D
+from .bott import SPIN_FAMILIES, SPINOR_FAMILIES, bott, spin_cohomology
 from .characters import (
     CoordSystem,
     Weight,
@@ -27,6 +27,7 @@ from .characters import (
     weight_multiplicities,
 )
 from .complexes import (
+    LITTLEWOOD_FAMILIES,
     branch_gl_to_iso,
     bracket_weight,
     littlewood_complex,
@@ -165,10 +166,7 @@ def _cmd_bott(args):
         lam = parse_partition(args.lam or "")
         if args.n is None:
             raise LittlewoodError(f"bott --spin {args.spin} needs --n, the rank")
-        if args.spin == "B":
-            out = spin_cohomology_B(args.n, lam)
-        else:
-            out = spin_cohomology_D(args.n, lam, args.spin.removeprefix("D"))
+        out = spin_cohomology(args.spin, args.n, lam)
     elif not args.type or not args.weight:
         raise LittlewoodError("bott needs --type/--weight, or --spin with --n/--lambda")
     else:
@@ -321,8 +319,8 @@ _TYPE_WEIGHT = [(flag, {**kwargs, "required": True}) for flag, kwargs in (_TYPE,
 _LAMBDA = ("--lambda", {"dest": "lam", "required": True})
 _FORM = ("--form", {"choices": ("alternating", "symmetric"), "required": True})
 _N = ("--n", {"type": int, "required": True})
-_LITTLEWOOD_FAMILY = ("--family", {"choices": ("B", "C", "D"), "required": True})
-_SPINOR_FAMILY = ("--family", {"choices": ("B", "Dplus", "Dminus", "Dfull"), "required": True})
+_LITTLEWOOD_FAMILY = ("--family", {"choices": LITTLEWOOD_FAMILIES, "required": True})
+_SPINOR_FAMILY = ("--family", {"choices": SPINOR_FAMILIES, "required": True})
 # A cut resolution is refused at every codimension, so hilbert does not offer it.
 _WHOLE = sorted(name for name, spec in AUDITS.items() if spec.cut is None)
 
@@ -330,7 +328,7 @@ SUBCOMMANDS = (
     ("bott", _cmd_bott, "cohomology of an equivariant line bundle", [
         _TYPE,
         _WEIGHT,
-        ("--spin", {"choices": ("B", "Dplus", "Dminus"), "help": "closed-form spinor-twist cohomology instead of a walk"}),
+        ("--spin", {"choices": SPIN_FAMILIES, "help": "closed-form spinor-twist cohomology instead of a walk"}),
         ("--n", {"type": int, "help": "rank for --spin"}),
         ("--lambda", {"dest": "lam", "help": "shape for --spin"})]),
     ("dim", _cmd_dim, "Weyl dimension of an irreducible", _TYPE_WEIGHT),

@@ -12,8 +12,9 @@ is exactly what verify_littlewood_identity checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .bott import SpinLabel, half_spin_label, spin_mirrors, spin_weight
+from .bott import SPINOR_FAMILIES, SpinLabel, spin_label, spin_mirrors, spin_weight
 from .characters import (
     RootSystem,
     Weight,
@@ -31,17 +32,43 @@ from .partitions import (
     skew_schur_expand,
 )
 
-_CLASSICAL = {"SpC": "C", "SOB": "B", "OD": "D"}  # kind: root-system family
+
+class Classical(NamedTuple):
+    """A classical kind: V of dimension 2n (+1 for B) with the form of its group."""
+    family: str  # root-system family
+    least_rank: int
+    variant: str  # the Q-set of its Littlewood complex
+    group: str  # the isometry group of the form, the branching target
+
+    def dim_v(self, n: int) -> int:
+        return 2 * n + (self.family == "B")
+
+
+_CLASSICAL = {
+    "SpC": Classical("C", 1, "minus", "Sp"),
+    "SOB": Classical("B", 1, "plus", "O"),
+    "OD": Classical("D", 2, "plus", "O"),
+}
+LITTLEWOOD_FAMILIES = tuple(sorted(row.family for row in _CLASSICAL.values()))
+
+
+def classical(family: str) -> Classical:
+    """The classical kind of a Littlewood family B, C or D."""
+    if family not in LITTLEWOOD_FAMILIES:
+        raise ValueError("family must be B, C, or D")
+    return next(row for row in _CLASSICAL.values() if row.family == family)
+
 
 _EXCEPTIONAL = {
-    # kind: (dim E, dim V, root system, rows accepted by the bracket map)
-    "G2": (2, 7, ("G", 2), 2),
-    "F4_6": (6, 26, ("F", 4), 3),
-    "F4_3": (3, 26, ("F", 4), 3),
-    "E6_5": (5, 27, ("E", 6), 5),
-    "E6_3": (3, 27, ("E", 6), 3),
-    "E7_6": (6, 56, ("E", 7), 6),
-    "E8_7": (7, 248, ("E", 8), 7),
+    # kind: (dim E, dim V, root system, bracket columns): column k is the
+    # bracket weight of 1^k, written as its fundamental weights' indices
+    "G2": (2, 7, ("G", 2), ((1,), (2,))),
+    "F4_6": (6, 26, ("F", 4), ((4,), (3,), (2,))),
+    "F4_3": (3, 26, ("F", 4), ((4,), (3,), (2,))),
+    "E6_5": (5, 27, ("E", 6), ((1,), (3,), (4,), (2, 5), (5, 5))),
+    "E6_3": (3, 27, ("E", 6), ((1,), (3,), (4,))),
+    "E7_6": (6, 56, ("E", 7), ((7,), (6,), (5,), (4,), (2, 3), (3, 3))),
+    "E8_7": (7, 248, ("E", 8), ((8,), (7,), (6,), (5,), (4,), (2, 3), (3, 3))),
 }
 
 CASE_KINDS = (*_CLASSICAL, *_EXCEPTIONAL)
@@ -61,8 +88,9 @@ class GroupCase:
         if self.kind not in CASE_KINDS:
             raise ValueError(f"unknown case kind {self.kind}")
         if self.kind in _CLASSICAL:
-            if self.n is None or self.n < 1 or (self.kind == "OD" and self.n < 2):
-                raise ValueError(f"case {self.kind} needs a valid rank")
+            least = _CLASSICAL[self.kind].least_rank
+            if self.n is None or self.n < least:
+                raise ValueError(f"case {self.kind} needs a rank n >= {least}, got {self.n}")
         elif self.n is not None:
             raise ValueError(f"case {self.kind} takes no rank parameter")
         if self.dim_e is None:
@@ -76,21 +104,15 @@ class GroupCase:
 
     @property
     def dim_v(self) -> int:
-        if self.n is not None:
-            return 2 * self.n + (self.kind == "SOB")
-        return _EXCEPTIONAL[self.kind][1]
+        return _CLASSICAL[self.kind].dim_v(self.n) if self.n is not None else _EXCEPTIONAL[self.kind][1]
 
     @property
     def bracket_rows(self) -> int:
-        if self.n is not None:
-            return self.n
-        return _EXCEPTIONAL[self.kind][3]
+        return self.n if self.n is not None else len(_EXCEPTIONAL[self.kind][3])
 
     def root_system(self) -> RootSystem:
-        if self.n is not None:
-            return build_root_system(_CLASSICAL[self.kind], self.n)
-        fam, rk = _EXCEPTIONAL[self.kind][2]
-        return build_root_system(fam, rk)
+        family, rank = (_CLASSICAL[self.kind].family, self.n) if self.n is not None else _EXCEPTIONAL[self.kind][2]
+        return build_root_system(family, rank)
 
     def __str__(self):
         return self.name
@@ -110,33 +132,21 @@ def parse_case(text: str) -> GroupCase:
 
 def bracket_weight(case: GroupCase, lam) -> Weight:
     """The case's bracket map: the dominant weight tagging the shape's
-    isotypic piece of the coordinate ring.  Row counts are capped at dim E,
-    except in the six-copy F4 case, which is spherical only on shapes with at
-    most three rows (beyond that the slice carries multiplicities and no
-    single weight exists)."""
+    isotypic piece of the coordinate ring.  It is additive, so the columns 1^k
+    fix it.  Row counts are capped at dim E, except in the six-copy F4 case,
+    which is spherical only on shapes with at most three rows (beyond that the
+    slice carries multiplicities and no single weight exists)."""
     lam = Partition(lam)
     if len(lam) > case.bracket_rows:
-        raise ValueError(
-            f"{case.name}: bracket map accepts at most {case.bracket_rows} rows, got {len(lam)}"
-        )
-    l1, l2, l3, l4, l5, l6, l7 = (lam[i] for i in range(7))
+        raise ValueError(f"{case.name}: bracket map accepts at most {case.bracket_rows} rows, got {len(lam)}")
     if case.n is not None:
-        return Weight.epsilon(_CLASSICAL[case.kind], case.n, tuple(lam[i] for i in range(case.n)))
-    if case.kind == "G2":
-        return Weight.fundamental("G", 2, (l1 - l2, l2))
-    if case.kind in ("F4_3", "F4_6"):
-        return Weight.fundamental("F", 4, (0, l3, l2 - l3, l1 - l2))
-    if case.kind == "E6_3":
-        return Weight.fundamental("E", 6, (l1 - l2, 0, l2 - l3, l3, 0, 0))
-    if case.kind == "E6_5":
-        return Weight.fundamental("E", 6, (l1 - l2, l4 - l5, l2 - l3, l3 - l4, l4 + l5, 0))
-    if case.kind == "E7_6":
-        return Weight.fundamental("E", 7, (0, l5 - l6, l5 + l6, l4 - l5, l3 - l4, l2 - l3, l1 - l2))
-    if case.kind == "E8_7":
-        return Weight.fundamental(
-            "E", 8, (0, l6 - l7, l6 + l7, l5 - l6, l4 - l5, l3 - l4, l2 - l3, l1 - l2)
-        )
-    raise InconsistencyError(f"bracket_weight: no bracket map for case kind {case.kind!r}")
+        return Weight.epsilon(_CLASSICAL[case.kind].family, case.n, tuple(lam[i] for i in range(case.n)))
+    _, _, (family, rank), columns = _EXCEPTIONAL[case.kind]
+    coords = [0] * rank
+    for k, column in enumerate(columns):
+        for i in column:
+            coords[i - 1] += lam[k] - lam[k + 1]
+    return Weight.fundamental(family, rank, coords)
 
 
 def bracket_labels(case: GroupCase, lam) -> list[Weight]:
@@ -169,10 +179,8 @@ def littlewood_complex(family: str, lam) -> list[GradedTerm]:
     variety: in homological degree i, the skew Schur functors by the size-2i
     members of the Q-set (minus for the symplectic family, plus for the
     orthogonal ones)."""
-    if family not in ("B", "C", "D"):
-        raise ValueError("family must be B, C, or D")
+    variant = classical(family).variant
     lam = Partition(lam)
-    variant = "minus" if family == "C" else "plus"
     terms = []
     for i in range(lam.size // 2 + 1):
         content = Decomposition()
@@ -183,21 +191,18 @@ def littlewood_complex(family: str, lam) -> list[GradedTerm]:
 
 
 def _parse_target(target):
+    given = target
     if isinstance(target, str):
         try:
             kind, m = target.replace("(", ":").rstrip(")").split(":")
             target = (kind.capitalize() if kind.lower() == "sp" else kind.upper(), int(m))
         except ValueError:  # not two fields, or no int after the kind
-            raise ValueError(f"branch_gl_to_iso: {target!r} is not a target; expected Sp:<m> or O:<m>, e.g. O:5 or Sp(4)") from None
+            target = None
+    if target is None or target[0] not in ("Sp", "O"):
+        raise ValueError(f"branch_gl_to_iso: {given!r} is not a target; expected Sp:<m> or O:<m>, e.g. O:5 or Sp(4)")
     kind, m = target
-    if kind == "Sp":
-        if m % 2 != 0 or m < 2:
-            raise ValueError("Sp targets have even dimension >= 2")
-    elif kind == "O":
-        if m < 2:
-            raise ValueError("O targets need dimension >= 2")
-    else:
-        raise ValueError(f"unknown branching target {target}")
+    if m < 2 or kind == "Sp" and m % 2:
+        raise ValueError(f"branch_gl_to_iso: {given!r} is not a target; {kind} needs {'an even' if kind == 'Sp' else 'a'} dimension m >= 2")
     return kind, m
 
 
@@ -284,16 +289,11 @@ def verify_littlewood_identity(family: str, lam, n: int, oracle: bool = False) -
     """Euler characteristic of the Littlewood complex against the single
     bracket label: exact multiset equality, not a dimension count."""
     lam = Partition(lam)
-    if family == "C":
-        target = ("Sp", 2 * n)
-    elif family == "B":
-        target = ("O", 2 * n + 1)
-    elif family == "D":
-        target = ("O", 2 * n)
-    else:
-        raise ValueError("family must be B, C, or D")
+    row = classical(family)
+    check_bound("verify_littlewood_identity", f"{family} {lam}", "n", n, None, lower=1)
     if len(lam) > n:
-        raise StableRangeError(f"need at most {n} rows in the stable range, got {len(lam)}")
+        raise StableRangeError(f"verify_littlewood_identity {family} {lam}: need at most {n} rows in the stable range, got {len(lam)}")
+    target = (row.group, row.dim_v(n))
     euler = Decomposition()
     for term in littlewood_complex(family, lam):
         sign = -1 if term.index % 2 else 1
@@ -305,14 +305,6 @@ def verify_littlewood_identity(family: str, lam, n: int, oracle: bool = False) -
 
 # ---------------------------------------------------------------------------
 # spinor complexes
-
-SPINOR_FAMILIES = ("B", "Dplus", "Dminus", "Dfull")
-
-
-def _spin_label(family: str, diag: int) -> SpinLabel:
-    if family in ("B", "Dfull"):
-        return SpinLabel.DELTA
-    return half_spin_label(family.removeprefix("D"), diag)
 
 
 def spinor_complex(family: str, n: int) -> list[GradedTerm]:
@@ -328,7 +320,7 @@ def spinor_complex(family: str, n: int) -> list[GradedTerm]:
         for lam in partitions_of(size, max_length=n, max_part=n):
             if lam.transpose() == lam:
                 cell = by_cell.setdefault(((size + lam.rank) // 2, size), Decomposition())
-                cell.add((lam, _spin_label(family, lam.rank)), 1)
+                cell.add((lam, spin_label(family, lam.rank)), 1)
     return [GradedTerm(i, j, content) for (i, j), content in sorted(by_cell.items())]
 
 
@@ -343,11 +335,11 @@ def verify_spinor_identity(family: str, n: int, lam) -> Report:
     the spin dimension must equal dim V_{lam+delta}."""
     lam = Partition(lam)
     if len(lam) > n:
-        raise ValueError(f"need at most {n} rows, got {len(lam)}")
-    if family != "B" and family in SPINOR_FAMILIES:
-        check_bound("verify_spinor_identity", family, "n", n, None, lower=2)
+        raise ValueError(f"verify_spinor_identity {family} {lam}: need at most {n} rows, got {len(lam)}")
+    if family != "B" and family in SPINOR_FAMILIES:  # spinor_complex refuses n < 1 for B
+        check_bound("verify_spinor_identity", family, "n", n, None, lower=classical("D").least_rank)
     terms = spinor_complex(family, n)  # checks the family, and n against its bound, first
-    rs, dim_v = build_root_system(family[0], n), 2 * n + (family == "B")
+    rs, dim_v = build_root_system(family[0], n), classical(family[0]).dim_v(n)
     label_dims = {label: _spin_dim(rs, label, (0,) * n) for label in {label for term in terms for _, label in term.content.entries}}
     lhs = 0
     for term in terms:
@@ -355,5 +347,5 @@ def verify_spinor_identity(family: str, n: int, lam) -> Report:
             if lam.contains(mu):
                 skew_dim = sum(c * dim_schur(nu, dim_v) for nu, c in skew_schur_expand(lam, mu).entries.items())
                 lhs += (-1) ** term.index * mult * skew_dim * label_dims[label]
-    rhs = _spin_dim(rs, _spin_label(family, 0), lam)  # the family's own label, that of the empty shape
+    rhs = _spin_dim(rs, spin_label(family, 0), lam)  # the family's own label, that of the empty shape
     return Report(passed=lhs == rhs, case=f"{family} n={n} lambda={lam}", lhs=lhs, rhs=rhs)

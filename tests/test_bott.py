@@ -8,8 +8,8 @@ from littlewood.bott import (
     SpinLabel,
     _on_wall,
     bott,
-    spin_cohomology_B,
-    spin_cohomology_D,
+    spin_cohomology,
+    spin_label,
     spin_weight,
 )
 from littlewood.characters import Weight, build_root_system
@@ -122,52 +122,72 @@ def test_epsilon_singular_zero_coordinate_type_c():
 
 
 def test_spin_cohomology_d_examples():
-    out = spin_cohomology_D(3, (1,), "plus")
+    out = spin_cohomology("Dplus", 3, (1,))
     assert (out.vanishes, out.degree, out.label) == (False, 0, SpinLabel.DELTA_MINUS)
-    out = spin_cohomology_D(3, (2, 1), "plus")
+    out = spin_cohomology("Dplus", 3, (2, 1))
     assert (out.vanishes, out.degree, out.label) == (False, 1, SpinLabel.DELTA_MINUS)
-    assert spin_cohomology_D(2, (2,), "plus").vanishes
-    out = spin_cohomology_D(2, (2, 2), "plus")
+    assert spin_cohomology("Dplus", 2, (2,)).vanishes
+    out = spin_cohomology("Dplus", 2, (2, 2))
     assert (out.degree, out.label) == (1, SpinLabel.DELTA_PLUS)
-    out = spin_cohomology_D(2, (2, 2), "minus")
+    out = spin_cohomology("Dminus", 2, (2, 2))
     assert (out.degree, out.label) == (1, SpinLabel.DELTA_MINUS)
     with pytest.raises(ValueError):
-        spin_cohomology_D(2, (3,), "plus")
+        spin_cohomology("Dplus", 2, (3,))
 
 
 def test_spin_cohomology_b_examples():
-    out = spin_cohomology_B(2, (2,))
+    out = spin_cohomology("B", 2, (2,))
     assert (out.vanishes, out.degree, out.label) == (False, 1, SpinLabel.DELTA)
-    assert spin_cohomology_B(3, (1,)).vanishes
-    out = spin_cohomology_B(3, ())
+    assert spin_cohomology("B", 3, (1,)).vanishes
+    out = spin_cohomology("B", 3, ())
     assert (out.degree, out.label) == (0, SpinLabel.DELTA)
     with pytest.raises(ValueError):
-        spin_cohomology_B(2, (3,))
+        spin_cohomology("B", 2, (3,))
+
+
+def test_spin_label_parity_rule():
+    # Delta for B and Dfull whatever the diagonal; a half-spin family keeps
+    # its own label on an even diagonal and swaps it on an odd one
+    labels = {family: [spin_label(family, diag).value for diag in range(4)] for family in ("B", "Dplus", "Dminus", "Dfull")}
+    assert labels == {
+        "B": ["Delta"] * 4,
+        "Dplus": ["Delta+", "Delta-", "Delta+", "Delta-"],
+        "Dminus": ["Delta-", "Delta+", "Delta-", "Delta+"],
+        "Dfull": ["Delta"] * 4,
+    }
+
+
+@pytest.mark.parametrize("family", ["Dfull", "D", "plus", "C"])
+def test_spin_cohomology_refuses_an_unknown_family(family):
+    # Dfull labels a spinor complex, whose terms carry both half-spin labels;
+    # no single line bundle has that cohomology
+    with pytest.raises(ValueError, match=rf"^spin_cohomology: family '{family}' is not one of B, Dplus, Dminus$"):
+        spin_cohomology(family, 2, ())
 
 
 @pytest.mark.parametrize("n", [0, -2])
 def test_spin_closed_forms_refuse_a_rank_below_one(n):
     # refused as spinor_complex refuses it; n = 0 used to answer "degree 0" for the empty shape
-    with pytest.raises(ScaleError, match=rf"^spin_cohomology_B \[\]: n {n} is below 1$"):
-        spin_cohomology_B(n, ())
-    with pytest.raises(ScaleError, match=rf"^spin_cohomology_D minus \[1\]: n {n} is below 1$"):
-        spin_cohomology_D(n, (1,), "minus")
+    with pytest.raises(ScaleError, match=rf"^spin_cohomology B \[\]: n {n} is below 1$"):
+        spin_cohomology("B", n, ())
+    with pytest.raises(ScaleError, match=rf"^spin_cohomology Dminus \[1\]: n {n} is below 1$"):
+        spin_cohomology("Dminus", n, (1,))
 
 
 def test_spin_closed_forms_match_bott_small():
     for n in (2, 3, 4):
         rs = build_root_system("D", n)
         for lam in boxed(n):
-            for comp in ("plus", "minus"):
-                closed = spin_cohomology_D(n, lam, comp)
-                walked = bott(rs, spin_weight("D", n, [-lam[n - 1 - i] for i in range(n)], comp == "minus"))
+            for family in ("Dplus", "Dminus"):
+                closed = spin_cohomology(family, n, lam)
+                walked = bott(rs, spin_weight("D", n, [-lam[n - 1 - i] for i in range(n)], family == "Dminus"))
                 assert closed.vanishes == walked.vanishes
                 if not closed.vanishes:
                     assert walked.degree == closed.degree
     for n in (1, 2, 3):
         rs = build_root_system("B", n)
         for lam in boxed(n):
-            closed = spin_cohomology_B(n, lam)
+            closed = spin_cohomology("B", n, lam)
             walked = bott(rs, spin_weight("B", n, [-lam[n - 1 - i] for i in range(n)]))
             assert closed.vanishes == walked.vanishes
             if not closed.vanishes:

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from littlewood import cli
-from littlewood.complexes import Report
+from littlewood.complexes import Report, verify_littlewood_identity
 from littlewood.resolutions import AUDITS
 
 
@@ -455,15 +455,53 @@ def test_every_listed_betti_name_renders(capsys):
         (("dim", "--type", "D1", "--weight", "1"), "error: unsupported type D1: D takes ranks 2 and up\n"),
         (("dim", "--type", "E5", "--weight", "1,0,0,0,0"), "error: unsupported type E5: E takes ranks 6 to 8\n"),
         (("dim", "--type", "F3", "--weight", "1,0,0"), "error: unsupported type F3: F takes rank 4\n"),
-        (("bott", "--spin", "B", "--n", "-2", "--lambda", "1"), "error: spin_cohomology_B [1]: n -2 is below 1\n"),
-        (("bott", "--spin", "B", "--n", "0"), "error: spin_cohomology_B []: n 0 is below 1\n"),
-        (("bott", "--spin", "Dplus", "--n", "0"), "error: spin_cohomology_D plus []: n 0 is below 1\n"),
-        (("bott", "--spin", "Dminus", "--n", "-2", "--lambda", "1"), "error: spin_cohomology_D minus [1]: n -2 is below 1\n"),
+        (("bott", "--spin", "B", "--n", "-2", "--lambda", "1"), "error: spin_cohomology B [1]: n -2 is below 1\n"),
+        (("bott", "--spin", "B", "--n", "0"), "error: spin_cohomology B []: n 0 is below 1\n"),
+        (("bott", "--spin", "Dplus", "--n", "0"), "error: spin_cohomology Dplus []: n 0 is below 1\n"),
+        (("bott", "--spin", "Dminus", "--n", "-2", "--lambda", "1"), "error: spin_cohomology Dminus [1]: n -2 is below 1\n"),
     ],
 )
 def test_refusals_name_the_operation_the_input_and_the_bound(capsys, monkeypatch, argv, err):
     monkeypatch.delenv("LITTLEWOOD_DIM_BOUND", raising=False)
     assert run_cli(capsys, *argv) == (2, "", err)
+
+
+@pytest.mark.parametrize(
+    "argv,err",
+    [
+        # a rank below 1 is refused before any target is built
+        (("verify-lwood", "--family", "C", "--lambda", "-", "--n", "0"), "verify_littlewood_identity C []: n 0 is below 1"),
+        (("verify-lwood", "--family", "B", "--lambda", "-", "--n", "-1"), "verify_littlewood_identity B []: n -1 is below 1"),
+        (("verify-lwood", "--family", "D", "--lambda", "1", "--n", "0"), "verify_littlewood_identity D [1]: n 0 is below 1"),
+        (
+            ("verify-lwood", "--family", "B", "--lambda", "1,1,1", "--n", "2"),
+            "verify_littlewood_identity B [1,1,1]: need at most 2 rows in the stable range, got 3",
+        ),
+        (("verify-spinor", "--family", "Dplus", "--n", "2", "--lambda", "1,1,1"), "verify_spinor_identity Dplus [1,1,1]: need at most 2 rows, got 3"),
+        (("bott", "--spin", "Dplus", "--n", "3", "--lambda", "4"), "spin_cohomology Dplus [4]: the shape does not fit in the 3x3 box"),
+        (("bott", "--spin", "B", "--n", "2", "--lambda", "1,1,1"), "spin_cohomology B [1,1,1]: the shape does not fit in the 2x2 box"),
+        (("bracket", "--case", "OD(1)", "--lambda", "1"), "case OD needs a rank n >= 2, got 1"),
+        (("slice", "--case", "SpC(0)", "--degree", "1"), "case SpC needs a rank n >= 1, got 0"),
+        (("slice", "--case", "SOB", "--degree", "1"), "case SOB needs a rank n >= 1, got None"),
+        (("branch", "--lambda", "1", "--target", "sp:3"), "branch_gl_to_iso: 'sp:3' is not a target; Sp needs an even dimension m >= 2"),
+        (("branch", "--lambda", "1", "--target", "sp:0"), "branch_gl_to_iso: 'sp:0' is not a target; Sp needs an even dimension m >= 2"),
+        (("branch", "--lambda", "1", "--target", "o:1"), "branch_gl_to_iso: 'o:1' is not a target; O needs a dimension m >= 2"),
+        (
+            ("branch", "--lambda", "1", "--target", "x:4"),
+            "branch_gl_to_iso: 'x:4' is not a target; expected Sp:<m> or O:<m>, e.g. O:5 or Sp(4)",
+        ),
+    ],
+)
+def test_refusals_in_the_classical_and_spin_tables_name_the_input(capsys, argv, err):
+    for fmt in ("text", "json"):
+        assert run_cli(capsys, *argv, "--format", fmt) == (2, "", f"error: {err}\n")
+
+
+def test_verify_lwood_answers_for_the_rank_one_orthogonal_group(capsys):
+    # O(2) is a group the Littlewood identity holds for, though D1 is no root system
+    assert run_cli(capsys, "verify-lwood", "--family", "D", "--lambda", "1", "--n", "1") == (0, "pass: D lambda=[1] n=1\n", "")
+    with pytest.raises(ValueError, match=r"^family must be B, C, or D$"):
+        verify_littlewood_identity("X", (1,), 1)
 
 
 @pytest.mark.parametrize(

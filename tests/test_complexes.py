@@ -61,6 +61,34 @@ def test_bracket_examples():
         assert all(c == 0 for c in bracket_weight(case, ()).fund_coords())
 
 
+# bracket_weight(case, 1^k) for k = 1 .. bracket_rows.  The bracket map is
+# additive (test_bracket_additivity), so these columns fix it.
+BRACKET_COLUMNS = {
+    "SpC(3)": ["eps:C3:1,0,0", "eps:C3:1,1,0", "eps:C3:1,1,1"],
+    "SOB(2)": ["eps:B2:1,0", "eps:B2:1,1"],
+    "OD(3)": ["eps:D3:1,0,0", "eps:D3:1,1,0", "eps:D3:1,1,1"],
+    "G2": ["fund:G2:1,0", "fund:G2:0,1"],
+    "F4_6": ["fund:F4:0,0,0,1", "fund:F4:0,0,1,0", "fund:F4:0,1,0,0"],
+    "F4_3": ["fund:F4:0,0,0,1", "fund:F4:0,0,1,0", "fund:F4:0,1,0,0"],
+    "E6_5": ["fund:E6:1,0,0,0,0,0", "fund:E6:0,0,1,0,0,0", "fund:E6:0,0,0,1,0,0", "fund:E6:0,1,0,0,1,0", "fund:E6:0,0,0,0,2,0"],
+    "E6_3": ["fund:E6:1,0,0,0,0,0", "fund:E6:0,0,1,0,0,0", "fund:E6:0,0,0,1,0,0"],
+    "E7_6": [
+        "fund:E7:0,0,0,0,0,0,1", "fund:E7:0,0,0,0,0,1,0", "fund:E7:0,0,0,0,1,0,0",
+        "fund:E7:0,0,0,1,0,0,0", "fund:E7:0,1,1,0,0,0,0", "fund:E7:0,0,2,0,0,0,0",
+    ],
+    "E8_7": [
+        "fund:E8:0,0,0,0,0,0,0,1", "fund:E8:0,0,0,0,0,0,1,0", "fund:E8:0,0,0,0,0,1,0,0", "fund:E8:0,0,0,0,1,0,0,0",
+        "fund:E8:0,0,0,1,0,0,0,0", "fund:E8:0,1,1,0,0,0,0,0", "fund:E8:0,0,2,0,0,0,0,0",
+    ],
+}
+
+
+@pytest.mark.parametrize("name", BRACKET_COLUMNS)
+def test_bracket_columns(name):
+    case = parse_case(name)
+    assert [str(bracket_weight(case, (1,) * k)) for k in range(1, case.bracket_rows + 1)] == BRACKET_COLUMNS[name]
+
+
 def test_bracket_first_column_dimensions():
     # degree-one slice must be a copy of the small representation
     for case in ALL_CASES:

@@ -8,6 +8,8 @@ from pathlib import Path
 import pytest
 
 from littlewood import cli
+from littlewood.bott import SPIN_FAMILIES, SPINOR_FAMILIES
+from littlewood.complexes import CASE_KINDS, LITTLEWOOD_FAMILIES
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
@@ -61,3 +63,24 @@ def test_every_subcommand_has_a_readme_line():
     shown = {line.split()[1] for line in (CLI_BLOCK + _block("Acceptance suite")).splitlines() if line.startswith("littlewood ")}
     subparsers = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     assert sorted(set(subparsers.choices) - shown) == []
+
+
+def test_the_listed_group_cases_are_the_case_kinds():
+    # README names the kinds parse_case accepts, classical ones with their rank
+    listed = " ".join(README.split()).split("Group cases are ", 1)[1].split(".", 1)[0]
+    assert tuple(name.removesuffix("(n)") for name in re.findall(r"`([^`]+)`", listed)) == CASE_KINDS
+
+
+def test_the_family_choices_are_the_tables_families():
+    # --help prints choices in this order: {B,C,D}, {B,Dplus,Dminus,Dfull}, {B,Dplus,Dminus}
+    subparsers = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+
+    def choices(command, dest):
+        return tuple(next(a for a in subparsers.choices[command]._actions if a.dest == dest).choices)
+
+    assert LITTLEWOOD_FAMILIES == ("B", "C", "D") and SPINOR_FAMILIES == (*SPIN_FAMILIES, "Dfull") == ("B", "Dplus", "Dminus", "Dfull")
+    for command in ("lwood", "verify-lwood"):
+        assert choices(command, "family") == LITTLEWOOD_FAMILIES
+    for command in ("spinor", "verify-spinor"):
+        assert choices(command, "family") == SPINOR_FAMILIES
+    assert choices("bott", "spin") == SPIN_FAMILIES
