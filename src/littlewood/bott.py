@@ -123,7 +123,7 @@ def spin_cohomology(family: str, n: int, lam) -> SpinOutcome:
     if family not in SPIN_FAMILIES:
         raise ValueError(f"spin_cohomology: family {family!r} is not one of {', '.join(SPIN_FAMILIES)}")
     lam = Partition(lam)
-    check_bound("spin_cohomology", f"{family} {lam}", "n", n, None, lower=1)
+    check_bound("spin_cohomology", (family, lam), "n", n, None, lower=1)
     if len(lam) > n or lam[0] > n:
         raise ValueError(f"spin_cohomology {family} {lam}: the shape does not fit in the {n}x{n} box")
     if family == "B":

@@ -250,7 +250,8 @@ def _branch_by_characters(lam: Partition, kind: str, m: int) -> Decomposition:
     orthogonal label, and in the odd one a constituent mu whose size has the
     other parity than lam is the associate label (first column m - len(mu)),
     since -I acts on S_lam by (-1)^|lam|."""
-    family, n = ("C" if kind == "Sp" else "B" if m % 2 else "D"), m // 2
+    n = m // 2
+    family = next(row.family for row in _CLASSICAL.values() if row.group == kind and row.dim_v(n) == m)
     dec = schur_character(build_root_system(family, n), Weight.epsilon(family, n, (1,) + (0,) * (n - 1)), lam)  # V_{eps_1}
     out, unmatched = Decomposition(), Decomposition()
     for w, mult in dec.entries.items():
@@ -290,7 +291,7 @@ def verify_littlewood_identity(family: str, lam, n: int, oracle: bool = False) -
     bracket label: exact multiset equality, not a dimension count."""
     lam = Partition(lam)
     row = classical(family)
-    check_bound("verify_littlewood_identity", f"{family} {lam}", "n", n, None, lower=1)
+    check_bound("verify_littlewood_identity", (family, lam), "n", n, None, lower=1)
     if len(lam) > n:
         raise StableRangeError(f"verify_littlewood_identity {family} {lam}: need at most {n} rows in the stable range, got {len(lam)}")
     target = (row.group, row.dim_v(n))
@@ -334,10 +335,10 @@ def verify_spinor_identity(family: str, n: int, lam) -> Report:
     shifted irreducible(s): alternating sums of skew Schur dimensions times
     the spin dimension must equal dim V_{lam+delta}."""
     lam = Partition(lam)
+    if family in SPINOR_FAMILIES:  # the rank first: B_n needs n >= 1, D_n n >= 2
+        check_bound("verify_spinor_identity", family, "n", n, None, lower=classical(family[0]).least_rank)
     if len(lam) > n:
         raise ValueError(f"verify_spinor_identity {family} {lam}: need at most {n} rows, got {len(lam)}")
-    if family != "B" and family in SPINOR_FAMILIES:  # spinor_complex refuses n < 1 for B
-        check_bound("verify_spinor_identity", family, "n", n, None, lower=classical("D").least_rank)
     terms = spinor_complex(family, n)  # checks the family, and n against its bound, first
     rs, dim_v = build_root_system(family[0], n), classical(family[0]).dim_v(n)
     label_dims = {label: _spin_dim(rs, label, (0,) * n) for label in {label for term in terms for _, label in term.content.entries}}

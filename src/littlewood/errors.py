@@ -10,10 +10,11 @@ class ScaleError(LittlewoodError):
 
 
 def check_bound(operation: str, subject, quantity: str, value: int, bound: int | None, name: str = "the bound", lower=None) -> None:
-    """The package's one ScaleError, raised before the work it bounds: `<operation> <subject>: <quantity> N is past <name> M` or `... is below <lower>`; a bound of None sets no upper limit."""
+    """The package's one ScaleError, raised before the work it bounds: `<operation> <subject>: <quantity> N is past <name> M` or `... is below <lower>`; a bound of None sets no upper limit.  The subject is formatted only when it raises, a tuple as its items joined by spaces."""
     below = lower is not None and value < lower
     if below or bound is not None and value > bound:
         side = f"below {lower}" if below else f"past {name} {bound}"
+        subject = " ".join(map(str, subject)) if isinstance(subject, tuple) else subject
         raise ScaleError(f"{operation} {subject}: {quantity} {value} is {side}")
 
 

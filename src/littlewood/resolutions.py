@@ -10,12 +10,10 @@ arithmetic is exact big-integer arithmetic end to end.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import itertools
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from math import comb
 
 from .characters import Weight, adams_series, dim_irrep
 from .complexes import GradedTerm, GroupCase, bracket_labels, bracket_weight, branch_gl_to_iso
@@ -262,37 +260,46 @@ def peel_resolution(case: GroupCase, slice_fn, codim: int, stop: int | None = No
     present in both neighbouring homological degrees of one internal degree
     cancels there and is invisible to this rule, so a peeled resolution that
     matches stated Betti totals is consistent with them, not proven minimal.
-    The walk stops at the first degree where the length is codim and the
-    dimension-level K-polynomial divides by (1-T)^codim; a term past the
-    codimension, or no stop by internal degree SLICE_BOUND (s, mirrored),
-    raises InconsistencyError.  With stop, the walk ends after internal
-    degree stop at the latest: a resolution cut there, and never mirrored.
 
-    The mirror: if h = (sum_j dim R_j T^j)(1-T)^(N - codim), N = dim E dim V,
-    read through SLICE_BOUND, ends before it and is palindromic, the ring
-    (Cohen-Macaulay: rational singularities) is Gorenstein (Stanley), so
-    F_{c-i} = F_i^* (x) F_c with F_c = S_(a^n)E in degree s = codim + deg h,
-    n = dim E, a = s/n.  Degrees j <= s/2 are peeled; each later one is
-    (-1)^codim times the dual of degree s - j, S_lam E (x) V_w going to
-    S_(a - lam_n, ..., a - lam_1)E (x) V_{-w0 w}.  A mirrored degree through
-    SLICE_BOUND whose dimension is not the slices', a degree s/2 that is not
+    The end: the ring has rational singularities, so it is Cohen-Macaulay,
+    and its resolution has length codim and ends in internal degree s =
+    codim + deg h, h = (sum_j dim R_j T^j)(1-T)^(N - codim), N = dim E dim V,
+    read through SLICE_BOUND (the regularity is deg h).  The walk runs through
+    s, and each degree drawn from the slices must have the dimension of T^j
+    in K = h(T)(1-T)^codim.  An h that does not end before SLICE_BOUND, an s
+    past SLICE_BOUND that is not mirrored, a term past the codimension, or a
+    length other than codim at s raises InconsistencyError.  With stop, the
+    walk ends after internal degree stop: a resolution cut there, with no h,
+    and never mirrored.
+
+    The mirror: if h is palindromic, the ring is Gorenstein (Stanley), so
+    F_{c-i} = F_i^* (x) F_c with F_c = S_(a^n)E in degree s, n = dim E, a =
+    s/n.  Degrees j <= s/2 are peeled; each later one is (-1)^codim times the
+    dual of degree s - j, S_lam E (x) V_w going to S_(a - lam_n, ..., a -
+    lam_1)E (x) V_{-w0 w}, which keeps each label's dimension, as a
+    palindromic h keeps K_j = (-1)^codim K_{s-j}.  A degree s/2 that is not
     its own mirror, an s that n does not divide, or a shape outside the n x a
     box raises InconsistencyError.
     """
     rs = case.root_system()
     dim_of = label_dimension(case)
     slice_at = functools.cache(slice_fn)
-    n, n_vars, s = case.dim_e, case.dim_e * case.dim_v, None
+    n, n_vars, s, kpoly, mirrored = case.dim_e, case.dim_e * case.dim_v, stop, None, False
     if stop is None:
-        h = dims = [slice_at(d).total(dim_of) for d in range(SLICE_BOUND + 1)]
+        h = [slice_at(d).total(dim_of) for d in range(SLICE_BOUND + 1)]
         for _ in range(n_vars - codim):  # times (1-T), through SLICE_BOUND
             h = [a - b for a, b in zip(h, [0, *h])]
         deg = max((d for d, x in enumerate(h) if x), default=SLICE_BOUND)
-        if deg < SLICE_BOUND and h[: deg + 1] == h[deg::-1]:
-            s = codim + deg
-            if s % n:
-                raise InconsistencyError(f"peel {case.name}: the mirror's top degree s = {s} is not a multiple of dim E = {n}")
-            a, ring_kpoly = s // n, [sum((-1) ** k * comb(n_vars, k) * dims[j - k] for k in range(j + 1)) for j in range(SLICE_BOUND + 1)]
+        if deg == SLICE_BOUND:
+            raise InconsistencyError(f"peel {case.name}: the h-vector at codimension {codim} does not end before SLICE_BOUND {SLICE_BOUND}")
+        s, kpoly, mirrored = codim + deg, h[: deg + 1], h[: deg + 1] == h[deg::-1]
+        for _ in range(codim):  # K = h(T)(1-T)^codim
+            kpoly = [a - b for a, b in zip([*kpoly, 0], [0, *kpoly])]
+        if not mirrored and s > SLICE_BOUND:
+            raise InconsistencyError(f"peel {case.name}: h is not palindromic, and its top degree s = {s} is past SLICE_BOUND {SLICE_BOUND}")
+        if mirrored and s % n:
+            raise InconsistencyError(f"peel {case.name}: the mirror's top degree s = {s} is not a multiple of dim E = {n}")
+        a = s // n
 
     def mirror(euler: Decomposition, j: int) -> Decomposition:
         out = Decomposition()
@@ -304,16 +311,16 @@ def peel_resolution(case: GroupCase, slice_fn, codim: int, stop: int | None = No
         return out
 
     cells: dict[tuple[int, int], Decomposition] = {}
-    kpoly, end, eulers, peeled = [], 0, euler_characteristics(case, slice_at), []
-    for j in range(SLICE_BOUND + 1 if s is None else s + 1):
-        if s is None or 2 * j <= s:
+    end, eulers, peeled = 0, euler_characteristics(case, slice_at), []
+    for j in range(s + 1):
+        if not mirrored or 2 * j <= s:
             peeled.append(euler := next(eulers))
-            if 2 * j == s and mirror(euler, j) != euler:
+            if kpoly is not None and euler.total(dim_of) != kpoly[j]:
+                raise InconsistencyError(f"peel {case.name}: internal degree {j} has dimension {euler.total(dim_of)}, h(T)(1-T)^{codim} gives {kpoly[j]}")
+            if mirrored and 2 * j == s and mirror(euler, j) != euler:
                 raise InconsistencyError(f"peel {case.name}: internal degree {j} = s/2 is not (-1)^{codim} times its own dual")
         else:
             euler = mirror(peeled[s - j], j)
-            if j <= SLICE_BOUND and euler.total(dim_of) != ring_kpoly[j]:
-                raise InconsistencyError(f"peel {case.name}: mirrored internal degree {j} has dimension {euler.total(dim_of)}, the slices give {ring_kpoly[j]}")
         last = end
         for sign, parity in ((1, 0), (-1, 1)):
             part = Decomposition({label: sign * m for label, m in euler.entries.items() if sign * m > 0})
@@ -326,18 +333,8 @@ def peel_resolution(case: GroupCase, slice_fn, codim: int, stop: int | None = No
                 )
             cells[(i, j)] = part
             end = max(end, i)
-        kpoly.append(euler.total(dim_of))
-        if j == stop:
-            break
-        with contextlib.suppress(InconsistencyError):  # raised while (1-T)^codim does not divide
-            if end == codim:
-                divide_by_one_minus_t(kpoly, codim)
-                break
-    else:
-        raise InconsistencyError(
-            f"peel {case.name}: resolution has length {end}, not the codimension {codim} with a K-polynomial "
-            f"divisible by (1-T)^{codim}, when the walk stops at internal degree {j}, the slice bound or s"
-        )
+    if kpoly is not None and end != codim:
+        raise InconsistencyError(f"peel {case.name}: resolution has length {end} at its top degree s = {s}, not the codimension {codim}")
     return [
         GradedTerm(i, j, content.map_labels(lambda lab: (Partition(lab[0]), rs.weight(lab[1]))))
         for (i, j), content in sorted(cells.items())

@@ -248,10 +248,8 @@ def replay(argv, stdin=None) -> dict:
             code = cli.run(list(argv))
     finally:
         sys.stdin = saved_stdin
-    entry = {"argv": list(argv), "code": code, "stdout": mask(argv, out.getvalue()), "stderr": mask(argv, err.getvalue())}
-    if stdin is not None:
-        entry = {"argv": entry.pop("argv"), "stdin": stdin, **entry}
-    return entry
+    fed = {} if stdin is None else {"stdin": stdin}
+    return {"argv": list(argv), **fed, "code": code, "stdout": mask(argv, out.getvalue()), "stderr": mask(argv, err.getvalue())}
 
 
 def load() -> list[dict]:

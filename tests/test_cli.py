@@ -497,6 +497,17 @@ def test_refusals_in_the_classical_and_spin_tables_name_the_input(capsys, argv, 
         assert run_cli(capsys, *argv, "--format", fmt) == (2, "", f"error: {err}\n")
 
 
+@pytest.mark.parametrize(
+    "family,n,lam,least",
+    [("B", "-1", "-", 1), ("B", "0", "1", 1), ("B", "0", "-", 1), ("Dminus", "-1", "-", 2), ("Dminus", "0", "1", 2), ("Dfull", "1", "1,1", 2)],
+)
+def test_verify_spinor_refuses_a_bad_rank_before_it_counts_rows(capsys, family, n, lam, least):
+    # B_n needs n >= 1 and D_n n >= 2, and the rank is checked before the rows are counted
+    for fmt in ("text", "json"):
+        got = run_cli(capsys, "verify-spinor", "--family", family, "--n", n, "--lambda", lam, "--format", fmt)
+        assert got == (2, "", f"error: verify_spinor_identity {family}: n {n} is below {least}\n")
+
+
 def test_verify_lwood_answers_for_the_rank_one_orthogonal_group(capsys):
     # O(2) is a group the Littlewood identity holds for, though D1 is no root system
     assert run_cli(capsys, "verify-lwood", "--family", "D", "--lambda", "1", "--n", "1") == (0, "pass: D lambda=[1] n=1\n", "")

@@ -15,7 +15,7 @@ from littlewood.complexes import (
     verify_littlewood_identity,
     verify_spinor_identity,
 )
-from littlewood.errors import StableRangeError
+from littlewood.errors import ScaleError, StableRangeError, check_bound
 from littlewood.partitions import Decomposition, Partition, dim_schur, partitions_of, skew_schur_expand
 from oracles import fill_character
 
@@ -281,6 +281,19 @@ def test_verify_spinor_examples():
     assert verify_spinor_identity("B", 2, (2, 1)).passed
     assert verify_spinor_identity("Dplus", 3, (2, 2, 1)).passed
     assert verify_spinor_identity("Dminus", 3, (3, 1)).passed
+
+
+def test_check_bound_formats_its_subject_only_when_it_raises():
+    class Unprintable:
+        def __str__(self):
+            raise AssertionError("the subject was formatted")
+
+        __repr__ = __format__ = __str__
+
+    for subject in (Unprintable(), ("B", Unprintable())):
+        check_bound("op", subject, "n", 3, 8, lower=1)  # passes: nothing is formatted
+    with pytest.raises(ScaleError, match=r"^spin_cohomology B \[2,1\]: n 0 is below 1$"):
+        check_bound("spin_cohomology", ("B", P((2, 1))), "n", 0, None, lower=1)
 
 
 def test_verify_spinor_sweep():

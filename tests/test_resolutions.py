@@ -288,10 +288,10 @@ def test_g2_y1_terms_rederived_by_euler_characteristics():
     assert _plain(peel_resolution(GroupCase("G2"), _rank_one_slice, 7)) == G2_Y1_TERMS
 
 
-def test_peel_resolution_stops_only_where_the_k_polynomial_divides():
-    # At codimension 6 the rank-1 peel reaches length 6 in internal degree
-    # 7, where its K-polynomial is not divisible by (1-T)^6, and again in
-    # degree 8; so the walk goes on and meets the degree-9 term F_7.
+def test_peel_resolution_walks_to_the_top_degree_of_its_h_vector():
+    # At codimension 6 the rank-1 h-vector is (1 + 7T + 4T^2)(1 - T) =
+    # 1 + 6T - 3T^2 - 4T^3, not palindromic, so the walk runs unmirrored to
+    # s = 6 + 3 = 9, where it meets the term F_7.
     with pytest.raises(InconsistencyError, match="internal degree 9 needs homological degree 7, past the codimension 6"):
         peel_resolution(GroupCase("G2"), _rank_one_slice, 6)
 
@@ -337,7 +337,8 @@ def test_peel_resolution_guards_the_codimension():
 
     with pytest.raises(InconsistencyError, match="G2: internal degree .* past the codimension 4"):
         peel_resolution(case, slice_fn, 4)
-    with pytest.raises(InconsistencyError, match="G2: resolution has length 5, not the codimension 6"):
+    # h = (1 + 5T + 5T^2 + T^3)/(1 - T) at codimension 6 never ends
+    with pytest.raises(InconsistencyError, match="^peel G2: the h-vector at codimension 6 does not end before SLICE_BOUND 12$"):
         peel_resolution(case, slice_fn, 6)
 
 
@@ -372,8 +373,9 @@ def test_a_peel_mirrors_exactly_when_its_h_vector_is_palindromic(monkeypatch, na
     assert drawn == list(range(peeled)) and calls == dict.fromkeys(range(sliced), 1)
 
 
-def test_mirror_refuses_a_degree_whose_dimension_the_slices_do_not_give(monkeypatch):
-    # one more S_(2)E in degree 2 mirrors to -S_(4,2)E in degree 6, 3 short of the slices
+def test_peel_refuses_a_drawn_degree_whose_dimension_is_not_that_of_k(monkeypatch):
+    # one more S_(2)E in degree 2 is refused there, where it is drawn, not at
+    # its mirror -S_(4,2)E in degree 6: K = h(T)(1-T)^5 has -10 at T^2
     real = resolutions.euler_characteristics
 
     def one_more(case, slice_fn):
@@ -381,8 +383,48 @@ def test_mirror_refuses_a_degree_whose_dimension_the_slices_do_not_give(monkeypa
             yield euler + Decomposition({((2,), (0, 0)): 1}) if j == 2 else euler
 
     monkeypatch.setattr(resolutions, "euler_characteristics", one_more)
-    with pytest.raises(InconsistencyError, match="peel G2: mirrored internal degree 6 has dimension 7, the slices give 10"):
+    with pytest.raises(InconsistencyError, match=r"^peel G2: internal degree 2 has dimension -7, h\(T\)\(1-T\)\^5 gives -10$"):
         g2_equivariant_resolution()
+
+
+def test_peel_refuses_an_unmirrored_top_degree_past_the_slice_bound(monkeypatch):
+    """Slices R_j = S_(j)E + 2 S_(j-1)E with dim E = 2 have Hilbert series
+    (1 + 2T)/(1 - T)^2, so at codimension 12 of the 14 variables h = 1 + 2T:
+    not palindromic, so unmirrored, and s = 13 is past every slice.  The peel
+    refuses before it draws a degree."""
+    case = GroupCase("G2")
+    trivial = case.root_system().weight((0, 0))
+
+    def slices(j):
+        ring = Decomposition({(P((j,)), trivial): 1})
+        if j:
+            ring.add((P((j - 1,)), trivial), 2)
+        return ring
+
+    def no_walk(case, slice_fn):
+        raise AssertionError("the walk started")
+
+    monkeypatch.setattr(resolutions, "euler_characteristics", no_walk)
+    with pytest.raises(InconsistencyError, match="^peel G2: h is not palindromic, and its top degree s = 13 is past SLICE_BOUND 12$"):
+        peel_resolution(case, slices, 12)
+
+
+@pytest.mark.parametrize("name", ["g2-y2", "e6-cone", "SOB(3)"])
+def test_the_mirror_keeps_every_label_dimension(name):
+    """S_lam E^* = S_(a - lam_n, ..., a - lam_1)E (x) det^-a and dim V_{-w0 w}
+    = dim V_w, so each peeled cell F_{i,j} and its mirror F_{c-i,s-j} have the
+    same label dimensions.  With a palindromic h, K_j = (-1)^c K_{s-j}, so the
+    check of each peeled degree against K covers the mirrored ones too."""
+    if name in AUDITS:
+        case, terms = AUDITS[name].case, AUDITS[name].terms()
+    else:
+        case = parse_case(name)
+        terms = peel_resolution(case, lambda j: cauchy_slice(case, j)[0], 6)
+    dim_of = label_dimension(case)
+    cells = {(t.index, t.degree): sorted((dim_of(label), m) for label, m in t.content.entries.items()) for t in terms}
+    codim, s = max(cells)  # F_c sits alone in the top degree s
+    peeled = [(i, j) for i, j in cells if 2 * j <= s]
+    assert len(peeled) > 2 and all(cells[(i, j)] == cells[(codim - i, s - j)] for i, j in peeled)
 
 
 def test_mirror_refuses_a_middle_degree_that_is_not_its_own_dual():
