@@ -8,6 +8,7 @@ means.  All comparisons are exact.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 from functools import partial
@@ -17,7 +18,7 @@ from .characters import build_root_system, dim_irrep
 from .complexes import LITTLEWOOD_FAMILIES, classical, parse_case, spinor_complex, verify_littlewood_identity, verify_spinor_identity
 from .errors import LittlewoodError
 from .partitions import enumerate_q, partitions_of, plethysm_wedge_power
-from .resolutions import AUDITS, E6_HILBERT_NUMERATOR, hilbert_numerator, koszul_terms, quadric_space_dim, run_audit
+from .resolutions import AUDITS, E6_HILBERT_NUMERATOR, cauchy_slice, euler_characteristics, hilbert_numerator, koszul_terms, label_dimension, quadric_space_dim, run_audit
 
 G2_Y2_BETTI_TEXT = """\
        0  1  2  3  4 5
@@ -249,17 +250,25 @@ def _crit_koszul():
     return computed == expected, expected, computed
 
 
+# The quadric generators the source names, labelled (E-shape, weight):
+# Sym^2 E (x) 27 for E6; wedge^2 E (x) adjoint plus Sym^2 E (x) (26 + 1) for F4.
+QUADRIC_GENERATORS = {
+    "E6_3": {((2,), (0, 0, 0, 0, 0, 1)): 1},
+    "F4_3": {((1, 1), (1, 0, 0, 0)): 1, ((2,), (0, 0, 0, 1)): 1, ((2,), (0, 0, 0, 0)): 1},
+}
+
+
 def _crit_quadrics():
-    e6 = quadric_space_dim(parse_case("E6_3"))
-    f4 = quadric_space_dim(parse_case("F4_3"))
-    # cross-check against the generator representations named in the source:
-    # wedge^2 E (x) adjoint plus Sym^2 E (x) (26+1) for F4; Sym^2 E (x) 27 for E6.
-    f4_generators = 3 * 52 + 6 * (26 + 1)
-    e6_generators = 6 * 27
-    computed = {"E6_3": e6, "F4_3": f4}
+    # The quadrics F_{1,2} are minus the degree-2 Euler characteristic; their
+    # dimension must also be that of Sym^2 of the matrix space less R_2.
+    computed, generators_match = {}, True
+    for name, generators in QUADRIC_GENERATORS.items():
+        case = parse_case(name)
+        quadrics = next(itertools.islice(euler_characteristics(case, lambda j: cauchy_slice(case, j)[0]), 2, None)).scale(-1)
+        computed[name] = quadrics.total(label_dimension(case))
+        generators_match = generators_match and quadrics.entries == generators and computed[name] == quadric_space_dim(case)
     expected = {"E6_3": 162, "F4_3": 318}
-    ok = computed == expected and f4 == f4_generators and e6 == e6_generators
-    return ok, expected, computed
+    return computed == expected and generators_match, expected, computed
 
 
 CRITERIA = [

@@ -6,7 +6,8 @@ classical types are provided for input and output because that is how the
 classical literature writes weights as partitions; spin weights are
 half-integral there but always integral in fundamental coordinates, and a
 `Weight` stores every coordinate doubled, so it holds both as ints.  All
-arithmetic is exact: ints, doubled ints, and Fractions only.
+arithmetic is exact, in ints and doubled ints; Fractions appear only in
+`RootSystem.height`.
 
 Conversion conventions (Bourbaki node numbering):
   A_n: eps has n+1 coordinates, m_i = x_i - x_{i+1}; back-conversion pins
@@ -20,7 +21,6 @@ Conversion conventions (Bourbaki node numbering):
 from __future__ import annotations
 
 import itertools
-import math
 import operator
 import os
 from dataclasses import dataclass
@@ -221,26 +221,12 @@ def _cartan_and_d(family: str, n: int):
     return tuple(tuple(row) for row in a), tuple(d)
 
 
-def _invert(matrix) -> tuple:
-    n = len(matrix)
-    aug = [[Fraction(matrix[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
-
-
 @dataclass(frozen=True)
 class _Root:
     fund_coords: tuple  # pairings with the simple coroots
     coroot_coords: tuple  # coefficients of the coroot on the simple coroots
     d: int  # half the squared length
+    simple_coords: tuple  # coefficients on the simple roots
 
 
 class RootSystem:
@@ -259,14 +245,6 @@ class RootSystem:
         self.cartan, self.d = _cartan_and_d(family, rank)
         # Sparse Cartan rows: node i itself and its Dynkin neighbours.
         self._links = tuple(tuple((j, a) for j, a in enumerate(row) if a) for row in self.cartan)
-        self.cartan_inv = _invert(self.cartan)
-        # Integer inverse, scaled by its common denominator: fc . column i ==
-        # height_scale * (i-th simple-root coordinate of fc), and
-        # fc . height_vector == height_scale * height(fc).
-        self.height_scale = math.lcm(*(x.denominator for row in self.cartan_inv for x in row))
-        scaled = [[int(x * self.height_scale) for x in row] for row in self.cartan_inv]
-        self._inv_columns = tuple(zip(*scaled))
-        self.height_vector = tuple(map(sum, scaled))
         self._roots = self._close_roots()
         count = _EXPECTED_POSITIVE[family](rank)
         if len(self._roots) != count:
@@ -278,6 +256,11 @@ class RootSystem:
                 twice_rho[i] += c
         if any(c != 2 for c in twice_rho):
             raise InconsistencyError(f"{family}{rank}: half-sum of positive roots is not the rho vector")
+        # 2 rho^vee on the simple coroots, the sum of the positive coroots: it
+        # pairs to 2 with every simple root, so fc . height_vector == 2 height(fc).
+        self.height_vector = tuple(map(sum, zip(*(r.coroot_coords for r in self._roots))))
+        if any(sum(map(operator.mul, row, self.height_vector)) != 2 for row in self.cartan):
+            raise InconsistencyError(f"{family}{rank}: the sum of the positive coroots {self.height_vector} does not pair to 2 with every simple root")
 
     def _close_roots(self):
         n = self.rank
@@ -310,7 +293,7 @@ class RootSystem:
                 if num % d_alpha != 0:
                     raise InconsistencyError(f"non-integral coroot for {rc} in {self}")
                 co.append(num // d_alpha)
-            roots.append(_Root(fc, tuple(co), d_alpha))
+            roots.append(_Root(fc, tuple(co), d_alpha, rc))
         return tuple(roots)
 
     # -- identity ----------------------------------------------------------
@@ -360,13 +343,9 @@ class RootSystem:
         steps, v = self.walk(tuple(c + 1 for c in fc))
         return None if 0 in v else (steps, tuple(c - 1 for c in v))
 
-    def root_coords(self, fc: tuple) -> tuple:
-        """Coefficients on the simple roots (Fractions off the root lattice)."""
-        inv = self.cartan_inv
-        return tuple(sum(fc[j] * inv[j][i] for j in range(self.rank)) for i in range(self.rank))
-
     def height(self, fc: tuple) -> Fraction:
-        return sum(self.root_coords(fc), start=Fraction(0))
+        """<fc, rho^vee>: the sum of the simple-root coordinates (Fractions off the root lattice)."""
+        return Fraction(sum(map(operator.mul, fc, self.height_vector)), 2)
 
     def fund_tuple(self, weight) -> tuple:
         if isinstance(weight, Weight):
@@ -416,36 +395,27 @@ def _dim_irrep(family: str, rank: int, fc: tuple) -> int:
 @cache
 def _dominant_mults(family: str, rank: int, top: tuple) -> dict:
     """Freudenthal on the dominant weights below top, by depth: the height of
-    top - mu, whose simple-root coordinates are integers read off the scaled
-    inverse Cartan matrix and must be whole and nonnegative."""
+    top - mu.  The search down from top by positive roots carries ks, the
+    simple-root coordinates of top - mu, and a weight reached twice must be
+    reached with the same ks."""
     rs = build_root_system(family, rank)
-    scale = rs.height_scale
-    root_fcs = [r.fund_coords for r in rs._roots]
-
-    dom = {top}
+    dom = {top: (0,) * rank}
     queue = [top]
     while queue:
         v = queue.pop()
-        for rfc in root_fcs:
-            cand = tuple(a - b for a, b in zip(v, rfc))
-            if cand not in dom and all(c >= 0 for c in cand):
-                dom.add(cand)
-                queue.append(cand)
+        for root in rs._roots:
+            cand = tuple(map(operator.sub, v, root.fund_coords))
+            if all(c >= 0 for c in cand):
+                ks = tuple(map(operator.add, dom[v], root.simple_coords))
+                if cand not in dom:
+                    dom[cand] = ks
+                    queue.append(cand)
+                elif dom[cand] != ks:
+                    raise InconsistencyError(f"Freudenthal for {top} in {family}{rank}: {top} - {cand} has two root expansions {dom[cand]} and {ks}")
 
-    def depth(mu):
-        diff = tuple(map(operator.sub, top, mu))
-        ks = [sum(map(operator.mul, diff, col)) for col in rs._inv_columns]
-        if any(k % scale or k < 0 for k in ks):
-            ks = tuple(Fraction(k, scale) for k in ks)
-            raise InconsistencyError(
-                f"Freudenthal for {top} in {family}{rank}: {top} - {mu} is not a nonnegative root combination {ks}"
-            )
-        return sum(ks) // scale, tuple(k // scale for k in ks)
-
-    ordered = sorted(((depth(mu), mu) for mu in dom), key=lambda t: t[0][0])
     mults: dict[tuple, int] = {}
-    for (dep, ks), mu in ordered:
-        if dep == 0:
+    for mu, ks in sorted(dom.items(), key=lambda t: sum(t[1])):
+        if mu == top:
             mults[mu] = 1
             continue
         num = 0
@@ -601,7 +571,7 @@ def brauer_klimyk(rs: RootSystem, weights, top: tuple) -> dict:
 
 def _constituents(rs: RootSystem, mults: dict, dim: int, where: str, negative=InconsistencyError) -> Decomposition:
     """{dominant fc: multiplicity} as checked constituents whose dimensions sum
-    to dim, highest first by the integer height fc . h (`height_vector`), then lex."""
+    to dim, highest first by fc . 2 rho^vee (`height_vector`), twice the height, then lex."""
     out = Decomposition()
     for fc in sorted(mults, key=lambda fc: (sum(map(operator.mul, fc, rs.height_vector)), fc), reverse=True):
         m = mults[fc]

@@ -203,7 +203,14 @@ def _cmd_decompose(args):
         for key, mult in data.items():
             if not isinstance(mult, int):
                 raise LittlewoodError(f"decompose --input {args.input}: {mult!r} at {key!r} is not a multiplicity; expected an integer")
-        dec = decompose_character(rs, Character(rs, ((weight_from_key(key).fund_coords(), mult) for key, mult in data.items())))
+
+        def coords(key):
+            w = weight_from_key(key)
+            if (w.system.family, w.system.rank) != (rs.family, rs.rank):
+                raise LittlewoodError(f"decompose --input {args.input}: the weight key {key!r} is of type {w.system.family}{w.system.rank}, not --type {args.type}")
+            return w.fund_coords()
+
+        dec = decompose_character(rs, Character(rs, ((coords(key), mult) for key, mult in data.items())))
     elif weight is None:
         raise LittlewoodError("decompose needs --weight (plus optional --schur) or --input")
     elif args.schur:

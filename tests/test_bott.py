@@ -66,15 +66,14 @@ def test_bott_dominant_is_degree_zero():
 
 def _length(rs, word):
     """Inversion count of the product of the simple reflections in word."""
+    positive = {root.fund_coords for root in rs._roots}
     neg = 0
-    for root in rs._roots:
-        fc = root.fund_coords
+    for fc in positive:
         for i in reversed(word):
             fc = rs.reflect(i - 1, fc)
-        coeffs = rs.root_coords(fc)
-        assert all(c.denominator == 1 for c in coeffs)
-        if all(c <= 0 for c in coeffs):
-            neg += 1
+        negated = tuple(-c for c in fc)
+        assert (fc in positive) != (negated in positive)
+        neg += negated in positive
     return neg
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import random
@@ -63,11 +64,16 @@ SUPPORTED_TYPES = [(f, r) for f, (lo, hi) in _RANK_RANGES.items() for r in range
 
 @pytest.mark.parametrize("family,rank", SUPPORTED_TYPES)
 def test_integer_height_matches_fraction_height(family, rank):
+    # height_vector is 2 rho^vee: every simple root has height 1 and every
+    # positive root the sum of its simple-root coordinates, which pins the
+    # linear map `height` on the root lattice without an inverse Cartan matrix.
     rs = build_root_system(family, rank)
     assert all(h > 0 for h in rs.height_vector)
+    assert all(rs.height(alpha) == 1 for alpha in rs.cartan)  # row i: the simple root alpha_i
+    assert all(rs.height(root.fund_coords) == sum(root.simple_coords) for root in rs._roots)
     units = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
     for fc in units + [r.fund_coords for r in rs._roots]:
-        assert sum(a * b for a, b in zip(fc, rs.height_vector)) == rs.height_scale * rs.height(fc)
+        assert sum(a * b for a, b in zip(fc, rs.height_vector)) == 2 * rs.height(fc)
 
 
 def test_invalid_type():
@@ -391,13 +397,28 @@ def test_weight_diagram_mass_must_match_weyl_dimension(monkeypatch):
         weight_multiplicities(g2, (1, 0))
 
 
-def test_freudenthal_depth_must_be_a_whole_root_combination(monkeypatch):
-    # Doubling the scale of the integer inverse Cartan matrix halves every
-    # depth, so the odd ones are no longer whole.
+def test_freudenthal_refuses_a_weight_reached_with_two_root_expansions(monkeypatch):
+    # From (2, 2) the search reaches (1, 1) by theta and by alpha_1 + alpha_2;
+    # with theta's simple-root coordinates corrupted the two disagree.
     a2 = build_root_system("A", 2)
-    monkeypatch.setattr(a2, "height_scale", 2 * a2.height_scale)
-    with pytest.raises(InconsistencyError, match="not a nonnegative root combination"):
-        _dominant_mults.__wrapped__("A", 2, (1, 1))
+    theta = a2._roots[-1]
+    assert theta.simple_coords == (1, 1)
+    corrupt = dataclasses.replace(theta, simple_coords=(1, 2))
+    monkeypatch.setattr(a2, "_roots", a2._roots[:-1] + (corrupt,))
+    with pytest.raises(InconsistencyError, match=r"\(2, 2\) - \(1, 1\) has two root expansions \(1, [12]\) and \(1, [12]\)"):
+        _dominant_mults.__wrapped__("A", 2, (2, 2))
+
+
+def test_root_system_refuses_coroots_whose_sum_is_not_twice_rho_vee(monkeypatch):
+    close = RootSystem._close_roots
+
+    def corrupted(self):
+        roots = close(self)
+        return (dataclasses.replace(roots[0], coroot_coords=(2, 0)),) + roots[1:]
+
+    monkeypatch.setattr(RootSystem, "_close_roots", corrupted)
+    with pytest.raises(InconsistencyError, match=r"A2: the sum of the positive coroots \(4, 1\) does not pair to 2 with every simple root"):
+        RootSystem("A", 2)
 
 
 def test_dominant_conjugate_caps_its_walk():

@@ -580,8 +580,10 @@ def test_schur_functor_of_the_e8_adjoint_answers(capsys):
         ),
         ("G2", '{"fund:G2:1,0": "x"}', "decompose --input {path}: 'x' at 'fund:G2:1,0' is not a multiplicity; expected an integer"),
         ("G2", "{bad", "decompose --input {path}: not JSON at line 1 column 2: Expecting property name enclosed in double quotes"),
+        ("E6", '{"fund:G2:0,0": 1}', "decompose --input {path}: the weight key 'fund:G2:0,0' is of type G2, not --type E6"),
+        ("B2", '{"fund:G2:0,0": 1}', "decompose --input {path}: the weight key 'fund:G2:0,0' is of type G2, not --type B2"),
     ],
-    ids=["empty-type", "key-without-type", "json-list", "string-multiplicity", "not-json"],
+    ids=["empty-type", "key-without-type", "json-list", "string-multiplicity", "not-json", "key-of-a-longer-type", "key-of-a-same-rank-type"],
 )
 def test_malformed_type_and_character_input_exit_2_not_with_a_traceback(capsys, tmp_path, type_, content, err):
     # exit 1 is a verification failure; these were IndexError, AttributeError and TypeError

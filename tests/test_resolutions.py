@@ -6,7 +6,7 @@ import pytest
 
 from littlewood.characters import build_root_system, char_of_irrep, decompose_character, dim_irrep
 from littlewood.acceptance import G2_Y2_EXPECTED_TERMS
-from littlewood.complexes import GradedTerm, GroupCase, parse_case
+from littlewood.complexes import GradedTerm, GroupCase, bracket_weight, parse_case
 from littlewood.errors import InconsistencyError
 from littlewood.partitions import Decomposition, Partition, dim_schur
 from littlewood import resolutions
@@ -474,6 +474,24 @@ def test_mirror_refuses_a_top_degree_that_dim_e_does_not_divide():
 
     with pytest.raises(InconsistencyError, match="peel G2: the mirror's top degree s = 13 is not a multiple of dim E = 2"):
         peel_resolution(case, slices, 12)
+
+
+@pytest.mark.parametrize("name,s", [("g2-y2", 8), ("e6-cone", 15)])
+def test_the_gorenstein_mirror_equals_a_direct_peel(name, s):
+    """Cut at its top degree s, a peel draws every degree from the slices,
+    with no h-vector and no mirror, so it checks the mirror's duals and -w0
+    from outside.  The cone's ring is the Cartan powers S_(d)E (x) V_{d w1},
+    which go on past SLICE_BOUND."""
+    case, mirrored = AUDITS[name].case, AUDITS[name].terms()
+
+    def slices(d):
+        if case.dim_e > 1:
+            return cauchy_slice(case, d)[0]
+        return Decomposition({(P((d,)), bracket_weight(case, (d,))): 1})
+
+    if case.dim_e == 1:
+        assert all(slices(d) == cauchy_slice(case, d)[0] for d in range(SLICE_BOUND + 1))
+    assert peel_resolution(case, slices, max(t.index for t in mirrored), stop=s) == mirrored
 
 
 def test_euler_characteristic_vanishes_past_the_g2_resolution():
