@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 from .bott import SPIN_FAMILIES, SpinLabel, bott, spin_cohomology, spin_label, spin_mirrors, spin_weight
 from .characters import build_root_system, dim_irrep
@@ -65,8 +65,7 @@ DIM_SPOT_CHECKS = [
 ]
 
 
-@dataclass
-class CriterionResult:
+class CriterionResult(NamedTuple):
     cid: str
     title: str
     passed: bool

@@ -10,8 +10,8 @@ sits on a reflection hyperplane and all cohomology vanishes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .characters import CoordSystem, RootSystem, Weight, _fund_to_eps
 from .errors import check_bound
@@ -27,8 +27,7 @@ class SpinLabel(Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class BottOutcome:
+class BottOutcome(NamedTuple):
     vanishes: bool
     degree: int | None = None
     weight: Weight | None = None
@@ -39,8 +38,7 @@ class BottOutcome:
         return {"degree": self.degree, "weight": self.weight.to_json()}
 
 
-@dataclass(frozen=True)
-class SpinOutcome:
+class SpinOutcome(NamedTuple):
     vanishes: bool
     degree: int | None = None
     label: SpinLabel | None = None

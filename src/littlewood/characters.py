@@ -23,10 +23,10 @@ from __future__ import annotations
 import itertools
 import operator
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from types import MappingProxyType
+from typing import NamedTuple
 
 from .errors import InconsistencyError, NotCharacterError, check_bound
 from .partitions import Decomposition, Partition, border_strips, dim_schur, newton_series
@@ -43,15 +43,19 @@ def dim_bound() -> int:
         raise ValueError(f"dim_bound: {DIM_BOUND_ENV} {os.environ[DIM_BOUND_ENV]!r} is not an integer") from None
 
 
-@dataclass(frozen=True)
 class CoordSystem:
-    kind: str  # "fundamental" | "epsilon"
-    family: str
-    rank: int
+    __slots__ = ("kind", "family", "rank")
 
-    def __post_init__(self):
-        if self.kind not in ("fundamental", "epsilon"):
-            raise ValueError(f"unknown coordinate kind {self.kind}")
+    def __init__(self, kind: str, family: str, rank: int):
+        if kind not in ("fundamental", "epsilon"):
+            raise ValueError(f"unknown coordinate kind {kind}")
+        self.kind, self.family, self.rank = kind, family, rank
+
+    def __eq__(self, other):
+        return other.__class__ is CoordSystem and (self.kind, self.family, self.rank) == (other.kind, other.family, other.rank)
+
+    def __hash__(self):
+        return hash((self.kind, self.family, self.rank))
 
     @property
     def dimension(self) -> int:
@@ -68,22 +72,25 @@ def _half_str(t: int) -> str:
     return str(t >> 1) if t & 1 == 0 else f"{t}/2"
 
 
-@dataclass(frozen=True)
 class Weight:
     """A weight in one coordinate system, every coordinate stored doubled, so
     the half-integral epsilon coordinates of spin weights are ints too."""
 
-    system: CoordSystem
-    twice: tuple
+    __slots__ = ("system", "twice")
 
-    def __post_init__(self):
-        object.__setattr__(self, "twice", tuple(self.twice))
-        if not all(isinstance(t, int) for t in self.twice):
-            raise TypeError(f"doubled weight coordinates must be ints, got {self.twice!r}")
-        if len(self.twice) != self.system.dimension:
-            raise ValueError(
-                f"{self.system} weights have {self.system.dimension} coordinates, got {len(self.twice)}"
-            )
+    def __init__(self, system: CoordSystem, twice):
+        twice = tuple(twice)
+        if not all(isinstance(t, int) for t in twice):
+            raise TypeError(f"doubled weight coordinates must be ints, got {twice!r}")
+        if len(twice) != system.dimension:
+            raise ValueError(f"{system} weights have {system.dimension} coordinates, got {len(twice)}")
+        self.system, self.twice = system, twice
+
+    def __eq__(self, other):
+        return other.__class__ is Weight and self.system == other.system and self.twice == other.twice
+
+    def __hash__(self):
+        return hash((self.system, self.twice))
 
     @classmethod
     def fundamental(cls, family: str, rank: int, coords) -> "Weight":
@@ -221,8 +228,7 @@ def _cartan_and_d(family: str, n: int):
     return tuple(tuple(row) for row in a), tuple(d)
 
 
-@dataclass(frozen=True)
-class _Root:
+class _Root(NamedTuple):
     fund_coords: tuple  # pairings with the simple coroots
     coroot_coords: tuple  # coefficients of the coroot on the simple coroots
     d: int  # half the squared length

@@ -191,9 +191,10 @@ def _cmd_mults(args):
 def _cmd_decompose(args):
     rs, weight = _type_weight(args.type, None if args.input else args.weight)
     if args.input:
-        text = sys.stdin.read() if args.input == "-" else Path(args.input).read_text()
         try:
-            data = json.loads(text)
+            data = json.loads(sys.stdin.read() if args.input == "-" else Path(args.input).read_text(encoding="utf-8"))
+        except (OSError, UnicodeDecodeError) as exc:
+            raise LittlewoodError(f"decompose --input {args.input}: cannot read: {getattr(exc, 'strerror', None) or exc}") from None
         except json.JSONDecodeError as exc:
             raise LittlewoodError(f"decompose --input {args.input}: not JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from None
         if not isinstance(data, dict):

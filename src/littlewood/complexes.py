@@ -11,7 +11,6 @@ is exactly what verify_littlewood_identity checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .bott import SPINOR_FAMILIES, SpinLabel, spin_label, spin_mirrors, spin_weight
@@ -74,29 +73,36 @@ _EXCEPTIONAL = {
 CASE_KINDS = (*_CLASSICAL, *_EXCEPTIONAL)
 
 
-@dataclass(frozen=True)
 class GroupCase:
     """A multiplicity space E and a representation V of the kind's group.  dim E
     defaults to the kind's (n for a classical kind); an exceptional kind with
     dim E = 1 is the cone over the minimal orbit of V."""
 
-    kind: str
-    n: int | None = None
-    dim_e: int | None = None
+    __slots__ = ("kind", "n", "dim_e")
 
-    def __post_init__(self):
-        if self.kind not in CASE_KINDS:
-            raise ValueError(f"unknown case kind {self.kind}")
-        if self.kind in _CLASSICAL:
-            least = _CLASSICAL[self.kind].least_rank
-            if self.n is None or self.n < least:
-                raise ValueError(f"case {self.kind} needs a rank n >= {least}, got {self.n}")
-        elif self.n is not None:
-            raise ValueError(f"case {self.kind} takes no rank parameter")
-        if self.dim_e is None:
-            object.__setattr__(self, "dim_e", self.n if self.n is not None else _EXCEPTIONAL[self.kind][0])
-        elif self.dim_e < 1:
-            raise ValueError(f"case {self.kind}: dim E {self.dim_e} is below 1")
+    def __init__(self, kind: str, n: int | None = None, dim_e: int | None = None):
+        if kind not in CASE_KINDS:
+            raise ValueError(f"unknown case kind {kind}")
+        if kind in _CLASSICAL:
+            least = _CLASSICAL[kind].least_rank
+            if n is None or n < least:
+                raise ValueError(f"case {kind} needs a rank n >= {least}, got {n}")
+        elif n is not None:
+            raise ValueError(f"case {kind} takes no rank parameter")
+        if dim_e is None:
+            dim_e = n if n is not None else _EXCEPTIONAL[kind][0]
+        elif dim_e < 1:
+            raise ValueError(f"case {kind}: dim E {dim_e} is below 1")
+        self.kind, self.n, self.dim_e = kind, n, dim_e
+
+    def __eq__(self, other):
+        return other.__class__ is GroupCase and (self.kind, self.n, self.dim_e) == (other.kind, other.n, other.dim_e)
+
+    def __hash__(self):
+        return hash((self.kind, self.n, self.dim_e))
+
+    def __repr__(self):
+        return f"GroupCase(kind={self.kind!r}, n={self.n!r}, dim_e={self.dim_e!r})"
 
     @property
     def name(self) -> str:
@@ -164,8 +170,7 @@ def bracket_labels(case: GroupCase, lam) -> list[Weight]:
 # Littlewood complexes
 
 
-@dataclass(frozen=True)
-class GradedTerm:
+class GradedTerm(NamedTuple):
     index: int  # homological degree
     degree: int  # internal degree, the twist A(-degree)
     content: Decomposition
@@ -272,8 +277,7 @@ def _branch_by_characters(lam: Partition, kind: str, m: int) -> Decomposition:
     return out
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     passed: bool
     case: str
     lhs: object

@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import itertools
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .characters import Weight, adams_series, dim_irrep
 from .complexes import GradedTerm, GroupCase, bracket_labels, bracket_weight, branch_gl_to_iso
@@ -25,14 +25,12 @@ from .partitions import Decomposition, Partition, dim_schur, enumerate_q, partit
 # Betti tables and Hilbert numerators
 
 
-@dataclass
 class BettiTable:
-    entries: dict
-    ambient_dim: int | None = None
-    cut: int | None = None  # the last internal degree of a resolution known only in part
+    __slots__ = ("entries", "ambient_dim", "cut")
 
-    def __post_init__(self):
-        self.entries = {k: v for k, v in self.entries.items() if v}
+    def __init__(self, entries: dict, ambient_dim: int | None = None, cut: int | None = None):
+        self.entries = {k: v for k, v in entries.items() if v}
+        self.ambient_dim, self.cut = ambient_dim, cut  # cut: the last internal degree of a resolution known only in part
 
     @property
     def max_index(self) -> int:
@@ -83,8 +81,7 @@ class BettiTable:
         }
 
 
-@dataclass
-class HilbertData:
+class HilbertData(NamedTuple):
     numerator: list[int]
     krull_dim: int
 
@@ -374,8 +371,7 @@ E6_BETTI_TOTALS = [1, 27, 78, 351, 650, 702, 650, 351, 78, 27, 1]
 E6_HILBERT_NUMERATOR = [1, 10, 28, 28, 10, 1]
 
 
-@dataclass
-class AuditSpec:
+class AuditSpec(NamedTuple):
     """A named resolution: its case, its terms over Sym(E (x) V) labelled
     (E-shape, weight), the Betti totals stated for it, and for a resolution
     known only in part the last internal degree it reaches."""
@@ -386,8 +382,7 @@ class AuditSpec:
     cut: int | None = None
 
 
-@dataclass
-class AuditRow:
+class AuditRow(NamedTuple):
     index: int
     computed: int
     expected: int
@@ -400,16 +395,12 @@ class AuditRow:
         return {"i": self.index, "computed": self.computed, "expected": self.expected, "pass": self.passed}
 
 
-@dataclass
 class AuditReport:
-    name: str
-    rows: list
-    betti: BettiTable
-    terms: list = field(repr=False)
-    passed: bool = field(init=False)
+    __slots__ = ("name", "rows", "betti", "terms", "passed")
 
-    def __post_init__(self):
-        self.passed = all(r.passed for r in self.rows)
+    def __init__(self, name: str, rows: list, betti: BettiTable, terms: list):
+        self.name, self.rows, self.betti, self.terms = name, rows, betti, terms
+        self.passed = all(r.passed for r in rows)
 
     def to_json(self):
         return {

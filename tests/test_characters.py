@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import json
 import random
@@ -138,6 +137,16 @@ def test_weight_coordinates_must_be_ints():
         Weight.epsilon("B", 2, (1.5, 0.5))
     with pytest.raises(ValueError, match="epsilon:B2 weights have 2 coordinates, got 1"):
         _eps("B", 2, (3,))
+
+
+def test_weight_and_coordinate_system_check_their_input():
+    with pytest.raises(TypeError, match=r"doubled weight coordinates must be ints, got \(3.0, 1\)"):
+        _eps("B", 2, [3.0, 1])
+    with pytest.raises(ValueError, match="fundamental:A2 weights have 2 coordinates, got 3"):
+        Weight.fundamental("A", 2, (1, 0, 0))
+    with pytest.raises(ValueError, match="unknown coordinate kind polar"):
+        CoordSystem("polar", "B", 2)
+    assert _eps("B", 2, [3, 1]).twice == (3, 1)  # a list is stored as a tuple
 
 
 def test_dim_irrep_basics():
@@ -403,7 +412,7 @@ def test_freudenthal_refuses_a_weight_reached_with_two_root_expansions(monkeypat
     a2 = build_root_system("A", 2)
     theta = a2._roots[-1]
     assert theta.simple_coords == (1, 1)
-    corrupt = dataclasses.replace(theta, simple_coords=(1, 2))
+    corrupt = theta._replace(simple_coords=(1, 2))
     monkeypatch.setattr(a2, "_roots", a2._roots[:-1] + (corrupt,))
     with pytest.raises(InconsistencyError, match=r"\(2, 2\) - \(1, 1\) has two root expansions \(1, [12]\) and \(1, [12]\)"):
         _dominant_mults.__wrapped__("A", 2, (2, 2))
@@ -414,7 +423,7 @@ def test_root_system_refuses_coroots_whose_sum_is_not_twice_rho_vee(monkeypatch)
 
     def corrupted(self):
         roots = close(self)
-        return (dataclasses.replace(roots[0], coroot_coords=(2, 0)),) + roots[1:]
+        return (roots[0]._replace(coroot_coords=(2, 0)),) + roots[1:]
 
     monkeypatch.setattr(RootSystem, "_close_roots", corrupted)
     with pytest.raises(InconsistencyError, match=r"A2: the sum of the positive coroots \(4, 1\) does not pair to 2 with every simple root"):

@@ -227,6 +227,13 @@ def test_python_dash_m_entry_point():
     assert done.returncode == 0 and done.stdout == "7\n"
 
 
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # Each command is a fresh process that pays for every module the import
+    # pulls in; -S keeps modules that site imports out of the count.
+    done = run_python("-S", "-c", "import sys, littlewood.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    assert done.returncode == 0 and done.stdout == "[]\n", done.stderr
+
+
 def test_decompose_closes_its_input_file(tmp_path):
     path = tmp_path / "f.json"
     path.write_text('{"fund:G2:0,0": 1}')
@@ -594,3 +601,18 @@ def test_malformed_type_and_character_input_exit_2_not_with_a_traceback(capsys, 
         path.write_text(content)
         argv = ("decompose", "--type", type_, "--input", str(path))
     assert run_cli(capsys, *argv) == (2, "", f"error: {err.format(path=argv[-1])}\n")
+
+
+@pytest.mark.parametrize(
+    "make, reason",
+    [
+        (lambda path: None, "No such file or directory"),
+        (lambda path: path.mkdir(), "Is a directory"),
+        (lambda path: path.write_bytes(b'{"fund:G2:0,0": 1, "\xff": 1}'), "'utf-8' codec can't decode byte 0xff in position 20: invalid start byte"),
+    ],
+    ids=["missing", "directory", "not-utf-8"],
+)
+def test_unreadable_input_names_the_operation_and_the_path(capsys, tmp_path, make, reason):
+    path = tmp_path / "f.json"
+    make(path)
+    assert run_cli(capsys, "decompose", "--type", "G2", "--input", str(path)) == (2, "", f"error: decompose --input {path}: cannot read: {reason}\n")

@@ -52,6 +52,14 @@ def test_case_dim_e_override():
         GroupCase("E6_3", dim_e=0)
 
 
+def test_a_parsed_case_finds_the_case_it_names():
+    memo = {GroupCase("G2"): "g2", GroupCase("SpC", 3): "spc3", GroupCase("F4_3", dim_e=1): "cone"}
+    assert memo[parse_case("G2")] == "g2" and memo[parse_case("SpC(3)")] == "spc3"
+    assert parse_case("F4_3") not in memo and GroupCase("SpC", 3, dim_e=2) not in memo
+    assert hash(parse_case("G2")) == hash(GroupCase("G2", dim_e=2))
+    assert repr(parse_case("SpC(3)")) == "GroupCase(kind='SpC', n=3, dim_e=3)"
+
+
 def test_bracket_examples():
     g2 = parse_case("G2")
     assert bracket_weight(g2, (3, 1)).fund_coords() == (2, 1)

@@ -54,6 +54,27 @@ def test_every_open_is_a_with_item():
     assert not found, found
 
 
+def test_no_dataclasses_and_every_import_at_module_level():
+    # A cold CLI start pays for every module the package imports; `dataclasses`
+    # pulls in `inspect` and execs generated code for each record, so records
+    # are NamedTuples or slotted classes.  An import inside a function would
+    # hide a module's cost from that start and move it into a command.
+    found = set()
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            names = [a.name for a in node.names] if isinstance(node, ast.Import) else [node.module or ""] if isinstance(node, ast.ImportFrom) else []
+            if any(name.split(".")[0] == "dataclasses" for name in names):
+                found.add(f"{path.name}:{node.lineno}: dataclasses")
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                for node in ast.walk(fn):
+                    called = getattr(node.func, "id", None) or getattr(node.func, "attr", None) if isinstance(node, ast.Call) else None
+                    if isinstance(node, (ast.Import, ast.ImportFrom)) or called in ("__import__", "import_module"):
+                        found.add(f"{path.name}:{node.lineno}: import inside a function")
+    assert not found, sorted(found)
+
+
 def test_unchecked_partition_constructor_stays_in_partitions():
     # Partition._of skips the checks; only partitions.py builds its tuples
     # decreasing, positive and zero-free by construction.
