@@ -621,13 +621,20 @@ def adams_series(rs: RootSystem, v: tuple, start: dict, rows: int, sign: int, in
     shape inside its members, as a border strip only grows a shape."""
 
     def psi(i, x):
-        out = {}
+        # two passes: the shape coefficients summed over the border strips
+        # for each kappa, then one product with psi^i(V) (x) V_kappa per kappa
+        shapes = {}
         for (parts, kappa), m in x.items():
-            tensor = _adams_tensor(rs.family, rs.rank, v, i, kappa)
+            at = shapes.setdefault(kappa, {})
             for mu, s in border_strips(parts, i, rows):
                 if inside is None or mu in inside:
-                    for lam, t in tensor:
-                        out[mu, lam] = out.get((mu, lam), 0) + s * m * t
+                    at[mu] = at.get(mu, 0) + s * m
+        out = {}
+        for kappa, at in shapes.items():
+            tensor = _adams_tensor(rs.family, rs.rank, v, i, kappa)
+            for mu, c in at.items():
+                for lam, t in tensor:
+                    out[mu, lam] = out.get((mu, lam), 0) + c * t
         return out
 
     return newton_series(start, psi, sign, f"adams_series of {rs.weight(v)} in {rs}")
