@@ -324,30 +324,38 @@ class RootSystem:
             v[j] -= c * a
         return tuple(v)
 
-    def walk(self, fc: tuple) -> tuple:
-        """(steps, dominant conjugate of fc): reflect at the least negative
-        coordinate until none is left.  Each step removes one inversion, so
-        steps is the length of the Weyl element, at most the positive roots."""
-        v = fc
+    def _walk(self, fc: tuple, shifted: bool):
+        """(steps, dominant conjugate of fc) by reflections of one list in
+        place, each at its lowest coordinate.  A reflection at any negative
+        coordinate turns exactly one positive root from negative to positive
+        on the weight, so steps is the number of positive roots negative on
+        fc whichever is taken, and the dominant conjugate is unique.  Shifted
+        (fc is some lam + rho): None at the first zero coordinate, as a zero
+        anywhere puts the weight on a root's wall."""
+        v, links = list(fc), self._links
         for steps in range(len(self._roots) + 1):
-            for i, c in enumerate(v):
-                if c < 0:
-                    v = self.reflect(i, v)
-                    break
-            else:
-                return steps, v
+            if shifted and 0 in v:
+                return None
+            c = min(v)
+            if c >= 0:
+                return steps, tuple(v)
+            for j, a in links[v.index(c)]:
+                v[j] -= c * a
         raise InconsistencyError(f"Weyl walk from {fc} in {self}: more than {len(self._roots)} reflections, the number of positive roots")
 
+    def walk(self, fc: tuple) -> tuple:
+        """(steps, dominant conjugate of fc): steps is the length of the Weyl
+        element that takes fc there, at most the number of positive roots."""
+        return self._walk(fc, False)
+
     def dominant_conjugate(self, fc: tuple) -> tuple:
-        return self.walk(fc)[1]
+        return self._walk(fc, False)[1]
 
     def dot_walk(self, fc: tuple):
         """Bott's rho-shifted walk: (steps, lam) with lam + rho the dominant
         conjugate of fc + rho, or None when fc + rho lies on a wall."""
-        if -1 in fc:  # fc + rho is on the wall of a simple root already
-            return None
-        steps, v = self.walk(tuple(c + 1 for c in fc))
-        return None if 0 in v else (steps, tuple(c - 1 for c in v))
+        walked = self._walk(tuple(c + 1 for c in fc), True)
+        return walked and (walked[0], tuple(c - 1 for c in walked[1]))
 
     def height(self, fc: tuple) -> Fraction:
         """<fc, rho^vee>: the sum of the simple-root coordinates (Fractions off the root lattice)."""
@@ -520,9 +528,9 @@ class Character(Decomposition):
     def dimension(self) -> int:
         return self.total()
 
-    def __add__(self, other):
+    def __iadd__(self, other):
         self._check(other)
-        return super().__add__(other)
+        return super().__iadd__(other)
 
     def __mul__(self, other):
         """Tensor product: convolution of weight multisets."""
@@ -565,14 +573,15 @@ class Character(Decomposition):
 
 def brauer_klimyk(rs: RootSystem, weights, top: tuple) -> dict:
     """{dominant fc: multiplicity} of sum m V_{top + w} over the (w, m) of a
-    Weyl-invariant weights: `RootSystem.dot_walk` takes top + w to V_lam with
-    sign (-1)^steps, or to nothing on a wall.  Zeros are dropped."""
-    out = {}
+    Weyl-invariant weights: the rho-shifted walk (`RootSystem.dot_walk`) of
+    top + w, run on top + rho + w, takes it to V_lam with sign (-1)^steps, or
+    to nothing on a wall.  Zeros are dropped."""
+    out, shifted, walk = {}, tuple(c + 1 for c in top), rs._walk
     for fc, m in weights:
-        walked = rs.dot_walk(tuple(map(operator.add, top, fc)))
+        walked = walk(tuple(map(operator.add, shifted, fc)), True)
         if walked:
             out[walked[1]] = out.get(walked[1], 0) + (-m if walked[0] % 2 else m)
-    return {fc: m for fc, m in out.items() if m}
+    return {tuple(c - 1 for c in fc): m for fc, m in out.items() if m}
 
 
 def _constituents(rs: RootSystem, mults: dict, dim: int, where: str, negative=InconsistencyError) -> Decomposition:
@@ -603,12 +612,17 @@ def decompose_character(rs: RootSystem, char: Character) -> Decomposition:
 
 
 @cache
+def _adams_weights(family: str, rank: int, v: tuple, i: int) -> tuple:
+    """The weights of psi^i(V_v), ((fc, multiplicity), ...): those of V_v
+    times i."""
+    return tuple((tuple(i * c for c in fc), m) for fc, m in char_of_irrep(build_root_system(family, rank), v).entries.items())
+
+
+@cache
 def _adams_tensor(family: str, rank: int, v: tuple, i: int, kappa: tuple) -> tuple:
-    """psi^i(V_v) (x) V_kappa as ((dominant fc, multiplicity), ...): the i-th
-    Adams operation has the weights of V_v times i, so this is Brauer-Klimyk."""
-    rs = build_root_system(family, rank)
-    weights = ((tuple(i * c for c in fc), m) for fc, m in char_of_irrep(rs, v).entries.items())
-    return tuple(brauer_klimyk(rs, weights, kappa).items())
+    """psi^i(V_v) (x) V_kappa as ((dominant fc, multiplicity), ...), by
+    Brauer-Klimyk over the weights of psi^i(V_v)."""
+    return tuple(brauer_klimyk(build_root_system(family, rank), _adams_weights(family, rank, v, i), kappa).items())
 
 
 def adams_series(rs: RootSystem, v: tuple, start: dict, rows: int, sign: int, inside=None):
@@ -622,20 +636,22 @@ def adams_series(rs: RootSystem, v: tuple, start: dict, rows: int, sign: int, in
 
     def psi(i, x):
         # two passes: the shape coefficients summed over the border strips
-        # for each kappa, then one product with psi^i(V) (x) V_kappa per kappa
+        # for each kappa, then one product with psi^i(V) (x) V_kappa per
+        # kappa, summed in a row {lam: c} per shape and flattened once
         shapes = {}
         for (parts, kappa), m in x.items():
             at = shapes.setdefault(kappa, {})
             for mu, s in border_strips(parts, i, rows):
                 if inside is None or mu in inside:
                     at[mu] = at.get(mu, 0) + s * m
-        out = {}
+        rows_of = {}
         for kappa, at in shapes.items():
             tensor = _adams_tensor(rs.family, rs.rank, v, i, kappa)
             for mu, c in at.items():
+                row = rows_of.setdefault(mu, {})
                 for lam, t in tensor:
-                    out[mu, lam] = out.get((mu, lam), 0) + c * t
-        return out
+                    row[lam] = row.get(lam, 0) + c * t
+        return {(mu, lam): c for mu, row in rows_of.items() for lam, c in row.items()}
 
     return newton_series(start, psi, sign, f"adams_series of {rs.weight(v)} in {rs}")
 

@@ -11,6 +11,8 @@ is exactly what verify_littlewood_identity checks.
 
 from __future__ import annotations
 
+from functools import cache
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .bott import SPINOR_FAMILIES, SpinLabel, spin_label, spin_mirrors, spin_weight
@@ -219,7 +221,9 @@ def branch_gl_to_iso(lam, target, oracle: bool = False) -> Decomposition:
     the shapes inside lam with even columns (symplectic) or even rows
     (orthogonal) (Koike-Terada, J. Algebra 107 (1987)).  Each beta comes
     from a partition nu of half its size, rows doubled (nu1, nu1, nu2, nu2,
-    ...) for Sp and parts doubled (2 nu) for O.  With oracle=True the answer is
+    ...) for Sp and parts doubled (2 nu) for O.  The rule's table is
+    memoised per shape and group, after the row limit; each call returns a
+    fresh Decomposition of it.  With oracle=True the answer is
     recomputed from scratch through characters of the connected group.  That
     covers every shape for Sp targets, and for odd-dimensional O targets too:
     there -I acts on S_lam by (-1)^|lam|, which tells an O(m) label from its
@@ -237,6 +241,14 @@ def branch_gl_to_iso(lam, target, oracle: bool = False) -> Decomposition:
             f"{route} needs at most {n} rows for {kind}({m}); {lam} has {len(lam)} "
             "(the wider regime is out of scope)"
         )
+    return Decomposition(_littlewood_rule(lam, kind))
+
+
+@cache
+def _littlewood_rule(lam: Partition, kind: str) -> MappingProxyType:
+    """Littlewood's rule for the shape and the group, Sp or O, as a read-only
+    table {label: multiplicity}: it never reads m, so one table serves every
+    target in the stable range, which the caller checks first."""
     # nu boxed so that beta fits in lam's first row and its number of rows
     rows, cols = (len(lam) // 2, lam[0]) if kind == "Sp" else (len(lam), lam[0] // 2)
     out = Decomposition()
@@ -244,7 +256,7 @@ def branch_gl_to_iso(lam, target, oracle: bool = False) -> Decomposition:
         for nu in partitions_of(half, max_length=rows, max_part=cols):
             beta = [p for p in nu for _ in (0, 1)] if kind == "Sp" else [2 * p for p in nu]
             out += skew_schur_expand(lam, beta)
-    return out
+    return MappingProxyType(out.entries)
 
 
 def _branch_by_characters(lam: Partition, kind: str, m: int) -> Decomposition:

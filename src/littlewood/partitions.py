@@ -173,9 +173,14 @@ class Decomposition:
 
     def __add__(self, other):
         out = self.scale(1)
-        for label, mult in other.entries.items():
-            out.add(label, mult)
+        out += other
         return out
+
+    def __iadd__(self, other):
+        """In place: a sum built by += adds each term's entries once."""
+        for label, mult in other.entries.items():
+            self.add(label, mult)
+        return self
 
     def __sub__(self, other):
         return self + other.scale(-1)

@@ -257,6 +257,11 @@ def peel_resolution(case: GroupCase, slice_fn, codim: int, stop: int | None = No
     present in both neighbouring homological degrees of one internal degree
     cancels there and is invisible to this rule, so a peeled resolution that
     matches stated Betti totals is consistent with them, not proven minimal.
+    The rule also assumes that no summand lies below the current end.  The
+    3 x 3 minors of a generic 5 x 5 matrix (det(5 x 5, r = 2)) break it: their
+    Kempf terms put 225 in F_5 at internal degree 7 and 225 in F_4 at degree
+    8, which the rule places at F_6, so that peel is refused later as a term
+    past the codimension.
 
     The end: the ring has rational singularities, so it is Cohen-Macaulay,
     and its resolution has length codim and ends in internal degree s =

@@ -4,6 +4,10 @@ The weight-fill routes here are the ones the library replaced by Adams
 operations (`characters.adams_series`, `partitions.newton_series`); they
 expand every Schur functor weight by weight through `schur_fill`, so they are
 slow but independent of the kernel they check.
+The reference Weyl walk is the one the library replaced by its in-place
+walk (`RootSystem._walk`): it reflects at the first negative coordinate and
+builds a tuple per step, so the Cauchy oracle does not share the kernel it
+checks.
 The folding restriction from E6 to F4 is the route by which the library once
 derived the F4 cone's resolution from the E6 cone's; it now checks the peel.
 """
@@ -103,11 +107,34 @@ def _schur_weights_of_v(case, sigma: Partition) -> tuple:
     return tuple(fill_character(rs, base, sigma.transpose()).entries.items())
 
 
+def reference_walk(rs, fc: tuple) -> tuple:
+    """(steps, dominant conjugate of fc): reflect at the first negative
+    coordinate until none is left, s_i taking v to v - v_i (row i of the
+    Cartan matrix), one new tuple per step."""
+    v = tuple(fc)
+    for steps in range(len(rs._roots) + 1):
+        i = next((i for i, c in enumerate(v) if c < 0), None)
+        if i is None:
+            return steps, v
+        v = tuple(x - v[i] * a for x, a in zip(v, rs.cartan[i]))
+    raise AssertionError(f"reference walk from {fc} in {rs}: more than {len(rs._roots)} reflections")
+
+
+def reference_dot_walk(rs, fc: tuple):
+    """(steps, lam) with lam + rho the dominant conjugate of fc + rho, or None
+    when fc + rho has a zero coordinate before or after the walk."""
+    if -1 in fc:
+        return None
+    steps, v = reference_walk(rs, tuple(c + 1 for c in fc))
+    return None if 0 in v else (steps, tuple(c - 1 for c in v))
+
+
 def cauchy_euler(case, slices: list, j: int) -> Decomposition:
     """sum_k (-1)^k R_{j-k} (x) wedge^k(E (x) V), R_d = slices[d] labelled (shape
     parts, fundamental coordinates), wedge^k(E (x) V) = sum over sigma |- k of
     S_sigma E (x) S_sigma' V (dual Cauchy).  E side: c^tau_{lam sigma}; V side:
-    Brauer-Klimyk, a Bott walk of mu + w for each weight w of S_sigma' V."""
+    Brauer-Klimyk, a reference Bott walk of mu + w for each weight w of
+    S_sigma' V."""
     rs = case.root_system()
     taus = partitions_of(j, max_length=case.dim_e)
     out = Decomposition()
@@ -116,7 +143,7 @@ def cauchy_euler(case, slices: list, j: int) -> Decomposition:
             for (lam, mu), m in ring.entries.items():
                 v_side = Decomposition()
                 for w, mw in _schur_weights_of_v(case, sigma):
-                    walked = rs.dot_walk(tuple(a + b for a, b in zip(mu, w)))
+                    walked = reference_dot_walk(rs, tuple(a + b for a, b in zip(mu, w)))
                     if walked:
                         v_side.add(walked[1], -mw if walked[0] % 2 else mw)
                 for tau in taus:

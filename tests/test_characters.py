@@ -360,6 +360,44 @@ def test_memoised_character_is_read_only():
     assert char_of_irrep(g2, (1, 0)).dimension() == 7
 
 
+def test_character_sums_in_place_keep_their_checks():
+    g2, a2 = build_root_system("G", 2), build_root_system("A", 2)
+    total = Character(g2)
+    alias = total
+    total += char_of_irrep(g2, (1, 0))
+    total += char_of_irrep(g2, (1, 0))
+    assert total is alias and total == char_of_irrep(g2, (1, 0)).scale(2)
+    with pytest.raises(ValueError, match="different root systems"):
+        total += Character(a2, {(0, 0): 1})
+    memoised = char_of_irrep(g2, (1, 0))
+    with pytest.raises(TypeError):
+        memoised += total
+    assert char_of_irrep(g2, (1, 0)).dimension() == 7
+
+
+@pytest.mark.parametrize("family, rank, v, kappas", [
+    ("G", 2, (1, 0), [(0, 0), (1, 0), (0, 1), (1, 1)]),
+    ("B", 3, (1, 0, 0), [(0, 0, 0), (1, 0, 0), (0, 0, 1), (0, 1, 0)]),
+    ("F", 4, (0, 0, 0, 1), [(0, 0, 0, 0), (0, 0, 0, 1), (1, 0, 0, 0)]),
+])
+def test_adams_tensor_against_convolution(family, rank, v, kappas):
+    # psi^i(V) (x) V_kappa, Brauer-Klimyk from the top kappa over the memoised
+    # weights of psi^i(V), against the convolution of V's weights times i
+    # with V_kappa's character, decomposed from the top zero.  psi^i(V) is
+    # virtual, so its negative constituents are added to the convolution and
+    # decompose_character sees a genuine character
+    rs = build_root_system(family, rank)
+    for i in (1, 2, 3):
+        scaled = Character(rs, {tuple(i * c for c in fc): m for fc, m in char_of_irrep(rs, v).entries.items()})
+        for kappa in kappas:
+            tensor = dict(characters_module._adams_tensor(family, rank, v, i, kappa))
+            product = scaled * char_of_irrep(rs, kappa)
+            for fc, m in tensor.items():
+                if m < 0:
+                    product += char_of_irrep(rs, fc).scale(-m)
+            assert decompose_character(rs, product).entries == {rs.weight(fc): m for fc, m in tensor.items() if m > 0}
+
+
 def _closure_orbit(rs, fc):
     """The orbit as a seen-set closed under all simple reflections."""
     orbit = {fc}

@@ -5,6 +5,7 @@ from littlewood.characters import Character, Weight, build_root_system, char_of_
 from littlewood.complexes import (
     CASE_KINDS,
     GroupCase,
+    _littlewood_rule,
     _spin_dim,
     bracket_labels,
     bracket_weight,
@@ -203,6 +204,38 @@ def test_odd_orthogonal_oracle_keeps_exterior_powers_irreducible():
 def test_even_orthogonal_oracle_refuses_outside_the_stable_range():
     with pytest.raises(StableRangeError, match="oracle needs at most 2 rows for O\\(4\\)"):
         branch_gl_to_iso((1, 1, 1), ("O", 4), oracle=True)
+
+
+def test_littlewood_rule_memo_is_read_only():
+    table = _littlewood_rule(Partition((2, 1)), "Sp")
+    assert dict(table) == {Partition((2, 1)): 1, Partition((1,)): 1}
+    with pytest.raises(TypeError):
+        table[Partition((3,))] = 5
+
+
+def test_branching_refuses_before_touching_the_rule_memo():
+    _littlewood_rule.cache_clear()
+    for target in ("Sp:4", "O:5", "O:4"):
+        with pytest.raises(StableRangeError):
+            branch_gl_to_iso((1, 1, 1), target)
+    assert _littlewood_rule.cache_info().currsize == 0
+
+
+def test_branching_answers_are_fresh_and_keyed_by_the_group():
+    # a returned Decomposition is the caller's own; and one shape goes to
+    # both groups, each first on a cleared memo, so a table keyed without
+    # the group would answer for the other one
+    _littlewood_rule.cache_clear()
+    first = branch_gl_to_iso((2, 1), "Sp:6")
+    first.add(Partition((9,)), 1)
+    first += first
+    assert branch_gl_to_iso((2, 1), "Sp:6") == Decomposition({Partition((2, 1)): 1, Partition((1,)): 1})
+    shapes = [lam for size in range(1, 5) for lam in partitions_of(size, max_length=2)]
+    for order in (("Sp:4", "O:5", "O:4"), ("O:4", "O:5", "Sp:4")):
+        _littlewood_rule.cache_clear()
+        for lam in shapes:
+            for target in order:
+                assert branch_gl_to_iso(lam, target) == branch_gl_to_iso(lam, target, oracle=True), (lam, target)
 
 
 def test_branch_total_dimension():
