@@ -475,27 +475,32 @@ def weyl_orbit(rs: RootSystem, fc: tuple):
 
 
 def weight_multiplicities(rs: RootSystem, weight, bound=None) -> "Character":
+    """The weight diagram of the irreducible, the memoised read-only one
+    `char_of_irrep` reads too; the bound is checked before the memo, so a
+    lowered one still refuses a diagram memoised before."""
     fc = rs.fund_tuple(weight)
-    check_bound("weight_multiplicities", rs.weight(fc), "dim", dim := dim_irrep(rs, fc), *((dim_bound(), DIM_BOUND_ENV) if bound is None else (bound,)))
-    char = Character(rs)
-    mass = 0
-    for mu, m in _dominant_mults(rs.family, rs.rank, fc).items():
+    check_bound("weight_multiplicities", rs.weight(fc), "dim", dim_irrep(rs, fc), *((dim_bound(), DIM_BOUND_ENV) if bound is None else (bound,)))
+    return _irrep_character(rs.family, rs.rank, fc)
+
+
+@cache
+def _irrep_character(family: str, rank: int, fc: tuple) -> "Character":
+    """The weight diagram, once per irreducible: the Weyl orbits of the
+    dominant multiplicities, whose mass must be the Weyl dimension.  It is
+    shared by every caller, so its entries are a read-only view, and a
+    caller's `add` raises instead of corrupting it.  The callers check the
+    dimension bound first."""
+    rs = build_root_system(family, rank)
+    char, mass = Character(rs), 0
+    for mu, m in _dominant_mults(family, rank, fc).items():
         if m == 0:
             continue
         size = len(char.entries)
         for w in weyl_orbit(rs, mu):
             char.entries[w] = m
         mass += m * (len(char.entries) - size)
-    if mass != dim:
+    if mass != (dim := _dim_irrep(family, rank, fc)):
         raise InconsistencyError(f"weight diagram mass {mass} != Weyl dimension {dim} for {fc} in {rs}")
-    return char
-
-
-@cache
-def _irrep_character(family: str, rank: int, fc: tuple) -> "Character":
-    """The memoised character, shared by every caller: its entries are a
-    read-only view, so a caller's `add` raises instead of corrupting it."""
-    char = weight_multiplicities(build_root_system(family, rank), fc)
     char.entries = MappingProxyType(char.entries)
     return char
 

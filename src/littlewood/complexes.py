@@ -172,6 +172,18 @@ def bracket_labels(case: GroupCase, lam) -> list[Weight]:
 # Littlewood complexes
 
 
+# Littlewood's rule walks one skew table lam/beta per beta inside lam, and the
+# identity runs the rule on every constituent of its complex; both grow about
+# tenfold per row of a staircase.  The worst accepted inputs found, among the
+# staircase and shapes a box or two from it (up to 17% slower than it), cold
+# in one process each on a 2-vCPU Xeon VM under Python 3.11.7: the rule on
+# (10,9,8,6,5,5,4,3,2,2,1) into Sp, size 55, 9.4 s; the C identity on
+# (8,7,6,4,4,3,2,1,1) with n = 9, size 36, 28 s.  Past them, the rule on the
+# staircase (11,...,1), size 66, took 69 s and 643 MB.
+RULE_SIZE_BOUND = 55
+IDENTITY_SIZE_BOUND = 36
+
+
 class GradedTerm(NamedTuple):
     index: int  # homological degree
     degree: int  # internal degree, the twist A(-degree)
@@ -185,16 +197,22 @@ def littlewood_complex(family: str, lam) -> list[GradedTerm]:
     """The Schur-isotypic slice of the Koszul complex of the Littlewood
     variety: in homological degree i, the skew Schur functors by the size-2i
     members of the Q-set (minus for the symplectic family, plus for the
-    orthogonal ones)."""
-    variant = classical(family).variant
-    lam = Partition(lam)
+    orthogonal ones).  The terms are memoised per Q-set variant and shape,
+    so B and D share one table; each call returns a fresh list of the shared
+    terms, whose contents are read-only."""
+    return list(_littlewood_terms(classical(family).variant, Partition(lam)))
+
+
+@cache
+def _littlewood_terms(variant: str, lam: Partition) -> tuple:
     terms = []
     for i in range(lam.size // 2 + 1):
         content = Decomposition()
         for mu in enumerate_q(variant, 2 * i):
             content += skew_schur_expand(lam, mu)
+        content.entries = MappingProxyType(content.entries)
         terms.append(GradedTerm(i, 2 * i, content))
-    return terms
+    return tuple(terms)
 
 
 def _parse_target(target):
@@ -222,13 +240,14 @@ def branch_gl_to_iso(lam, target, oracle: bool = False) -> Decomposition:
     (orthogonal) (Koike-Terada, J. Algebra 107 (1987)).  Each beta comes
     from a partition nu of half its size, rows doubled (nu1, nu1, nu2, nu2,
     ...) for Sp and parts doubled (2 nu) for O.  The rule's table is
-    memoised per shape and group, after the row limit; each call returns a
-    fresh Decomposition of it.  With oracle=True the answer is
-    recomputed from scratch through characters of the connected group.  That
-    covers every shape for Sp targets, and for odd-dimensional O targets too:
-    there -I acts on S_lam by (-1)^|lam|, which tells an O(m) label from its
-    associate.  For even-dimensional O targets -I cannot, so there the oracle
-    also refuses shapes with more than m/2 rows.
+    memoised per shape and group, after the row limit and RULE_SIZE_BOUND on
+    |lam|; each call returns a fresh Decomposition of it.  With oracle=True
+    the answer is recomputed from scratch through characters of the
+    connected group.  That covers every shape for Sp targets, and for
+    odd-dimensional O targets too: there -I acts on S_lam by (-1)^|lam|,
+    which tells an O(m) label from its associate.  For even-dimensional O
+    targets -I cannot, so there the oracle also refuses shapes with more
+    than m/2 rows.
     """
     kind, m = _parse_target(target)
     lam = Partition(lam)
@@ -241,6 +260,7 @@ def branch_gl_to_iso(lam, target, oracle: bool = False) -> Decomposition:
             f"{route} needs at most {n} rows for {kind}({m}); {lam} has {len(lam)} "
             "(the wider regime is out of scope)"
         )
+    check_bound("branch_gl_to_iso", lam, "size", lam.size, RULE_SIZE_BOUND, "RULE_SIZE_BOUND")
     return Decomposition(_littlewood_rule(lam, kind))
 
 
@@ -310,6 +330,7 @@ def verify_littlewood_identity(family: str, lam, n: int, oracle: bool = False) -
     check_bound("verify_littlewood_identity", (family, lam), "n", n, None, lower=1)
     if len(lam) > n:
         raise StableRangeError(f"verify_littlewood_identity {family} {lam}: need at most {n} rows in the stable range, got {len(lam)}")
+    check_bound("verify_littlewood_identity", (family, lam), "size", lam.size, IDENTITY_SIZE_BOUND, "IDENTITY_SIZE_BOUND")
     target = (row.group, row.dim_v(n))
     euler = Decomposition()
     for term in littlewood_complex(family, lam):

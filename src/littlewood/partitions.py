@@ -52,9 +52,7 @@ class Partition:
     def __new__(cls, parts=()):
         if isinstance(parts, Partition):
             return parts
-        ps = tuple(int(p) for p in parts)
-        while ps and ps[-1] == 0:
-            ps = ps[:-1]
+        ps = _trim(tuple(int(p) for p in parts))
         if any(a < b for a, b in zip(ps, ps[1:])):
             raise ValueError(f"parts not weakly decreasing: {ps}")
         if ps and ps[-1] < 0:
@@ -125,6 +123,14 @@ class Partition:
 
     def to_json(self):
         return list(self.parts)
+
+
+def _trim(parts: tuple) -> tuple:
+    """parts without its trailing zeros, cut off with one slice."""
+    end = len(parts)
+    while end and parts[end - 1] == 0:
+        end -= 1
+    return parts[:end]
 
 
 def label_str(label) -> str:
@@ -348,8 +354,10 @@ def _lr(lam: tuple, mu: tuple) -> MappingProxyType:
 
             walk(hi - 1, r + 1)
         states = following
-    # the last row is cut to width 0, so each content is one state
-    return MappingProxyType({Partition(content): mult for (content, _), mult in states.items()})
+    # the last row is cut to width 0, so each content is one state; the
+    # lattice condition makes a content weakly decreasing, so it is a
+    # partition once its trailing zeros are cut
+    return MappingProxyType({Partition._of(_trim(content)): mult for (content, _), mult in states.items()})
 
 
 def skew_schur_expand(outer, inner) -> Decomposition:

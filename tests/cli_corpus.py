@@ -121,6 +121,7 @@ _COMMANDS = [
     (("branch", "--lambda", "2", "--target", "foo"), None),
     (("branch", "--lambda", "1", "--target", "sp:3"), None),
     (("branch", "--lambda", "1", "--target", "o:1"), None),
+    (("branch", "--lambda", "11,10,9,8,7,6,5,4,3,2,1", "--target", "o:44"), None),
     # lwood
     (("lwood", "--family", "C", "--lambda", "2,2"), None),
     (("lwood", "--family", "B", "--lambda", "3,1"), None),
@@ -133,6 +134,7 @@ _COMMANDS = [
     (("verify-lwood", "--family", "D", "--lambda", "1", "--n", "1"), None),
     (("verify-lwood", "--family", "C", "--lambda", "-", "--n", "0"), None),
     (("verify-lwood", "--family", "B", "--lambda", "1,1,1", "--n", "2"), None),
+    (("verify-lwood", "--family", "C", "--lambda", "9,8,7,6,5,4,3,2,1", "--n", "9"), None),
     # spinor
     (("spinor", "--family", "Dfull", "--n", "2"), None),
     (("spinor", "--family", "B", "--n", "3"), None),

@@ -343,21 +343,35 @@ def test_dim_bound_env_var(monkeypatch):
 
 
 def test_memoised_character_still_refused_under_a_lowered_bound(monkeypatch):
-    # the bound is checked before the memo lookup, not folded into its key
+    # the bound is checked before the memo lookup, not folded into its key,
+    # and each entry point checks its own, with its own message
     g2 = build_root_system("G", 2)
     monkeypatch.delenv("LITTLEWOOD_DIM_BOUND", raising=False)
-    assert char_of_irrep(g2, (2, 1)).dimension() == 189
+    diagram = weight_multiplicities(g2, (2, 1))
+    assert char_of_irrep(g2, (2, 1)) is diagram and diagram.dimension() == 189
+    with pytest.raises(ScaleError, match="^weight_multiplicities fund:G2:2,1: dim 189 is past the bound 100$"):
+        weight_multiplicities(g2, (2, 1), bound=100)
     monkeypatch.setenv("LITTLEWOOD_DIM_BOUND", "100")
+    for name, entry in (("weight_multiplicities", weight_multiplicities), ("char_of_irrep", char_of_irrep)):
+        with pytest.raises(ScaleError, match=f"^{name} fund:G2:2,1: dim 189 is past LITTLEWOOD_DIM_BOUND 100$"):
+            entry(g2, (2, 1))
+    assert char_of_irrep(g2, (1, 0)).dimension() == 7
+    # a bound= above the environment's memoises a diagram that
+    # char_of_irrep, which reads only the environment, still refuses
+    characters_module._irrep_character.cache_clear()
+    assert weight_multiplicities(g2, (2, 1), bound=200) is not diagram
     with pytest.raises(ScaleError, match="^char_of_irrep fund:G2:2,1: dim 189 is past LITTLEWOOD_DIM_BOUND 100$"):
         char_of_irrep(g2, (2, 1))
-    assert char_of_irrep(g2, (1, 0)).dimension() == 7
 
 
 def test_memoised_character_is_read_only():
+    # mults and the character builders read one diagram per irreducible
     g2 = build_root_system("G", 2)
+    seven = char_of_irrep(g2, (1, 0))
+    assert seven is weight_multiplicities(g2, (1, 0)) is weight_multiplicities(g2, Weight.fundamental("G", 2, (1, 0)), bound=7)
     with pytest.raises(TypeError):
-        char_of_irrep(g2, (1, 0)).add((0, 0), 5)
-    assert char_of_irrep(g2, (1, 0)).dimension() == 7
+        seven.add((0, 0), 5)
+    assert char_of_irrep(g2, (1, 0)).dimension() == 7 and seven[(0, 0)] == 1
 
 
 def test_character_sums_in_place_keep_their_checks():
@@ -439,6 +453,7 @@ def test_weight_diagram_mass_must_match_weyl_dimension(monkeypatch):
     import littlewood.characters as characters
 
     g2 = build_root_system("G", 2)
+    characters._irrep_character.cache_clear()  # a memoised diagram would never reach the mass check
     monkeypatch.setattr(characters, "weyl_orbit", lambda rs, fc: [fc])
     with pytest.raises(InconsistencyError, match="mass 2 != Weyl dimension 7"):
         weight_multiplicities(g2, (1, 0))

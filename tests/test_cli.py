@@ -466,6 +466,14 @@ def test_every_listed_betti_name_renders(capsys):
         (("bott", "--spin", "B", "--n", "0"), "error: spin_cohomology B []: n 0 is below 1\n"),
         (("bott", "--spin", "Dplus", "--n", "0"), "error: spin_cohomology Dplus []: n 0 is below 1\n"),
         (("bott", "--spin", "Dminus", "--n", "-2", "--lambda", "1"), "error: spin_cohomology Dminus [1]: n -2 is below 1\n"),
+        (
+            ("branch", "--lambda", "11,10,9,8,7,6,5,4,3,2,1", "--target", "o:44"),
+            "error: branch_gl_to_iso [11,10,9,8,7,6,5,4,3,2,1]: size 66 is past RULE_SIZE_BOUND 55\n",
+        ),
+        (
+            ("verify-lwood", "--family", "C", "--lambda", "9,8,7,6,5,4,3,2,1", "--n", "9"),
+            "error: verify_littlewood_identity C [9,8,7,6,5,4,3,2,1]: size 45 is past IDENTITY_SIZE_BOUND 36\n",
+        ),
     ],
 )
 def test_refusals_name_the_operation_the_input_and_the_bound(capsys, monkeypatch, argv, err):

@@ -2,10 +2,12 @@ import pytest
 
 from littlewood.bott import SpinLabel, spin_mirrors, spin_weight
 from littlewood.characters import Character, Weight, build_root_system, char_of_irrep, dim_irrep
+import littlewood.complexes as complexes_module
 from littlewood.complexes import (
     CASE_KINDS,
     GroupCase,
     _littlewood_rule,
+    _littlewood_terms,
     _spin_dim,
     bracket_labels,
     bracket_weight,
@@ -213,12 +215,55 @@ def test_littlewood_rule_memo_is_read_only():
         table[Partition((3,))] = 5
 
 
+def test_littlewood_complexes_share_read_only_terms_per_variant():
+    # B and D read the plus Q-set, so one memoised table serves both; each
+    # call returns its own list of the shared terms, equal to a fresh
+    # computation, and a shared content cannot be changed
+    lam = Partition((4, 2, 1))
+    b, d = littlewood_complex("B", lam), littlewood_complex("D", (4, 2, 1))
+    assert b is not d and b == d
+    assert all(tb is td for tb, td in zip(b, d, strict=True))
+    assert b == list(_littlewood_terms.__wrapped__("plus", lam))
+    assert littlewood_complex("C", lam) == list(_littlewood_terms.__wrapped__("minus", lam)) != b
+    b.pop()
+    assert len(littlewood_complex("B", lam)) == len(d)
+    with pytest.raises(TypeError):
+        d[1].content.add(Partition((9,)), 1)
+    with pytest.raises(TypeError):
+        d[0].content += Decomposition({lam: 1})
+    assert littlewood_complex("D", lam) == list(_littlewood_terms.__wrapped__("plus", lam))
+
+
 def test_branching_refuses_before_touching_the_rule_memo():
     _littlewood_rule.cache_clear()
     for target in ("Sp:4", "O:5", "O:4"):
         with pytest.raises(StableRangeError):
             branch_gl_to_iso((1, 1, 1), target)
     assert _littlewood_rule.cache_info().currsize == 0
+
+
+def test_the_rule_and_the_identity_refuse_past_their_size_bounds(monkeypatch):
+    # refused before any table is walked: the 11-row staircase, size 66,
+    # ran past 60 s in the rule; a one-row shape at the bound still answers
+    _littlewood_rule.cache_clear()
+    _littlewood_terms.cache_clear()
+    stair = tuple(range(11, 0, -1))
+    with pytest.raises(ScaleError, match=r"^branch_gl_to_iso \[11,10,9,8,7,6,5,4,3,2,1\]: size 66 is past RULE_SIZE_BOUND 55$"):
+        branch_gl_to_iso(stair, "o:44")
+    with pytest.raises(ScaleError, match=r"^verify_littlewood_identity C \[9,8,7,6,5,4,3,2,1\]: size 45 is past IDENTITY_SIZE_BOUND 36$"):
+        verify_littlewood_identity("C", stair[2:], 9)
+    assert _littlewood_rule.cache_info().currsize == _littlewood_terms.cache_info().currsize == 0
+    assert branch_gl_to_iso((55,), "o:3") == Decomposition({Partition((p,)): 1 for p in range(55, 0, -2)})
+    with pytest.raises(ScaleError, match="size 56 is past RULE_SIZE_BOUND 55"):
+        branch_gl_to_iso((56,), "o:3")
+    # the bounds are read at each call, at the shape's size itself
+    monkeypatch.setattr(complexes_module, "IDENTITY_SIZE_BOUND", 4)
+    assert verify_littlewood_identity("D", (2, 2), 2).passed
+    with pytest.raises(ScaleError, match=r"^verify_littlewood_identity D \[3,2\]: size 5 is past IDENTITY_SIZE_BOUND 4$"):
+        verify_littlewood_identity("D", (3, 2), 2)
+    monkeypatch.setattr(complexes_module, "RULE_SIZE_BOUND", 3)
+    with pytest.raises(ScaleError, match="size 4 is past RULE_SIZE_BOUND 3"):
+        verify_littlewood_identity("D", (2, 2), 2)
 
 
 def test_branching_answers_are_fresh_and_keyed_by_the_group():
