@@ -17,7 +17,7 @@ from .bott import SPIN_FAMILIES, SpinLabel, bott, spin_cohomology, spin_label, s
 from .characters import build_root_system, dim_irrep
 from .complexes import LITTLEWOOD_FAMILIES, classical, parse_case, spinor_complex, verify_littlewood_identity, verify_spinor_identity
 from .errors import LittlewoodError
-from .partitions import enumerate_q, partitions_of, plethysm_wedge_power
+from .partitions import Q_FORMS, enumerate_q, partitions_of, plethysm_wedge_power
 from .resolutions import AUDITS, E6_HILBERT_NUMERATOR, cauchy_slice, euler_characteristics, hilbert_numerator, koszul_terms, label_dimension, quadric_space_dim, run_audit
 
 G2_Y2_BETTI_TEXT = """\
@@ -154,7 +154,7 @@ def _crit_littlewood_sweep():
 def _crit_qset_oracle():
     mism = []
     checked = 0
-    for variant, form in (("minus", "alternating"), ("plus", "symmetric")):
+    for variant, form in Q_FORMS.items():
         for size in range(0, 11, 2):
             expected = enumerate_q(variant, size)
             dec = plethysm_wedge_power(size // 2, form, 6)
@@ -263,7 +263,7 @@ def _crit_quadrics():
     computed, generators_match = {}, True
     for name, generators in QUADRIC_GENERATORS.items():
         case = parse_case(name)
-        quadrics = next(itertools.islice(euler_characteristics(case, lambda j: cauchy_slice(case, j)[0]), 2, None)).scale(-1)
+        quadrics = next(itertools.islice(euler_characteristics(case, lambda j: cauchy_slice(case, j)), 2, None)).scale(-1)
         computed[name] = quadrics.total(label_dimension(case))
         generators_match = generators_match and quadrics.entries == generators and computed[name] == quadric_space_dim(case)
     expected = {"E6_3": 162, "F4_3": 318}

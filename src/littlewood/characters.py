@@ -131,11 +131,7 @@ def _eps_to_fund(family: str, rank: int, xs) -> tuple:
     """Doubled fundamental coordinates from doubled epsilon coordinates."""
     n = rank
     if family == "A":
-        if len(xs) != n + 1:
-            raise ValueError(f"A{n} epsilon weights have {n + 1} coordinates")
         return tuple(xs[i] - xs[i + 1] for i in range(n))
-    if len(xs) != n:
-        raise ValueError(f"{family}{n} epsilon weights have {n} coordinates")
     if family == "B":
         return tuple(xs[i] - xs[i + 1] for i in range(n - 1)) + (2 * xs[n - 1],)
     if family == "C":
@@ -324,14 +320,16 @@ class RootSystem:
             v[j] -= c * a
         return tuple(v)
 
-    def _walk(self, fc: tuple, shifted: bool):
+    def walk(self, fc: tuple, shifted: bool = False):
         """(steps, dominant conjugate of fc) by reflections of one list in
-        place, each at its lowest coordinate.  A reflection at any negative
-        coordinate turns exactly one positive root from negative to positive
-        on the weight, so steps is the number of positive roots negative on
-        fc whichever is taken, and the dominant conjugate is unique.  Shifted
-        (fc is some lam + rho): None at the first zero coordinate, as a zero
-        anywhere puts the weight on a root's wall."""
+        place, each at its lowest coordinate: steps is the length of the Weyl
+        element that takes fc there, at most the number of positive roots.  A
+        reflection at any negative coordinate turns exactly one positive root
+        from negative to positive on the weight, so steps is the number of
+        positive roots negative on fc whichever is taken, and the dominant
+        conjugate is unique.  Shifted (fc is some lam + rho): None at the
+        first zero coordinate, as a zero anywhere puts the weight on a root's
+        wall."""
         v, links = list(fc), self._links
         for steps in range(len(self._roots) + 1):
             if shifted and 0 in v:
@@ -343,18 +341,13 @@ class RootSystem:
                 v[j] -= c * a
         raise InconsistencyError(f"Weyl walk from {fc} in {self}: more than {len(self._roots)} reflections, the number of positive roots")
 
-    def walk(self, fc: tuple) -> tuple:
-        """(steps, dominant conjugate of fc): steps is the length of the Weyl
-        element that takes fc there, at most the number of positive roots."""
-        return self._walk(fc, False)
-
     def dominant_conjugate(self, fc: tuple) -> tuple:
-        return self._walk(fc, False)[1]
+        return self.walk(fc)[1]
 
     def dot_walk(self, fc: tuple):
         """Bott's rho-shifted walk: (steps, lam) with lam + rho the dominant
         conjugate of fc + rho, or None when fc + rho lies on a wall."""
-        walked = self._walk(tuple(c + 1 for c in fc), True)
+        walked = self.walk(tuple(c + 1 for c in fc), True)
         return walked and (walked[0], tuple(c - 1 for c in walked[1]))
 
     def height(self, fc: tuple) -> Fraction:
@@ -406,7 +399,6 @@ def _dim_irrep(family: str, rank: int, fc: tuple) -> int:
 # Freudenthal weight multiplicities
 
 
-@cache
 def _dominant_mults(family: str, rank: int, top: tuple) -> dict:
     """Freudenthal on the dominant weights below top, by depth: the height of
     top - mu.  The search down from top by positive roots carries ks, the
@@ -475,9 +467,9 @@ def weyl_orbit(rs: RootSystem, fc: tuple):
 
 
 def weight_multiplicities(rs: RootSystem, weight, bound=None) -> "Character":
-    """The weight diagram of the irreducible, the memoised read-only one
-    `char_of_irrep` reads too; the bound is checked before the memo, so a
-    lowered one still refuses a diagram memoised before."""
+    """The weight diagram of the irreducible, memoised and read-only; the
+    bound (the environment's without bound=) is checked before the memo, so
+    a lowered one still refuses a diagram memoised before."""
     fc = rs.fund_tuple(weight)
     check_bound("weight_multiplicities", rs.weight(fc), "dim", dim_irrep(rs, fc), *((dim_bound(), DIM_BOUND_ENV) if bound is None else (bound,)))
     return _irrep_character(rs.family, rs.rank, fc)
@@ -488,8 +480,8 @@ def _irrep_character(family: str, rank: int, fc: tuple) -> "Character":
     """The weight diagram, once per irreducible: the Weyl orbits of the
     dominant multiplicities, whose mass must be the Weyl dimension.  It is
     shared by every caller, so its entries are a read-only view, and a
-    caller's `add` raises instead of corrupting it.  The callers check the
-    dimension bound first."""
+    caller's `add` raises instead of corrupting it.  `weight_multiplicities`
+    checks the dimension bound first."""
     rs = build_root_system(family, rank)
     char, mass = Character(rs), 0
     for mu, m in _dominant_mults(family, rank, fc).items():
@@ -503,12 +495,6 @@ def _irrep_character(family: str, rank: int, fc: tuple) -> "Character":
         raise InconsistencyError(f"weight diagram mass {mass} != Weyl dimension {dim} for {fc} in {rs}")
     char.entries = MappingProxyType(char.entries)
     return char
-
-
-def char_of_irrep(rs: RootSystem, weight) -> "Character":
-    fc = rs.fund_tuple(weight)
-    check_bound("char_of_irrep", rs.weight(fc), "dim", dim_irrep(rs, fc), dim_bound(), DIM_BOUND_ENV)  # before the memo: a lowered bound still refuses
-    return _irrep_character(rs.family, rs.rank, fc)
 
 
 # ---------------------------------------------------------------------------
@@ -581,7 +567,7 @@ def brauer_klimyk(rs: RootSystem, weights, top: tuple) -> dict:
     Weyl-invariant weights: the rho-shifted walk (`RootSystem.dot_walk`) of
     top + w, run on top + rho + w, takes it to V_lam with sign (-1)^steps, or
     to nothing on a wall.  Zeros are dropped."""
-    out, shifted, walk = {}, tuple(c + 1 for c in top), rs._walk
+    out, shifted, walk = {}, tuple(c + 1 for c in top), rs.walk
     for fc, m in weights:
         walked = walk(tuple(map(operator.add, shifted, fc)), True)
         if walked:
@@ -620,7 +606,7 @@ def decompose_character(rs: RootSystem, char: Character) -> Decomposition:
 def _adams_weights(family: str, rank: int, v: tuple, i: int) -> tuple:
     """The weights of psi^i(V_v), ((fc, multiplicity), ...): those of V_v
     times i."""
-    return tuple((tuple(i * c for c in fc), m) for fc, m in char_of_irrep(build_root_system(family, rank), v).entries.items())
+    return tuple((tuple(i * c for c in fc), m) for fc, m in weight_multiplicities(build_root_system(family, rank), v).entries.items())
 
 
 @cache
@@ -668,7 +654,7 @@ def schur_character(rs: RootSystem, weight, lam) -> Decomposition:
     v, lam = rs.fund_tuple(weight), Partition(lam)
     subject = f"{lam} of {rs.weight(v)}"
     check_bound("schur_character", subject, "size", lam.size, SCHUR_SIZE_BOUND, "SCHUR_SIZE_BOUND")
-    dim_v = char_of_irrep(rs, v).dimension()
+    dim_v = weight_multiplicities(rs, v).dimension()
     inside = {tuple(filter(None, mu)) for mu in itertools.product(*(range(p + 1) for p in lam)) if all(map(operator.ge, mu, mu[1:]))}
     top = next(itertools.islice(adams_series(rs, v, {((), (0,) * rs.rank): 1}, len(lam), 1, inside), lam.size, None))
     mults = {fc: m for (mu, fc), m in top.items() if mu == lam.parts}

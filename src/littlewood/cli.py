@@ -19,7 +19,6 @@ from .characters import (
     CoordSystem,
     Weight,
     build_root_system,
-    char_of_irrep,
     Character,
     decompose_character,
     dim_irrep,
@@ -38,6 +37,9 @@ from .complexes import (
 )
 from .errors import LittlewoodError
 from .partitions import (
+    FORMS,
+    Q_FORMS,
+    Q_VARIANTS,
     Partition,
     check_q_size,
     enumerate_q,
@@ -57,6 +59,7 @@ from .resolutions import (
     hilbert_numerator,
     koszul_complex,
     koszul_terms,
+    label_dimension,
     run_audit,
 )
 
@@ -125,7 +128,7 @@ def _named_betti(name: str) -> BettiTable:
             _, form, m = name.split(":")
             m = int(m)
         except ValueError:  # too few or too many fields, or an m that is no int
-            raise LittlewoodError(f"betti table {name!r} is not of the form koszul:<alternating|symmetric>:<m>") from None
+            raise LittlewoodError(f"betti table {name!r} is not of the form koszul:<{'|'.join(FORMS)}>:<m>") from None
         return betti_of(koszul_complex(form, m), lambda lam: dim_schur(lam, m))
     raise LittlewoodError(f"unknown betti table {name!r}")
 
@@ -217,7 +220,7 @@ def _cmd_decompose(args):
     elif args.schur:
         dec = schur_character(rs, weight, parse_partition(args.schur))
     else:
-        dec = decompose_character(rs, char_of_irrep(rs, weight))
+        dec = decompose_character(rs, weight_multiplicities(rs, weight))
     return 0, dec.to_json(), [f"{w}: {m}" for w, m in dec.sorted_items()]
 
 
@@ -249,8 +252,7 @@ def _cmd_qset(args):
                 f"qset --oracle at size {args.size}: --dim-e {args.dim_e} is below the {rows} rows "
                 f"the longest {args.variant} member needs"
             )
-        form = "alternating" if args.variant == "minus" else "symmetric"
-        dec = plethysm_wedge_power(args.size // 2, form, args.dim_e)
+        dec = plethysm_wedge_power(args.size // 2, Q_FORMS[args.variant], args.dim_e)
         members = sorted(dec.support(), key=lambda p: p.parts)
     else:
         members = enumerate_q(args.variant, args.size)
@@ -274,7 +276,9 @@ def _cmd_bracket(args):
 
 
 def _cmd_slice(args):
-    dec, total = cauchy_slice(parse_case(args.case), args.degree)
+    case = parse_case(args.case)
+    dec = cauchy_slice(case, args.degree)
+    total = dec.total(label_dimension(case))
     return 0, {"content": dec.to_json(), "dimension": total}, [repr(dec), f"dimension {total}"]
 
 
@@ -325,7 +329,7 @@ _TYPE = ("--type", {"help": "root system, e.g. G2, B3, E6"})
 _WEIGHT = ("--weight", {"help": "coords, e.g. 1,0 or eps:3/2,1/2"})
 _TYPE_WEIGHT = [(flag, {**kwargs, "required": True}) for flag, kwargs in (_TYPE, _WEIGHT)]
 _LAMBDA = ("--lambda", {"dest": "lam", "required": True})
-_FORM = ("--form", {"choices": ("alternating", "symmetric"), "required": True})
+_FORM = ("--form", {"choices": FORMS, "required": True})
 _N = ("--n", {"type": int, "required": True})
 _LITTLEWOOD_FAMILY = ("--family", {"choices": LITTLEWOOD_FAMILIES, "required": True})
 _SPINOR_FAMILY = ("--family", {"choices": SPINOR_FAMILIES, "required": True})
@@ -356,7 +360,7 @@ SUBCOMMANDS = (
         ("--outer", {"required": True}),
         ("--inner", {"required": True})]),
     ("qset", _cmd_qset, "partitions of a given size in a Q-set", [
-        ("--variant", {"choices": ("minus", "plus"), "required": True}),
+        ("--variant", {"choices": Q_VARIANTS, "required": True}),
         ("--size", {"type": int, "default": None}),
         ("--check", {"default": None, "help": "report membership, transpose, and rank of one shape"}),
         ("--oracle", {"action": "store_true", "help": "recompute through the plethysm oracle"}),

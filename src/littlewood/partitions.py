@@ -30,8 +30,10 @@ from types import MappingProxyType
 
 from .errors import InconsistencyError, check_bound
 
-Q_VARIANTS = ("minus", "plus")
-FORMS = ("alternating", "symmetric")
+# Each Q-set variant and the quadric form whose exterior powers it indexes
+# (`plethysm_wedge_power`): minus with wedge^2 E, plus with Sym^2 E.
+Q_FORMS = {"minus": "alternating", "plus": "symmetric"}
+Q_VARIANTS, FORMS = tuple(Q_FORMS), tuple(Q_FORMS.values())
 # enumerate_q keeps only the members in memory, but still walks all p(size)
 # partitions: the p(60) = 966,467 take 3.2-4.0 s CPU and 18 MB peak RSS for
 # the 296 members (2-vCPU Xeon VM, Python 3.11); p(70) = 4,087,968.

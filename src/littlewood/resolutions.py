@@ -18,7 +18,7 @@ from typing import NamedTuple
 from .characters import Weight, adams_series, dim_irrep
 from .complexes import GradedTerm, GroupCase, bracket_labels, bracket_weight, branch_gl_to_iso
 from .errors import InconsistencyError, check_bound
-from .partitions import Decomposition, Partition, dim_schur, enumerate_q, partitions_of
+from .partitions import FORMS, Q_VARIANTS, Decomposition, Partition, dim_schur, enumerate_q, partitions_of
 
 
 # ---------------------------------------------------------------------------
@@ -156,8 +156,8 @@ def hilbert_numerator(table: BettiTable, codim: int) -> HilbertData:
 
 def _koszul_top(form: str, m: int) -> int:
     """The number of quadrics, the last homological degree."""
-    if form not in ("alternating", "symmetric"):
-        raise ValueError(f"koszul {form}: form must be alternating or symmetric")
+    if form not in FORMS:
+        raise ValueError(f"koszul {form}: form must be {' or '.join(FORMS)}")
     if m < 0:
         raise ValueError(f"koszul {form}: m {m} is negative")
     return m * (m - 1) // 2 if form == "alternating" else m * (m + 1) // 2
@@ -169,9 +169,8 @@ def koszul_terms(form: str, m: int, i: int) -> Decomposition:
     top = _koszul_top(form, m)
     if not 0 <= i <= top:
         raise ValueError(f"homological degree {i} out of range 0..{top}")
-    variant = "minus" if form == "alternating" else "plus"
     out = Decomposition()
-    for mu in enumerate_q(variant, 2 * i):
+    for mu in enumerate_q(Q_VARIANTS[FORMS.index(form)], 2 * i):
         if len(mu) <= m:
             out.add(mu, 1)
     return out
@@ -187,10 +186,10 @@ def koszul_complex(form: str, m: int) -> list[GradedTerm]:
 SLICE_BOUND = 12  # the last coordinate-ring degree a slice reaches; a mirrored peel goes on to s past it
 
 
-def cauchy_slice(case: GroupCase, d: int):
+def cauchy_slice(case: GroupCase, d: int) -> Decomposition:
     """Degree-d slice of the coordinate ring as a decomposition of pairs
-    (multiplicity-space shape, group weight), together with its exact total
-    dimension.
+    (multiplicity-space shape, group weight); its exact total dimension is
+    `dec.total(label_dimension(case))`.
 
     The six-copy F4 case is not spherical; there the slice carries genuine
     multiplicities, computed by branching each shape through the rank-3
@@ -212,15 +211,14 @@ def cauchy_slice(case: GroupCase, d: int):
             labels = [(w, 1) for w in bracket_labels(case, lam)]
         for w, mult in labels:
             out.add((lam, w), mult)
-    return out, out.total(label_dimension(case))
+    return out
 
 
 def quadric_space_dim(case: GroupCase) -> int:
     """Dimension of the degree-2 part of the defining ideal: quadrics on the
     full matrix space minus the degree-2 part of the coordinate ring."""
     n = case.dim_e * case.dim_v
-    _, k2 = cauchy_slice(case, 2)
-    return n * (n + 1) // 2 - k2
+    return n * (n + 1) // 2 - cauchy_slice(case, 2).total(label_dimension(case))
 
 
 # ---------------------------------------------------------------------------
@@ -350,8 +348,10 @@ def g2_equivariant_resolution() -> list[GradedTerm]:
 
 
 def _cauchy(case: GroupCase):
-    """The case's coordinate ring, slice by slice, as `peel_resolution` reads it."""
-    return lambda j: cauchy_slice(case, j)[0]
+    """The case's coordinate ring, slice by slice, as `peel_resolution` reads
+    it; `cauchy_slice` is looked up at each call, so a wrapper installed on
+    the module sees every slice."""
+    return lambda j: cauchy_slice(case, j)
 
 
 def label_dimension(case: GroupCase):
@@ -368,8 +368,7 @@ def label_dimension(case: GroupCase):
 def _g2_y1_slice(j: int) -> Decomposition:
     """The rank-1 variety's coordinate ring in degree j, Sym^j E (x) V_(j,0):
     the one-row part of the rank-2 slice."""
-    dec = cauchy_slice(_G2, j)[0]
-    return Decomposition({label: m for label, m in dec.entries.items() if len(label[0]) <= 1})
+    return Decomposition({label: m for label, m in cauchy_slice(_G2, j).entries.items() if len(label[0]) <= 1})
 
 
 E6_BETTI_TOTALS = [1, 27, 78, 351, 650, 702, 650, 351, 78, 27, 1]

@@ -5,7 +5,7 @@ operations (`characters.adams_series`, `partitions.newton_series`); they
 expand every Schur functor weight by weight through `schur_fill`, so they are
 slow but independent of the kernel they check.
 The reference Weyl walk is the one the library replaced by its in-place
-walk (`RootSystem._walk`): it reflects at the first negative coordinate and
+walk (`RootSystem.walk`): it reflects at the first negative coordinate and
 builds a tuple per step, so the Cauchy oracle does not share the kernel it
 checks.
 The folding restriction from E6 to F4 is the route by which the library once
@@ -16,7 +16,7 @@ import itertools
 import operator
 from functools import cache
 
-from littlewood.characters import Character, char_of_irrep
+from littlewood.characters import Character, weight_multiplicities
 from littlewood.complexes import bracket_weight
 from littlewood.partitions import Decomposition, Partition, lr_coefficient, partitions_of
 
@@ -103,7 +103,7 @@ def _schur_weights_of_v(case, sigma: Partition) -> tuple:
     """The (fundamental coordinates, multiplicity) weights of S_sigma' V, sigma'
     the transpose and V the irreducible of the one-box shape."""
     rs = case.root_system()
-    base = char_of_irrep(rs, bracket_weight(case, (1,)))
+    base = weight_multiplicities(rs, bracket_weight(case, (1,)))
     return tuple(fill_character(rs, base, sigma.transpose()).entries.items())
 
 

@@ -452,7 +452,7 @@ def test_every_listed_betti_name_renders(capsys):
             "error: weight_multiplicities fund:E8:0,0,0,0,0,0,1,1: dim 4096000 is past LITTLEWOOD_DIM_BOUND 1000000\n",
         ),
         (("mults", "--type", "G2", "--weight", "2,1", "--bound", "100"), "error: weight_multiplicities fund:G2:2,1: dim 189 is past the bound 100\n"),
-        (("decompose", "--type", "E8", "--weight", "1,1,0,0,0,0,0,0"), "error: char_of_irrep fund:E8:1,1,0,0,0,0,0,0: dim 301694976 is past LITTLEWOOD_DIM_BOUND 1000000\n"),
+        (("decompose", "--type", "E8", "--weight", "1,1,0,0,0,0,0,0"), "error: weight_multiplicities fund:E8:1,1,0,0,0,0,0,0: dim 301694976 is past LITTLEWOOD_DIM_BOUND 1000000\n"),
         (("pleth", "--k", "7", "--form", "alternating", "--dim-e", "4"), "error: plethysm_wedge_power alternating: k 7 is past the bound 6\n"),
         (("qset", "--variant", "plus", "--size", "14", "--oracle", "--dim-e", "8"), "error: plethysm_wedge_power symmetric: k 7 is past the bound 6\n"),
         (("verify-spinor", "--family", "B", "--n", "9", "--lambda", "1"), "error: spinor_complex B: n 9 is past the bound 8\n"),

@@ -1,7 +1,7 @@
 import pytest
 
 from littlewood.bott import SpinLabel, spin_mirrors, spin_weight
-from littlewood.characters import Character, Weight, build_root_system, char_of_irrep, dim_irrep
+from littlewood.characters import Character, Weight, build_root_system, dim_irrep, weight_multiplicities
 import littlewood.complexes as complexes_module
 from littlewood.complexes import (
     CASE_KINDS,
@@ -406,7 +406,7 @@ SPIN_MIRRORS = {"B": (False,), "Dplus": (False,), "Dminus": (True,), "Dfull": (F
 
 
 def _spin_character(rs, parts, mirrors):
-    return sum((char_of_irrep(rs, spin_weight(rs.family, rs.rank, parts, m)) for m in mirrors), Character(rs))
+    return sum((weight_multiplicities(rs, spin_weight(rs.family, rs.rank, parts, m)) for m in mirrors), Character(rs))
 
 
 def _spinor_identity_failures(family, n, max_size):
@@ -418,7 +418,7 @@ def _spinor_identity_failures(family, n, max_size):
     only characters tell Delta+ from Delta-."""
     fam = family[0]
     rs = build_root_system(fam, n)
-    vector = char_of_irrep(rs, Weight.epsilon(fam, n, (1,) + (0,) * (n - 1)))
+    vector = weight_multiplicities(rs, Weight.epsilon(fam, n, (1,) + (0,) * (n - 1)))
     terms = spinor_complex(family, n)
     labels = {label: _spin_character(rs, (0,) * n, spin_mirrors(fam, label)) for t in terms for _, label in t.content.entries}
     failures = []

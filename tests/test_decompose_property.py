@@ -18,10 +18,10 @@ from littlewood.characters import (
     DIM_BOUND_ENV,
     Character,
     build_root_system,
-    char_of_irrep,
     decompose_character,
     dim_irrep,
     schur_character,
+    weight_multiplicities,
     weyl_orbit,
 )
 from littlewood.partitions import partitions_of
@@ -41,7 +41,7 @@ def test_decompose_inverts_char(family, mults):
     rs = build_root_system(family, 2)
     total = Character(rs)
     for fc, m in mults.items():
-        total = total + char_of_irrep(rs, fc).scale(m)
+        total = total + weight_multiplicities(rs, fc).scale(m)
     dec = decompose_character(rs, total)
     assert {w.fund_coords(): m for w, m in dec.entries.items()} == mults
 
@@ -62,7 +62,7 @@ def _peel(rs, char):
         if m < 0:
             raise NotCharacterError(f"negative multiplicity {m} at {best} in {rs}")
         out.add(rs.weight(best), m)
-        for fc, c in char_of_irrep(rs, best).entries.items():
+        for fc, c in weight_multiplicities(rs, best).entries.items():
             work.add(fc, -m * c)
     return out
 
@@ -82,13 +82,13 @@ def characters(draw):
     minus another irreducible (a virtual character)."""
     rs = build_root_system(*draw(st.sampled_from(TYPES)))
     weight = st.sampled_from(_small_weights(rs))
-    base = char_of_irrep(rs, draw(weight))
+    base = weight_multiplicities(rs, draw(weight))
     if draw(st.booleans()):
-        char = base * char_of_irrep(rs, draw(weight))
+        char = base * weight_multiplicities(rs, draw(weight))
     else:
         char = fill_character(rs, base, draw(st.sampled_from([(1, 1), (2,), (2, 1), (1, 1, 1), (3,)])))
     if draw(st.booleans()):
-        char = char - char_of_irrep(rs, draw(weight))
+        char = char - weight_multiplicities(rs, draw(weight))
     return rs, char
 
 
@@ -121,7 +121,7 @@ def test_perturbed_orbit_weight_is_not_a_character(family_rank, data):
     rs = build_root_system(*family_rank)
     top = data.draw(st.sampled_from(_small_weights(rs)[1:]))
     orbit = list(weyl_orbit(rs, top))
-    bent = Character(rs, char_of_irrep(rs, top).entries)
+    bent = Character(rs, weight_multiplicities(rs, top).entries)
     bent.add(data.draw(st.sampled_from(orbit)), data.draw(st.sampled_from([-1, 1])))
     with pytest.raises(NotCharacterError, match=r"but its reflection s_\d .* not Weyl-invariant"):
         decompose_character(rs, bent)
@@ -130,7 +130,7 @@ def test_perturbed_orbit_weight_is_not_a_character(family_rank, data):
 
 def test_constituent_dimensions_must_sum_to_the_character(monkeypatch):
     g2 = build_root_system("G", 2)
-    wedge = fill_character(g2, char_of_irrep(g2, (1, 0)), (1, 1))
+    wedge = fill_character(g2, weight_multiplicities(g2, (1, 0)), (1, 1))
     monkeypatch.setattr(characters_module, "dim_irrep", lambda rs, fc: 1)
     with pytest.raises(InconsistencyError, match="constituent dimensions sum to 2, the character to 21"):
         decompose_character(g2, wedge)
@@ -147,6 +147,6 @@ def test_adams_kernel_matches_the_weight_fill(family_rank, data):
     rs = build_root_system(*family_rank)
     top = data.draw(st.sampled_from(_small_weights(rs)))
     lam = data.draw(st.sampled_from(SHAPES))
-    want = decompose_character(rs, fill_character(rs, char_of_irrep(rs, top), lam))
+    want = decompose_character(rs, fill_character(rs, weight_multiplicities(rs, top), lam))
     got = schur_character(rs, top, lam)
     assert got == want and list(got.entries) == list(want.entries)

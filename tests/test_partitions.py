@@ -3,7 +3,7 @@ import tracemalloc
 import pytest
 
 from littlewood import partitions
-from littlewood.characters import build_root_system, char_of_irrep, dim_irrep
+from littlewood.characters import build_root_system, dim_irrep, weight_multiplicities
 from littlewood.errors import InconsistencyError, ScaleError
 from littlewood.partitions import (
     Decomposition,
@@ -195,7 +195,7 @@ def test_decomposition_is_not_iterable():
             use(dec)
     g2 = build_root_system("G", 2)
     with pytest.raises(TypeError):
-        dim_irrep(g2, char_of_irrep(g2, (1, 0)))  # a character passed where a weight belongs
+        dim_irrep(g2, weight_multiplicities(g2, (1, 0)))  # a character passed where a weight belongs
 
 
 def test_plethysm_examples():

@@ -102,10 +102,9 @@ def test_weight_fill_stays_out_of_the_library():
     assert not found, found
 
 
-def test_benchmark_tracer_targets_resolve():
-    # The benchmark's tracer wraps these names from outside the package: a
-    # module attribute, or Class.__dict__[method].  A rename would otherwise
-    # surface only as a crash of a traced benchmark run.
+def _tracer_targets() -> dict:
+    """SPANNED and COUNTED of the benchmark's tracer: (layer module, attribute
+    or Class.method) pairs it wraps by name."""
     tracer = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
     targets = {}
     for node in ast.parse(tracer.read_text()).body:
@@ -113,6 +112,14 @@ def test_benchmark_tracer_targets_resolve():
             name = getattr(node.targets[0], "id", None)
             if name in ("SPANNED", "COUNTED"):
                 targets[name] = ast.literal_eval(node.value)
+    return targets
+
+
+def test_benchmark_tracer_targets_resolve():
+    # The benchmark's tracer wraps these names from outside the package: a
+    # module attribute, or Class.__dict__[method].  A rename would otherwise
+    # surface only as a crash of a traced benchmark run.
+    targets = _tracer_targets()
     assert set(targets) == {"SPANNED", "COUNTED"}
     missing = []
     for mod_name, attr in targets["SPANNED"] + targets["COUNTED"]:
@@ -128,9 +135,37 @@ def test_benchmark_tracer_targets_resolve():
     assert not missing, missing
 
 
+def test_every_function_and_method_is_used_in_the_package():
+    # A function or method that only tests call is a second entry point to a
+    # kernel the package reaches another way.  A top-level function counts
+    # as used when its name is read anywhere in src/, a method when it is
+    # read as an attribute; the benchmark tracer's targets are wrapped by
+    # name from outside and are exempt.
+    targets = _tracer_targets()
+    exempt = {f"{mod}.{attr}" for mod, attr in targets["SPANNED"] + targets["COUNTED"]}
+    defined, names, attrs = [], set(), set()
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defined.append((f"{path.stem}.{node.name}", node.name, names))
+            elif isinstance(node, ast.ClassDef):
+                for fn in node.body:
+                    if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (fn.name.startswith("__") and fn.name.endswith("__")):
+                        defined.append((f"{path.stem}.{node.name}.{fn.name}", fn.name, attrs))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                attrs.add(node.attr)
+                names.add(node.attr)
+    unused = [full for full, name, seen in defined if name not in seen and full not in exempt]
+    assert not unused, unused
+
+
 # Memos that no longer exist; their counters read 0 until the benchmark drops
 # them.
-DEAD_MEMOS = {"partitions.schur_monomials", "resolutions._g2_tensor", "resolutions._g2_schur_decomposition"}
+DEAD_MEMOS = {"partitions.schur_monomials", "resolutions._g2_tensor", "resolutions._g2_schur_decomposition", "characters._dominant_mults"}
 
 
 def test_benchmark_memo_counters_resolve():
